@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -50,16 +49,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _default_threads() -> int:
-    raw = os.environ.get("UBRAIN_THREADS", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            print(f"ignoring non-numeric UBRAIN_THREADS={raw!r}", file=sys.stderr)
-    return 1
 
 
 def _parse_fraction(token: str) -> Fraction:
@@ -145,9 +134,7 @@ def _formula_paths(out: Path) -> tuple[Path, Path]:
 
 def cmd_learn(args) -> int:
     dataset = _load_dataset(args)
-    config = LearnerConfig(
-        dedupe=args.dedupe, trace=args.trace is not None, threads=args.threads
-    )
+    config = LearnerConfig(dedupe=args.dedupe, trace=args.trace is not None)
     try:
         result = learn(dataset, config)
     except ConsistencyAbort as abort:
@@ -246,7 +233,6 @@ def cmd_experiment(args) -> int:
         modes,
         seeds,
         legs_order=_legs_order(args),
-        threads=args.threads,
     )
     report_path = Path(args.report)
     report_path.write_text(report.render_text(), encoding="utf-8")
@@ -347,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     learn_p.add_argument("--dedupe", choices=["certain", "exact"], default="exact")
     learn_p.add_argument("--trace", help="write the per-step trace to this file")
     learn_p.add_argument("--output", required=True, help="formula file (text; a .json sibling is written too)")
-    learn_p.add_argument("--threads", type=int, default=_default_threads())
     learn_p.add_argument("--json", action="store_true")
     learn_p.set_defaults(func=cmd_learn)
 
@@ -375,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp_p.add_argument("--seeds", default="1,2")
     exp_p.add_argument("--report", required=True, help="report text file (a CSV sibling is written too)")
     exp_p.add_argument("--encoding", help="leg-count order for x13..x17")
-    exp_p.add_argument("--threads", type=int, default=_default_threads())
     exp_p.add_argument("--json", action="store_true")
     exp_p.set_defaults(func=cmd_experiment)
 

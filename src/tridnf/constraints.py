@@ -14,7 +14,6 @@ integers scaled by 2^(p+q+1), and relevances are Fractions of those.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -127,6 +126,27 @@ class ConstraintGroup:
     sets: tuple[ConstraintSet, ...]
 
 
+def pair_grades(u: Instance, v: Instance, full: int) -> tuple[int, int, int, int, int, int]:
+    """The six grade masks of the pair (u positive, v negative).
+
+    In ``ConstraintSet`` field order: full, half and quarter for ``xk``,
+    then the same three for ``~xk``.  ``full`` has one bit per variable.
+    """
+    u_unk = ~u.known_bits & full
+    v_unk = ~v.known_bits & full
+    u_one, u_zero = u.value_bits, u.known_bits & ~u.value_bits
+    v_one, v_zero = v.value_bits, v.known_bits & ~v.value_bits
+    both = u_unk & v_unk
+    return (
+        u_one & v_zero,
+        (u_one & v_unk) | (u_unk & v_zero),
+        both,
+        u_zero & v_one,
+        (u_zero & v_unk) | (u_unk & v_one),
+        both,
+    )
+
+
 def build_membership(
     u: Instance,
     v: Instance,
@@ -137,38 +157,19 @@ def build_membership(
     """Grade every literal against the pair (u positive, v negative)."""
     if u.n != v.n:
         raise ValueError("instances of unequal width")
-    both_unknown = u.unknowns & v.unknowns
-    return ConstraintSet(
-        n=u.n,
-        exponent=p + q,
-        positive_index=origin[0],
-        negative_index=origin[1],
-        pos_full=u.ones & v.zeros,
-        pos_half=(u.ones & v.unknowns) | (u.unknowns & v.zeros),
-        pos_quarter=both_unknown,
-        neg_full=u.zeros & v.ones,
-        neg_half=(u.zeros & v.unknowns) | (u.unknowns & v.ones),
-        neg_quarter=both_unknown,
-    )
+    return ConstraintSet(u.n, p + q, *origin, *pair_grades(u, v, (1 << u.n) - 1))
 
 
-def build_constraints(dataset: Dataset, threads: int = 1) -> list[ConstraintGroup]:
+def build_constraints(dataset: Dataset) -> list[ConstraintGroup]:
     """One group per positive instance, one set per negative instance."""
     p, q = dataset.p, dataset.q
-
-    def group(i: int) -> ConstraintGroup:
-        u = dataset.positives[i - 1]
-        sets = tuple(
+    return [
+        ConstraintGroup(i, tuple(
             build_membership(u, v, p, q, origin=(i, j))
             for j, v in enumerate(dataset.negatives, start=1)
-        )
-        return ConstraintGroup(i, sets)
-
-    indices = range(1, p + 1)
-    if threads > 1 and p > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(group, indices))
-    return [group(i) for i in indices]
+        ))
+        for i, u in enumerate(dataset.positives, start=1)
+    ]
 
 
 def fuzzy_cardinality(cs: ConstraintSet) -> Fraction:

@@ -176,7 +176,7 @@ def load_ternary_csv(path: str | Path) -> Dataset:
     cell per variable plus a +/- label.  Rows are assigned ids r1, r2, ...
     in file order.
     """
-    with open(path, encoding="utf-8", newline="") as handle:
+    with open(path, encoding="utf-8-sig", newline="") as handle:
         rows = list(csv.reader(handle))
     rows = [row for row in rows if row and any(cell.strip() for cell in row)]
     if not rows:

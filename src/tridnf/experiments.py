@@ -17,7 +17,7 @@ from typing import Sequence
 from .datasets import DEFAULT_LEGS_ORDER, ZooRecord, encode_zoo
 from .errors import ConsistencyAbort
 from .formula import DnfFormula
-from .learner import LearnerConfig, learn
+from .learner import learn
 from .masking import TRUSTWORTHY, apply_mask, make_mask
 from .trits import Dataset
 
@@ -202,7 +202,6 @@ def run_experiment(
     modes: Sequence[str],
     seeds: Sequence[int],
     legs_order: tuple[int, ...] = DEFAULT_LEGS_ORDER,
-    threads: int = 1,
 ) -> ExperimentReport:
     """Run the full (type, mode, fraction, seed) grid.
 
@@ -212,14 +211,13 @@ def run_experiment(
     kinds = sorted(set(types))
     fracs = sorted({Fraction(f) for f in fractions})
     mode_list = list(dict.fromkeys(modes))
-    config = LearnerConfig(threads=threads)
     runs: list[RunResult] = []
     references: list[tuple[int, DnfFormula]] = []
     for kind in kinds:
         complete = encode_zoo(records, kind, legs_order)
         truth: DnfFormula | None = None
         if TRUSTWORTHY in mode_list:
-            truth = learn(complete, config).formula
+            truth = learn(complete).formula
             references.append((kind, truth))
         for mode in mode_list:
             for fraction in fracs:
@@ -234,7 +232,7 @@ def run_experiment(
                     masked = apply_mask(complete, plan)
                     start = time.perf_counter()
                     try:
-                        result = learn(masked, config)
+                        result = learn(masked)
                     except ConsistencyAbort as abort:
                         runs.append(
                             RunResult(

@@ -254,15 +254,9 @@ def parse_formula(text: str, n: int | None = None) -> DnfFormula:
     return DnfFormula(n if n is not None else max_var, tuple(terms))
 
 
-def formula_from_codes(n: int, term_codes: Iterable[Iterable[int]]) -> DnfFormula:
+def term_from_codes(n: int, codes: Iterable[int]) -> Term:
     """Build from internal literal codes: ``k-1`` for ``xk``, ``n+k-1`` for ``~xk``."""
-    terms = []
-    for codes in term_codes:
-        lits = []
-        for code in codes:
-            if code < n:
-                lits.append(Literal(False, code + 1))
-            else:
-                lits.append(Literal(True, code - n + 1))
-        terms.append(Term(tuple(lits)))
-    return DnfFormula(n, tuple(terms))
+    return Term(tuple(
+        Literal(False, c + 1) if c < n else Literal(True, c - n + 1)
+        for c in codes
+    ))

@@ -18,12 +18,13 @@ arithmetic would pick.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+from .constraints import pair_grades
 from .errors import ConsistencyAbort, IterationLimitError
-from .formula import DnfFormula, Literal, Term
+from .formula import DnfFormula, Term, term_from_codes
 from .trits import (
     Dataset,
     Instance,
@@ -41,16 +42,14 @@ class LearnerConfig:
     ``dedupe``: duplicate-row removal mode, "exact" (ternary duplicates) or
     "certain" (fully-certain duplicates only).  ``trace``: collect the
     per-event text log.  ``max_iterations``: safety cap on outer
-    iterations, default p+1.  ``threads``: fan-out for constraint-set
-    construction; never changes any output.  ``reduce`` and
-    ``update_negatives`` exist to reproduce degraded behavior in tests;
-    production callers leave them True.
+    iterations, default p+1.  ``reduce`` and ``update_negatives`` exist to
+    reproduce degraded behavior in tests; production callers leave them
+    True.
     """
 
     dedupe: str = "exact"
     trace: bool = False
     max_iterations: int | None = None
-    threads: int = 1
     reduce: bool = True
     update_negatives: bool = True
 
@@ -99,22 +98,6 @@ class _LiveSet:
         self.card = 0
 
 
-def _pair_masks(u: Instance, v: Instance, full: int) -> tuple[int, int, int, int, int, int]:
-    u_unk = ~u.known_bits & full
-    v_unk = ~v.known_bits & full
-    u_one, u_zero = u.value_bits, u.known_bits & ~u.value_bits
-    v_one, v_zero = v.value_bits, v.known_bits & ~v.value_bits
-    both = u_unk & v_unk
-    return (
-        u_one & v_zero,
-        (u_one & v_unk) | (u_unk & v_zero),
-        both,
-        u_zero & v_one,
-        (u_zero & v_unk) | (u_unk & v_one),
-        both,
-    )
-
-
 class _TermEngine:
     """Scoring and erasure state for building one term.
 
@@ -123,7 +106,7 @@ class _TermEngine:
     not drift as sets are erased mid-term.
     """
 
-    def __init__(self, positives, negatives, threads: int, trace: list[str] | None):
+    def __init__(self, positives, negatives, trace: list[str] | None):
         self.n = positives[0].n
         p, q = len(positives), len(negatives)
         self.norm = p * q
@@ -135,30 +118,18 @@ class _TermEngine:
         self.total = 0
         full = (1 << self.n) - 1
 
-        def row(i: int) -> list[tuple[int, int, int, int, int, int]]:
-            u = positives[i - 1]
-            return [_pair_masks(u, v, full) for v in negatives]
-
-        indices = range(1, p + 1)
-        if threads > 1 and p > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                rows = list(pool.map(row, indices))
-        else:
-            rows = [row(i) for i in indices]
-
-        for i, masks_row in enumerate(rows, start=1):
-            if not masks_row:
-                continue
+        for i, u in enumerate(positives, start=1):
             group: dict[int, _LiveSet] = {}
-            for j, masks in enumerate(masks_row, start=1):
-                s = _LiveSet(i, j, *masks)
+            for j, v in enumerate(negatives, start=1):
+                s = _LiveSet(i, j, *pair_grades(u, v, full))
                 s.card = self._card(s)
                 if s.card == 0:
                     _abort(trace, "empty-constraint-set", pairs=((i, j),))
                 group[j] = s
                 self._bucket_add(s)
-            self.groups[i] = group
-            self.total += len(group)
+            if group:
+                self.groups[i] = group
+                self.total += len(group)
 
     def _card(self, s: _LiveSet) -> int:
         return (
@@ -234,9 +205,6 @@ class _TermEngine:
             s.neg_half &= bit
             s.neg_quarter &= bit
 
-    def _render(self, code: int) -> str:
-        return f"x{code + 1}" if code < self.n else f"~x{code - self.n + 1}"
-
     def select(self, banned: set[int]) -> int:
         """Literal code of maximal total relevance; exact, first-max ties.
 
@@ -268,7 +236,8 @@ class _TermEngine:
         best = max(exact.values())
         code = min(c for c in cluster if exact[c] == best)
         if self.trace is not None:
-            self.trace.append(f"SELECT {self._render(code)} R={best / self.norm}")
+            literal = term_from_codes(self.n, (code,)).render()
+            self.trace.append(f"SELECT {literal} R={_exact(best / self.norm)}")
         return code
 
     def apply(self, code: int) -> None:
@@ -321,11 +290,18 @@ class _TermEngine:
             self._bucket_add(s)
 
 
-def _term_from_codes(n: int, codes: list[int]) -> Term:
-    return Term(tuple(
-        Literal(False, c + 1) if c < n else Literal(True, c - n + 1)
-        for c in codes
-    ))
+def _exact(value: Fraction) -> str:
+    """``str(value)`` past Python's int-to-str digit limit, which exact
+    relevances on masked data outgrow.  The caller's limit is restored."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        return str(value)
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _lowest_unknown_on(inst: Instance, term: Term) -> int | None:
@@ -383,7 +359,7 @@ def learn(dataset: Dataset, config: LearnerConfig | None = None) -> LearnResult:
         positives = list(work.positives)
         negatives = list(work.negatives)
 
-        engine = _TermEngine(positives, negatives, cfg.threads, trace)
+        engine = _TermEngine(positives, negatives, trace)
         codes: list[int] = []
         banned: set[int] = set()
         while engine.total:
@@ -391,7 +367,7 @@ def learn(dataset: Dataset, config: LearnerConfig | None = None) -> LearnResult:
             codes.append(code)
             banned.add(code + n if code < n else code - n)
             engine.apply(code)
-        term = _term_from_codes(n, codes)
+        term = term_from_codes(n, codes)
         terms.append(term)
         if trace is not None:
             trace.append(f"TERM {term.render()}")
@@ -404,7 +380,8 @@ def learn(dataset: Dataset, config: LearnerConfig | None = None) -> LearnResult:
                     trace.append(f"POS_ERASED {inst.id}")
             else:
                 kept.append(inst)
-        assert len(kept) < len(positives), "completed term erased no positive instance"
+        if len(kept) == len(positives):
+            _abort(trace, "no-positive-erased", term=term.render())
         positives = kept
 
         if cfg.update_negatives:

@@ -17,7 +17,7 @@ from .errors import (
     ConsistencyAbort,
     SearchBudgetExceededError,
 )
-from .formula import DnfFormula, Literal, Term
+from .formula import DnfFormula, Term, term_from_codes
 from .trits import Dataset, Instance
 
 
@@ -135,7 +135,7 @@ def minimal_dnf_exhaustive(d: Dataset, max_literals: int = 12) -> DnfFormula:
                 codes.append(k)
             elif kind == 2:
                 codes.append(n + k)
-        term = _codes_to_term(n, codes)
+        term = term_from_codes(n, codes)
         if any(term.evaluate(v) for v in negatives):
             continue
         cover = 0
@@ -170,16 +170,9 @@ def minimal_dnf_exhaustive(d: Dataset, max_literals: int = 12) -> DnfFormula:
         for t in range(1, min(len(usable), total + 1) + 1):
             found = search(0, total, t, all_pos, [])
             if found is not None:
-                terms = tuple(_codes_to_term(n, list(usable[idx][0])) for idx in found)
+                terms = tuple(term_from_codes(n, usable[idx][0]) for idx in found)
                 return DnfFormula(n, terms)
     raise BudgetExceededError(f"no consistent DNF within {max_literals} literals")
-
-
-def _codes_to_term(n: int, codes: list[int] | tuple[int, ...]) -> Term:
-    return Term(tuple(
-        Literal(False, c + 1) if c < n else Literal(True, c - n + 1)
-        for c in codes
-    ))
 
 
 def reference_brain(d: Dataset) -> DnfFormula:
@@ -188,7 +181,8 @@ def reference_brain(d: Dataset) -> DnfFormula:
     Built directly on the crisp membership rule (a literal separates a
     pair iff the cells are certain, unequal, and oriented its way) with
     naive Fraction scoring.  Deliberately shares no code with the learner
-    beyond the output types, so the two can check each other.
+    beyond the output types and their code converter, so the two can check
+    each other.
     """
     if not d.all_certain:
         raise ValueError("reference learner handles fully certain data only")
@@ -256,13 +250,14 @@ def reference_brain(d: Dataset) -> DnfFormula:
             picked.append(code)
             banned.add(comp)
 
-        term = _codes_to_term(n, picked)
+        term = term_from_codes(n, picked)
         terms.append(term)
         for v in negatives:
             if satisfies(v, term):
                 raise ConsistencyAbort("unfalsifiable-negative", term=term.render())
         kept = [u for u in positives if not satisfies(u, term)]
-        assert len(kept) < len(positives), "term covered no positive instance"
+        if len(kept) == len(positives):
+            raise ConsistencyAbort("no-positive-erased", term=term.render())
         positives = kept
 
     return DnfFormula(n, tuple(terms))

@@ -24,8 +24,6 @@ from tridnf import (
     build_constraints,
     build_membership,
     learn,
-    make_mask,
-    apply_mask,
     reduce_uncertainty,
     reference_brain,
     run_experiment,
@@ -195,28 +193,12 @@ def test_criterion_6_trustworthy_dominance(sweep):
     print("criterion 6: trustworthy mean R dominated at", "; ".join(pairs))
 
 
-def test_criterion_7_termination_and_thread_determinism(sweep, zoo_datasets, zoo_truths):
-    """Iterations stay within the positive count; threads change nothing."""
+def test_criterion_7_termination(sweep):
+    """Iterations stay within the positive count."""
     for run in sweep.runs:
         if run.ok:
             assert run.iterations <= run.masked_p, run
-
-    probes = [
-        (1, RANDOM, Fraction(3, 10), 0),
-        (4, RANDOM, Fraction(1, 2), 2),
-        (7, TRUSTWORTHY, Fraction(2, 5), 3),
-    ]
-    for kind, mode, fraction, seed in probes:
-        complete = zoo_datasets[kind]
-        truth = zoo_truths[kind] if mode == TRUSTWORTHY else None
-        masked = apply_mask(complete, make_mask(complete, mode, fraction, seed, truth=truth))
-        one = learn(masked, LearnerConfig(trace=True, threads=1))
-        four = learn(masked, LearnerConfig(trace=True, threads=4))
-        assert one.trace == four.trace
-        assert one.formula == four.formula
-        assert one.dataset == four.dataset
-    print(f"criterion 7: iteration bound held on {len(sweep.runs)} runs; "
-          f"{len(probes)} probes byte-identical across thread counts")
+    print(f"criterion 7: iteration bound held on {len(sweep.runs)} runs")
 
 
 def eq2_membership(u_cells, v_cells, p, q, k, neg):
@@ -280,7 +262,7 @@ def test_criterion_8_exact_arithmetic_oracle():
 
         if datasets % 25 == 0:
             trace: list[str] = []
-            engine = _TermEngine(list(d.positives), list(d.negatives), 1, trace)
+            engine = _TermEngine(list(d.positives), list(d.negatives), trace)
             code = engine.select(set())
             best = max(scores.values())
             assert code == min(c for c, v in scores.items() if v == best)

@@ -230,6 +230,10 @@ def test_argparse_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as stop:
         main(["learn", "--format", "parquet", "--output", "f.txt"])
     assert stop.value.code == 1
+    with pytest.raises(SystemExit) as stop:
+        main(["learn", "--format", "zoo", "--positive-type", "1",
+              "--output", "f.txt", "--threads", "2"])
+    assert stop.value.code == 1
 
 
 def test_data_errors_exit_2(tmp_path, capsys):
@@ -272,32 +276,6 @@ def test_positive_label_swap(tmp_path, capsys):
     )
     assert code == 0
     assert stdout.splitlines()[0] == "f* = ~x1"
-
-
-def test_threads_flag_and_env(tmp_path, capsys, monkeypatch):
-    out1 = tmp_path / "a.txt"
-    out2 = tmp_path / "b.txt"
-    t1 = tmp_path / "a.trace"
-    t2 = tmp_path / "b.trace"
-    run(
-        capsys, "learn", "--format", "zoo", "--positive-type", "5",
-        "--output", str(out1), "--trace", str(t1), "--threads", "1",
-    )
-    monkeypatch.setenv("UBRAIN_THREADS", "4")
-    run(
-        capsys, "learn", "--format", "zoo", "--positive-type", "5",
-        "--output", str(out2), "--trace", str(t2),
-    )
-    assert out1.read_bytes() == out2.read_bytes()
-    assert t1.read_bytes() == t2.read_bytes()
-
-    monkeypatch.setenv("UBRAIN_THREADS", "lots")
-    code, _, err = run(
-        capsys, "learn", "--format", "zoo", "--positive-type", "5",
-        "--output", str(out2),
-    )
-    assert code == 0
-    assert "UBRAIN_THREADS" in err
 
 
 def test_custom_encoding_changes_columns(tmp_path, capsys):

@@ -98,11 +98,6 @@ def test_build_constraints_shape_and_origins():
         assert all(cs.exponent == d.p + d.q for cs in g.sets)
 
 
-def test_build_constraints_threads_do_not_change_output():
-    d = Dataset.from_texts(["1?01", "0110"], ["0011", "1?00"])
-    assert build_constraints(d, threads=1) == build_constraints(d, threads=4)
-
-
 def test_relevance_chain_worked_example():
     d = Dataset.from_texts(["110?1"], ["10010"])
     groups = build_constraints(d)

@@ -122,6 +122,15 @@ def test_csv_round_trip(tmp_path):
     assert [i.id for i in again.instances()] == ["r1", "r2", "r3"]
 
 
+def test_csv_with_bom_and_crlf_loads_like_the_plain_file(tmp_path):
+    lines = ["x1,x2,x3,label", "1,?,0,+", "0,1,1,+", "0,0,?,-"]
+    plain = tmp_path / "plain.csv"
+    plain.write_bytes("\n".join(lines).encode() + b"\n")
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + "\r\n".join(lines).encode() + b"\r\n")
+    assert load_ternary_csv(marked) == load_ternary_csv(plain)
+
+
 def test_csv_header_is_enforced(tmp_path):
     path = tmp_path / "rows.csv"
     path.write_text("a,b,label\n1,0,+\n", encoding="utf-8")

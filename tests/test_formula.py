@@ -14,7 +14,7 @@ from tridnf import (
     TernaryTruth,
     parse_formula,
 )
-from tridnf.formula import formula_from_codes
+from tridnf.formula import term_from_codes
 
 
 def test_literal_render():
@@ -103,7 +103,7 @@ def test_json_rejects_malformed_documents(doc):
 
 def test_formula_from_codes_uses_internal_codes():
     # code k-1 is xk, code n+k-1 is ~xk
-    f = formula_from_codes(3, [[0, 5], [1]])
+    f = DnfFormula(3, (term_from_codes(3, [0, 5]), term_from_codes(3, [1])))
     assert f.render() == "x1 ~x3 | x2"
 
 

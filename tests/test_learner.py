@@ -1,13 +1,24 @@
 """Learner behavior: golden runs, tracing, ids, aborts, determinism."""
 
+import json
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
+import tridnf
 from tridnf import (
     ConsistencyAbort,
     Dataset,
     IterationLimitError,
     LearnerConfig,
+    apply_mask,
     learn,
+    make_mask,
 )
 
 TRACED = LearnerConfig(trace=True)
@@ -157,10 +168,72 @@ def test_iterations_never_exceed_positive_count():
     assert result.iterations <= d.p
 
 
-def test_threads_do_not_change_anything():
-    d = Dataset.from_texts(["1?01", "0110", "1100"], ["0011", "1?10", "0000"])
-    one = learn(d, LearnerConfig(trace=True, threads=1))
-    four = learn(d, LearnerConfig(trace=True, threads=4))
-    assert one.formula == four.formula
-    assert one.trace == four.trace
-    assert one.dataset == four.dataset
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+def test_trace_prints_relevances_past_the_digit_limit():
+    # the exact relevances of masked data run to over a thousand digits
+    rng = random.Random(3)
+    rows = [format(x, "020b") for x in rng.sample(range(1 << 20), 60)]
+    complete = Dataset.from_texts(rows[:20], rows[20:])
+    d = apply_mask(complete, make_mask(complete, "random", Fraction(1, 5), 3))
+    untraced = learn(d)
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)  # the smallest limit Python accepts
+    try:
+        traced = learn(d, TRACED)
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert traced.formula == untraced.formula
+    numerals = [
+        line.rsplit("R=", 1)[1] for line in traced.trace if line.startswith("SELECT")
+    ]
+    assert max(len(part) for r in numerals for part in r.split("/")) > 640
+    assert all(isinstance(Fraction(r), Fraction) for r in numerals)
+
+
+_ERASE_NOTHING = """
+import json
+from tridnf import ConsistencyAbort, Dataset, LearnerConfig, learn, reference_brain
+from tridnf import formula, oracle
+
+out = {"debug": __debug__}
+d = Dataset.from_texts(["110", "011"], ["000", "101"])
+
+real = formula.Term.possibly_satisfied_by
+formula.Term.possibly_satisfied_by = lambda self, inst: False
+try:
+    learn(d, LearnerConfig(trace=True))
+except ConsistencyAbort as abort:
+    out["learner"] = [abort.reason, abort.trace[-1]]
+formula.Term.possibly_satisfied_by = real
+
+# x1 together with ~x1 holds on no row, so no positive is erased
+convert = oracle.term_from_codes
+oracle.term_from_codes = lambda n, codes: formula.Term(
+    convert(n, codes).literals + convert(n, (0, n)).literals
+)
+try:
+    reference_brain(d)
+except ConsistencyAbort as abort:
+    out["oracle"] = abort.reason
+print(json.dumps(out))
+"""
+
+
+def test_term_that_erases_no_positive_aborts_under_optimize():
+    # python -O strips assert statements; the invariant must survive it
+    src = str(Path(tridnf.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _ERASE_NOTHING],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "debug": False,
+        "learner": ["no-positive-erased", "ABORT no-positive-erased"],
+        "oracle": "no-positive-erased",
+    }
