@@ -3,7 +3,9 @@
 Subcommands: learn, mask, eval, experiment, verify.  Reports go to stdout,
 diagnostics to stderr.  Exit codes: 0 success, 1 usage error, 2 data error,
 3 consistency failure.  Every command takes --json for machine-readable
-output, and every run is fully determined by its arguments and input files.
+output, and every run is fully determined by its arguments and input files,
+except for timings: the ``seconds`` column of the experiment CSV is the only
+timing written to a file.
 """
 
 from __future__ import annotations
@@ -265,6 +267,7 @@ def cmd_experiment(args) -> int:
         )
     else:
         print(report.render_summary())
+        print(f"learning time {sum(run.seconds for run in report.runs):.2f}s")
         print(f"report: {report_path}")
         print(f"runs csv: {csv_path}")
     return EXIT_OK

@@ -126,16 +126,20 @@ class ConstraintGroup:
     sets: tuple[ConstraintSet, ...]
 
 
-def pair_grades(u: Instance, v: Instance, full: int) -> tuple[int, int, int, int, int, int]:
+def pair_grades(
+    u_value: int, u_known: int, v_value: int, v_known: int, full: int,
+) -> tuple[int, int, int, int, int, int]:
     """The six grade masks of the pair (u positive, v negative).
 
-    In ``ConstraintSet`` field order: full, half and quarter for ``xk``,
-    then the same three for ``~xk``.  ``full`` has one bit per variable.
+    Takes the value and known bits of u and of v.  Returns, in
+    ``ConstraintSet`` field order, full, half and quarter for ``xk``, then
+    the same three for ``~xk``.  ``full`` marks every variable's bit.  The
+    rule is bitwise, so any layout that gives each variable one bit works.
     """
-    u_unk = ~u.known_bits & full
-    v_unk = ~v.known_bits & full
-    u_one, u_zero = u.value_bits, u.known_bits & ~u.value_bits
-    v_one, v_zero = v.value_bits, v.known_bits & ~v.value_bits
+    u_unk = ~u_known & full
+    v_unk = ~v_known & full
+    u_one, u_zero = u_value, u_known & ~u_value
+    v_one, v_zero = v_value, v_known & ~v_value
     both = u_unk & v_unk
     return (
         u_one & v_zero,
@@ -157,7 +161,8 @@ def build_membership(
     """Grade every literal against the pair (u positive, v negative)."""
     if u.n != v.n:
         raise ValueError("instances of unequal width")
-    return ConstraintSet(u.n, p + q, *origin, *pair_grades(u, v, (1 << u.n) - 1))
+    grades = pair_grades(u.value_bits, u.known_bits, v.value_bits, v.known_bits, (1 << u.n) - 1)
+    return ConstraintSet(u.n, p + q, *origin, *grades)
 
 
 def build_constraints(dataset: Dataset) -> list[ConstraintGroup]:

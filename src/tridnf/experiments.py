@@ -141,9 +141,8 @@ class ExperimentReport:
     def render_text(self) -> str:
         out: list[str] = []
         aborted = sum(1 for run in self.runs if not run.ok)
-        total = sum(run.seconds for run in self.runs)
         out.append("Masked-data learning report")
-        out.append(f"runs {len(self.runs)}, aborted {aborted}, learning time {total:.2f}s")
+        out.append(f"runs {len(self.runs)}, aborted {aborted}")
         out.append("")
         out.append(self.render_summary())
         for kind in sorted({run.positive_type for run in self.runs}):

@@ -9,12 +9,15 @@ cover and forces each surviving negative to commit one Unknown cell
 against the term.
 
 Relevance comparisons are exact.  The hot path avoids building full
-rational scores: sets are bucketed by scaled cardinality, each literal
-gets an integer lower bound sum(floor(num << 64 / card)) whose error is
-below one unit per bucket, and only literals whose upper bound reaches the
-best lower bound are re-scored with Fractions.  The winner (ties broken
-by literal code: x1..xn then ~x1..~xn) is provably the same literal exact
-arithmetic would pick.
+rational scores: sets are bucketed by scaled cardinality, and each bucket
+keeps its literals' scaled grade sums in two packed integers with one
+fixed-width field per literal (see ``_TermEngine``), so adding, removing
+or shrinking a set is a few big-integer operations instead of per-literal
+dictionary updates.  Each literal gets an integer lower bound
+sum(floor(num << 64 / card)) whose error is below one unit per bucket,
+and only literals whose upper bound reaches the best lower bound are
+re-scored with Fractions.  The winner (ties broken by literal code: x1..xn
+then ~x1..~xn) is provably the same literal exact arithmetic would pick.
 """
 from __future__ import annotations
 
@@ -77,25 +80,25 @@ def _abort(trace: list[str] | None, reason: str, **details) -> None:
 
 
 class _LiveSet:
-    """Mutable constraint set: six grade masks plus scaled cardinality."""
+    """Mutable constraint set: three packed grade masks plus scaled cardinality."""
 
-    __slots__ = (
-        "i", "j",
-        "pos_full", "pos_half", "pos_quarter",
-        "neg_full", "neg_half", "neg_quarter",
-        "card",
-    )
+    __slots__ = ("full", "half", "quarter", "card")
 
-    def __init__(self, i, j, pos_full, pos_half, pos_quarter, neg_full, neg_half, neg_quarter):
-        self.i = i
-        self.j = j
-        self.pos_full = pos_full
-        self.pos_half = pos_half
-        self.pos_quarter = pos_quarter
-        self.neg_full = neg_full
-        self.neg_half = neg_half
-        self.neg_quarter = neg_quarter
+    def __init__(self, full, half, quarter):
+        self.full = full
+        self.half = half
+        self.quarter = quarter
         self.card = 0
+
+
+def _dilate(bits: int, width: int) -> int:
+    """``bits`` with bit k moved to bit k*width."""
+    out = 0
+    while bits:
+        low = bits & -bits
+        out |= 1 << (low.bit_length() - 1) * width
+        bits ^= low
+    return out
 
 
 class _TermEngine:
@@ -104,24 +107,45 @@ class _TermEngine:
     Rebuilt from the working dataset at the start of every outer
     iteration; p, q, and the grade scale 2^(p+q+1) are frozen here and do
     not drift as sets are erased mid-term.
+
+    Packed layout: literal code c owns the W-bit field that starts at bit
+    c*W, with W = (2*p*q).bit_length().  Instance bits are dilated once
+    per engine (bit k moves to bit k*W) and graded by ``pair_grades``; a
+    set's ``full``, ``half`` and ``quarter`` masks then have bit c*W set
+    when the set grades literal c at that level.  Each bucket holds two
+    packed ints summed over its sets: F, whose field c counts the full
+    grades of literal c, and R, whose field c is 2*halves + quarters, so
+    the literal's scaled grade sum in the bucket is scale*F_c + R_c.  A
+    literal has one grade level per set and a bucket has at most p*q sets,
+    so F_c <= p*q and R_c <= 2*p*q fit in W bits: no field carries into
+    the next, and adding or removing a set is two additions or
+    subtractions on the whole bucket.
     """
 
     def __init__(self, positives, negatives, trace: list[str] | None):
-        self.n = positives[0].n
+        n = self.n = positives[0].n
         p, q = len(positives), len(negatives)
         self.norm = p * q
         self.scale = 1 << (p + q + 1)
+        w = self.width = (2 * p * q).bit_length()
+        self.field = (1 << w) - 1
         self.trace = trace
         self.groups: dict[int, dict[int, _LiveSet]] = {}
-        self.buckets: dict[int, dict[int, int]] = {}
-        self.bucket_sets: dict[int, int] = {}
+        self.buckets: dict[int, list[int]] = {}  # card -> [F, R]
         self.total = 0
-        full = (1 << self.n) - 1
+        full = _dilate((1 << n) - 1, w)
+        neg_at = n * w
+        dilated = [(_dilate(v.value_bits, w), _dilate(v.known_bits, w)) for v in negatives]
 
         for i, u in enumerate(positives, start=1):
+            u_value, u_known = _dilate(u.value_bits, w), _dilate(u.known_bits, w)
             group: dict[int, _LiveSet] = {}
-            for j, v in enumerate(negatives, start=1):
-                s = _LiveSet(i, j, *pair_grades(u, v, full))
+            for j, (v_value, v_known) in enumerate(dilated, start=1):
+                pos_f, pos_h, pos_q, neg_f, neg_h, neg_q = pair_grades(
+                    u_value, u_known, v_value, v_known, full
+                )
+                s = _LiveSet(pos_f | neg_f << neg_at, pos_h | neg_h << neg_at,
+                             pos_q | neg_q << neg_at)
                 s.card = self._card(s)
                 if s.card == 0:
                     _abort(trace, "empty-constraint-set", pairs=((i, j),))
@@ -132,78 +156,23 @@ class _TermEngine:
                 self.total += len(group)
 
     def _card(self, s: _LiveSet) -> int:
-        return (
-            self.scale * (s.pos_full.bit_count() + s.neg_full.bit_count())
-            + 2 * (s.pos_half.bit_count() + s.neg_half.bit_count())
-            + s.pos_quarter.bit_count() + s.neg_quarter.bit_count()
-        )
-
-    def _scaled(self, s: _LiveSet, code: int) -> int:
-        if code < self.n:
-            bit = 1 << code
-            if s.pos_full & bit:
-                return self.scale
-            if s.pos_half & bit:
-                return 2
-            if s.pos_quarter & bit:
-                return 1
-        else:
-            bit = 1 << (code - self.n)
-            if s.neg_full & bit:
-                return self.scale
-            if s.neg_half & bit:
-                return 2
-            if s.neg_quarter & bit:
-                return 1
-        return 0
-
-    def _memberships(self, s: _LiveSet):
-        n, scale = self.n, self.scale
-        for mask, base, value in (
-            (s.pos_full, 0, scale),
-            (s.pos_half, 0, 2),
-            (s.pos_quarter, 0, 1),
-            (s.neg_full, n, scale),
-            (s.neg_half, n, 2),
-            (s.neg_quarter, n, 1),
-        ):
-            while mask:
-                low = mask & -mask
-                yield base + low.bit_length() - 1, value
-                mask ^= low
+        return self.scale * s.full.bit_count() + 2 * s.half.bit_count() + s.quarter.bit_count()
 
     def _bucket_add(self, s: _LiveSet) -> None:
-        bucket = self.buckets.setdefault(s.card, {})
-        for code, value in self._memberships(s):
-            bucket[code] = bucket.get(code, 0) + value
-        self.bucket_sets[s.card] = self.bucket_sets.get(s.card, 0) + 1
+        bucket = self.buckets.get(s.card)
+        if bucket is None:
+            self.buckets[s.card] = [s.full, (s.half << 1) + s.quarter]
+        else:
+            bucket[0] += s.full
+            bucket[1] += (s.half << 1) + s.quarter
 
     def _bucket_remove(self, s: _LiveSet) -> None:
         bucket = self.buckets[s.card]
-        for code, value in self._memberships(s):
-            left = bucket[code] - value
-            if left:
-                bucket[code] = left
-            else:
-                del bucket[code]
-        left = self.bucket_sets[s.card] - 1
-        if left:
-            self.bucket_sets[s.card] = left
-        else:
-            del self.bucket_sets[s.card]
+        bucket[0] -= s.full
+        bucket[1] -= (s.half << 1) + s.quarter
+        # every set adds a nonzero field, so zero sums mean no sets are left
+        if not (bucket[0] or bucket[1]):
             del self.buckets[s.card]
-
-    def _discard(self, s: _LiveSet, code: int) -> None:
-        if code < self.n:
-            bit = ~(1 << code)
-            s.pos_full &= bit
-            s.pos_half &= bit
-            s.pos_quarter &= bit
-        else:
-            bit = ~(1 << (code - self.n))
-            s.neg_full &= bit
-            s.neg_half &= bit
-            s.neg_quarter &= bit
 
     def select(self, banned: set[int]) -> int:
         """Literal code of maximal total relevance; exact, first-max ties.
@@ -212,25 +181,31 @@ class _TermEngine:
         factor 1/(p*q), which cannot move the argmax; the exact factor is
         applied to the traced value.
         """
-        lower: dict[int, int] = {}
-        slack: dict[int, int] = {}
-        for card, codemap in self.buckets.items():
-            for code, num in codemap.items():
-                if code in banned:
-                    continue
-                lower[code] = lower.get(code, 0) + ((num << 64) // card)
-                slack[code] = slack.get(code, 0) + 1
-        if not lower:
+        w, field, codes = self.width, self.field, 2 * self.n
+        shifted = self.scale << 64
+        lower = [0] * codes
+        slack = [0] * codes
+        for card, (f, r) in self.buckets.items():
+            for c in range(codes):
+                fc, rc = f & field, r & field
+                f >>= w
+                r >>= w
+                if fc or rc:
+                    # (num << 64) // card with num = scale*fc + rc
+                    lower[c] += (fc * shifted + (rc << 64)) // card
+                    slack[c] += 1
+        live = [c for c in range(codes) if slack[c] and c not in banned]
+        if not live:
             _abort(self.trace, "no-candidate")
-        best_lower = max(lower.values())
+        best_lower = max(lower[c] for c in live)
         # every floor lost < 1 unit, so true score < lower + slack
-        cluster = [c for c, lo in lower.items() if lo + slack[c] > best_lower]
+        cluster = [c for c in live if lower[c] + slack[c] > best_lower]
         if len(cluster) == 1 and self.trace is None:
             return cluster[0]
         exact = {c: Fraction(0) for c in cluster}
-        for card, codemap in self.buckets.items():
+        for card, (f, r) in self.buckets.items():
             for c in cluster:
-                num = codemap.get(c)
+                num = self.scale * (f >> c * w & field) + (r >> c * w & field)
                 if num:
                     exact[c] += Fraction(num, card)
         best = max(exact.values())
@@ -248,6 +223,8 @@ class _TermEngine:
         and the complement literal is struck from the sets that remain.
         """
         comp = code + self.n if code < self.n else code - self.n
+        bit = 1 << code * self.width
+        comp_bit = 1 << comp * self.width
         erase_groups: list[int] = []
         erase_sets: list[tuple[int, int]] = []
         shrink: list[tuple[int, int]] = []
@@ -255,9 +232,10 @@ class _TermEngine:
             has_code: list[int] = []
             has_comp: list[int] = []
             for j, s in sets.items():
-                if self._scaled(s, code):
+                grades = s.full | s.half | s.quarter
+                if grades & bit:
                     has_code.append(j)
-                elif self._scaled(s, comp):
+                elif grades & comp_bit:
                     has_comp.append(j)
             if not has_code:
                 erase_groups.append(i)
@@ -280,10 +258,13 @@ class _TermEngine:
             self.total -= 1
             if not self.groups[i]:
                 del self.groups[i]
+        keep = ~comp_bit
         for i, j in shrink:
             s = self.groups[i][j]
             self._bucket_remove(s)
-            self._discard(s, comp)
+            s.full &= keep
+            s.half &= keep
+            s.quarter &= keep
             s.card = self._card(s)
             if s.card == 0:
                 _abort(self.trace, "empty-constraint-set", pairs=((i, j),))

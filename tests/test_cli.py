@@ -185,6 +185,8 @@ def test_experiment_writes_report_and_csv(tmp_path, capsys):
     csv_path = tmp_path / "sweep.csv"
     assert csv_path.exists()
     assert "10%" in stdout
+    assert "learning time" in stdout
+    assert "learning time" not in report.read_text(encoding="utf-8")
     header = csv_path.read_text(encoding="utf-8").splitlines()[0]
     assert header.startswith("type,mode,fraction,seed")
 

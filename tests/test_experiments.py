@@ -2,10 +2,11 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from itertools import count
 
 import pytest
 
-from tridnf import Dataset, evaluate, parse_formula, run_experiment
+from tridnf import Dataset, evaluate, experiments, parse_formula, run_experiment
 from tridnf.masking import RANDOM, TRUSTWORTHY
 
 
@@ -61,7 +62,7 @@ def test_run_experiment_grid_and_summary(zoo_records):
     assert report.reference_for(4).render() == "x12 x3"
 
 
-def test_run_experiment_rows_are_deterministic(zoo_records):
+def test_run_experiment_rows_are_deterministic(zoo_records, monkeypatch):
     kw = dict(
         types=(3,),
         fractions=(Fraction(1, 5),),
@@ -71,9 +72,18 @@ def test_run_experiment_rows_are_deterministic(zoo_records):
     def timeless(report):
         return [replace(run, seconds=0.0) for run in report.runs]
 
-    a = run_experiment(zoo_records, **kw)
-    b = run_experiment(zoo_records, **kw)
+    def timed_run(tick):
+        # a fake clock that advances ``tick`` seconds per reading
+        clock = count(0.0, tick)
+        monkeypatch.setattr(experiments.time, "perf_counter", lambda: next(clock))
+        return run_experiment(zoo_records, **kw)
+
+    a = timed_run(1.0)
+    b = timed_run(7.0)
+    assert [run.seconds for run in a.runs] != [run.seconds for run in b.runs]
     assert timeless(a) == timeless(b)
+    # the wall time stays out of the report file
+    assert a.render_text() == b.render_text()
 
 
 def test_report_renderings(zoo_records):

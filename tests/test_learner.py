@@ -13,13 +13,18 @@ import pytest
 import tridnf
 from tridnf import (
     ConsistencyAbort,
+    ConstraintGroup,
     Dataset,
     IterationLimitError,
     LearnerConfig,
+    Literal,
     apply_mask,
+    build_constraints,
     learn,
     make_mask,
+    total_relevance,
 )
+from tridnf.learner import _TermEngine
 
 TRACED = LearnerConfig(trace=True)
 
@@ -191,6 +196,77 @@ def test_trace_prints_relevances_past_the_digit_limit():
     ]
     assert max(len(part) for r in numerals for part in r.split("/")) > 640
     assert all(isinstance(Fraction(r), Fraction) for r in numerals)
+
+
+def _literal(n, code):
+    return Literal(code >= n, code % n + 1)
+
+
+def _traced_relevance(trace):
+    return Fraction(trace[-1].rsplit("R=", 1)[1])
+
+
+def test_engine_follows_independent_scoring_through_whole_terms():
+    # after every erasure, the engine's pick and traced relevance equal
+    # total_relevance over constraint groups erased and shrunk here
+    rng = random.Random(2024)
+    probes = 0
+    for _ in range(300):
+        n, p, q = rng.randint(2, 7), rng.randint(1, 7), rng.randint(1, 7)
+        rows = ["".join(rng.choice("01??") for _ in range(n)) for _ in range(p + q)]
+        d = Dataset.from_texts(rows[:p], rows[p:])
+        groups = build_constraints(d)
+        if any(cs.is_empty for g in groups for cs in g.sets):
+            continue
+        trace: list[str] = []
+        engine = _TermEngine(list(d.positives), list(d.negatives), trace)
+        banned: set[int] = set()
+        while groups:
+            scores = {
+                c: total_relevance(groups, _literal(n, c), p, q)
+                for c in range(2 * n) if c not in banned
+            }
+            best = max(scores.values())
+            code = engine.select(banned)
+            assert code == min(c for c, v in scores.items() if v == best)
+            assert _traced_relevance(trace) == best > 0
+            lit = _literal(n, code)
+            comp = Literal(not lit.neg, lit.var)
+            banned.add(code + n if code < n else code - n)
+            kept = []
+            for g in groups:
+                if any(cs.contains(lit) for cs in g.sets):
+                    sets = tuple(
+                        cs.discard(comp) if cs.contains(comp) else cs
+                        for cs in g.sets if not cs.contains(lit)
+                    )
+                    if sets:
+                        kept.append(ConstraintGroup(g.positive_index, sets))
+            groups = kept
+            if any(cs.is_empty for g in groups for cs in g.sets):
+                with pytest.raises(ConsistencyAbort) as err:
+                    engine.apply(code)
+                assert err.value.reason == "empty-constraint-set"
+                break
+            engine.apply(code)
+            assert engine.total == sum(len(g.sets) for g in groups)
+            probes += 1
+    assert probes > 300
+
+
+def test_packed_fields_hold_their_largest_sum():
+    # x1 and x2 grade half in each of the p*q sets, all in one bucket, so
+    # their packed fields hold 2*p*q, a power of two that needs every bit
+    # of the field width; the tie goes to x1
+    for p, q in ((1, 1), (2, 2), (2, 8), (4, 4), (8, 16)):
+        d = Dataset.from_texts(["11"] * p, ["??"] * q)
+        trace: list[str] = []
+        engine = _TermEngine(list(d.positives), list(d.negatives), trace)
+        assert len(engine.buckets) == 1
+        best = total_relevance(build_constraints(d), Literal(False, 1), p, q)
+        assert best == Fraction(1, 2)
+        assert engine.select(set()) == 0
+        assert _traced_relevance(trace) == best
 
 
 _ERASE_NOTHING = """
