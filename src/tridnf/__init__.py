@@ -6,16 +6,6 @@ candidate literals with exact fuzzy relevance arithmetic.  See README.md
 for the algorithm walk-through, the CLI, and the file formats.
 """
 
-from .constraints import (
-    ConstraintGroup,
-    ConstraintSet,
-    build_constraints,
-    build_membership,
-    fuzzy_cardinality,
-    relevance_i,
-    relevance_ij,
-    total_relevance,
-)
 from .datasets import (
     ZooRecord,
     bundled_zoo_path,
@@ -29,9 +19,7 @@ from .errors import (
     CellOutOfRangeError,
     ConsistencyAbort,
     CountWarning,
-    EmptyConstraintError,
     FractionOutOfRangeError,
-    IterationLimitError,
     LengthMismatchError,
     ParseError,
     SearchBudgetExceededError,
@@ -51,8 +39,10 @@ from .masking import MaskPlan, SplitMix64, apply_mask, make_mask
 from .oracle import (
     ConsistencyCertificate,
     Verdict,
+    membership,
     minimal_dnf_exhaustive,
     reference_brain,
+    reference_learn,
     verify_consistency,
 )
 from .trits import (
@@ -74,17 +64,13 @@ __all__ = [
     "ConsistencyAbort",
     "ConsistencyCertificate",
     "ConsistencyReport",
-    "ConstraintGroup",
-    "ConstraintSet",
     "CountWarning",
     "Dataset",
     "DnfFormula",
-    "EmptyConstraintError",
     "EvalReport",
     "ExperimentReport",
     "FractionOutOfRangeError",
     "Instance",
-    "IterationLimitError",
     "Label",
     "LearnResult",
     "LearnerConfig",
@@ -103,26 +89,22 @@ __all__ = [
     "Verdict",
     "ZooRecord",
     "apply_mask",
-    "build_constraints",
-    "build_membership",
     "bundled_zoo_path",
     "check_self_consistency",
     "delete_repetitions",
     "encode_zoo",
     "evaluate",
-    "fuzzy_cardinality",
     "learn",
     "load_ternary_csv",
     "load_zoo",
     "make_mask",
+    "membership",
     "minimal_dnf_exhaustive",
     "parse_formula",
     "reduce_uncertainty",
     "reference_brain",
-    "relevance_i",
-    "relevance_ij",
+    "reference_learn",
     "run_experiment",
     "save_ternary_csv",
-    "total_relevance",
     "verify_consistency",
 ]

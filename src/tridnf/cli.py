@@ -28,7 +28,6 @@ from .datasets import (
 from .errors import (
     BudgetExceededError,
     ConsistencyAbort,
-    FractionOutOfRangeError,
     ParseError,
     TridnfError,
 )
@@ -388,9 +387,6 @@ def main(argv=None) -> int:
     except ConsistencyAbort as exc:
         print(f"inconsistent: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    except FractionOutOfRangeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -172,27 +172,30 @@ def save_ternary_csv(dataset: Dataset, path: str | Path) -> None:
 def load_ternary_csv(path: str | Path) -> Dataset:
     """Read a dataset written by :func:`save_ternary_csv`.
 
-    The header fixes the variable count; every data row needs one 0/1/?
-    cell per variable plus a +/- label.  Rows are assigned ids r1, r2, ...
-    in file order.
+    The header fixes the variable count; every data row needs one cell per
+    variable, each exactly ``0``, ``1`` or ``?``, plus a +/- label.  Rows
+    are assigned ids r1, r2, ... in file order.
     """
     with open(path, encoding="utf-8-sig", newline="") as handle:
-        rows = list(csv.reader(handle))
-    rows = [row for row in rows if row and any(cell.strip() for cell in row)]
+        reader = csv.reader(handle)
+        # (file line number, cells) of every row that is not blank
+        rows = [(reader.line_num, row) for row in reader if any(cell.strip() for cell in row)]
     if not rows:
         raise ParseError("no header row found", where=str(path))
-    header = [cell.strip() for cell in rows[0]]
+    header_line, header = rows[0][0], [cell.strip() for cell in rows[0][1]]
     if len(header) < 2 or header[-1] != "label":
-        raise ParseError("header must list variable columns then 'label'", where="line 1")
+        raise ParseError(
+            "header must list variable columns then 'label'", where=f"line {header_line}"
+        )
     n = len(header) - 1
     expected = [f"x{k}" for k in range(1, n + 1)]
     if header[:-1] != expected:
         raise ParseError(
-            f"variable columns must be x1..x{n} in order", where="line 1"
+            f"variable columns must be x1..x{n} in order", where=f"line {header_line}"
         )
     positives: list[Instance] = []
     negatives: list[Instance] = []
-    for line_no, row in enumerate(rows[1:], start=2):
+    for index, (line_no, row) in enumerate(rows[1:], start=1):
         cells = [cell.strip() for cell in row]
         if len(cells) != n + 1:
             raise ParseError(
@@ -205,12 +208,13 @@ def load_ternary_csv(path: str | Path) -> Dataset:
                 where=f"line {line_no}",
             )
         label = Label.POSITIVE if label_token == "+" else Label.NEGATIVE
-        try:
-            inst = Instance.from_text(
-                "".join(cells[:-1]), label, id=f"r{line_no - 1}"
-            )
-        except ValueError as exc:
-            raise ParseError(str(exc), where=f"line {line_no}") from None
+        for column, cell in enumerate(cells[:-1], start=1):
+            if cell not in ("0", "1", "?"):
+                raise ParseError(
+                    f"cell must be '0', '1' or '?', got {cell!r}",
+                    where=f"line {line_no}, column {column}",
+                )
+        inst = Instance.from_cells(cells[:-1], label, id=f"r{index}")
         (positives if label is Label.POSITIVE else negatives).append(inst)
     if not positives and not negatives:
         raise ParseError("no data rows found", where=str(path))

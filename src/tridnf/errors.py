@@ -10,14 +10,6 @@ class LengthMismatchError(TridnfError, ValueError):
     """Two instances (or an instance and a dataset) disagree on width."""
 
 
-class EmptyConstraintError(TridnfError, ValueError):
-    """A constraint set has fuzzy cardinality zero.
-
-    An empty set means the originating positive/negative pair cannot be
-    separated by any literal, i.e. the data is not self-consistent.
-    """
-
-
 class ParseError(TridnfError, ValueError):
     """Malformed formula text or data file.
 
@@ -46,10 +38,6 @@ class SearchBudgetExceededError(TridnfError, RuntimeError):
 
 class BudgetExceededError(TridnfError, RuntimeError):
     """Exhaustive formula search ran out of literal budget."""
-
-
-class IterationLimitError(TridnfError, RuntimeError):
-    """The learner hit its outer-iteration safety cap."""
 
 
 class ConsistencyAbort(TridnfError, RuntimeError):

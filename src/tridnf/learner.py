@@ -25,8 +25,7 @@ import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .constraints import pair_grades
-from .errors import ConsistencyAbort, IterationLimitError
+from .errors import ConsistencyAbort
 from .formula import DnfFormula, Term, term_from_codes
 from .trits import (
     Dataset,
@@ -44,15 +43,13 @@ class LearnerConfig:
 
     ``dedupe``: duplicate-row removal mode, "exact" (ternary duplicates) or
     "certain" (fully-certain duplicates only).  ``trace``: collect the
-    per-event text log.  ``max_iterations``: safety cap on outer
-    iterations, default p+1.  ``reduce`` and ``update_negatives`` exist to
+    per-event text log.  ``reduce`` and ``update_negatives`` exist to
     reproduce degraded behavior in tests; production callers leave them
     True.
     """
 
     dedupe: str = "exact"
     trace: bool = False
-    max_iterations: int | None = None
     reduce: bool = True
     update_negatives: bool = True
 
@@ -89,6 +86,30 @@ class _LiveSet:
         self.half = half
         self.quarter = quarter
         self.card = 0
+
+
+def pair_grades(
+    u_value: int, u_known: int, v_value: int, v_known: int, full: int, neg_at: int,
+) -> tuple[int, int, int]:
+    """The full, half and quarter grade masks of the pair (u positive, v negative).
+
+    Takes the value and known bits of u and of v; ``full`` marks every
+    variable's bit.  In each mask the bit of variable k grades ``xk`` and
+    that bit shifted left by ``neg_at`` grades ``~xk``.  The rule is
+    bitwise, so any layout that gives each variable one bit works.
+    """
+    u_unk = ~u_known & full
+    v_unk = ~v_known & full
+    u_one, u_zero = u_value, u_known & ~u_value
+    v_one, v_zero = v_value, v_known & ~v_value
+    pos_half = (u_one & v_unk) | (u_unk & v_zero)
+    neg_half = (u_zero & v_unk) | (u_unk & v_one)
+    both = u_unk & v_unk
+    return (
+        (u_one & v_zero) | (u_zero & v_one) << neg_at,
+        pos_half | neg_half << neg_at,
+        both | both << neg_at,
+    )
 
 
 def _dilate(bits: int, width: int) -> int:
@@ -141,11 +162,7 @@ class _TermEngine:
             u_value, u_known = _dilate(u.value_bits, w), _dilate(u.known_bits, w)
             group: dict[int, _LiveSet] = {}
             for j, (v_value, v_known) in enumerate(dilated, start=1):
-                pos_f, pos_h, pos_q, neg_f, neg_h, neg_q = pair_grades(
-                    u_value, u_known, v_value, v_known, full
-                )
-                s = _LiveSet(pos_f | neg_f << neg_at, pos_h | neg_h << neg_at,
-                             pos_q | neg_q << neg_at)
+                s = _LiveSet(*pair_grades(u_value, u_known, v_value, v_known, full, neg_at))
                 s.card = self._card(s)
                 if s.card == 0:
                     _abort(trace, "empty-constraint-set", pairs=((i, j),))
@@ -258,13 +275,15 @@ class _TermEngine:
             self.total -= 1
             if not self.groups[i]:
                 del self.groups[i]
-        keep = ~comp_bit
         for i, j in shrink:
             s = self.groups[i][j]
             self._bucket_remove(s)
-            s.full &= keep
-            s.half &= keep
-            s.quarter &= keep
+            # the complement can only be at half grade here.  At full grade
+            # u's cell is certain against the pick, so no set of the group
+            # holds the pick and the group was erased; at quarter grade the
+            # set holds the pick too (quarters come in +/- pairs) and was
+            # erased
+            s.half &= ~comp_bit
             s.card = self._card(s)
             if s.card == 0:
                 _abort(self.trace, "empty-constraint-set", pairs=((i, j),))
@@ -297,8 +316,8 @@ def learn(dataset: Dataset, config: LearnerConfig | None = None) -> LearnResult:
     """Learn a DNF formula consistent with the dataset.
 
     Raises ConsistencyAbort when the data is (or becomes, after negative
-    updates) self-contradictory, and IterationLimitError past the
-    configured outer-iteration cap.
+    updates) self-contradictory.  Every outer iteration erases at least one
+    positive or aborts, so there are at most p of them.
     """
     cfg = config or LearnerConfig()
     if cfg.dedupe not in ("exact", "certain"):
@@ -318,18 +337,12 @@ def learn(dataset: Dataset, config: LearnerConfig | None = None) -> LearnResult:
         for k, inst in enumerate(dataset.negatives, start=1)
     ]
 
-    limit = cfg.max_iterations if cfg.max_iterations is not None else len(positives) + 1
     terms: list[Term] = []
     erased: list[Instance] = []
     iterations = 0
 
     while positives:
         iterations += 1
-        if iterations > limit:
-            if trace is not None:
-                trace.append("ABORT iteration-limit")
-            raise IterationLimitError(f"exceeded {limit} outer iterations")
-
         work = Dataset(n, tuple(positives), tuple(negatives))
         if cfg.reduce:
             work = reduce_uncertainty(work)

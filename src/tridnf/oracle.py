@@ -1,14 +1,15 @@
-"""Brute-force verifiers, independent of the learner's machinery.
+"""Brute-force verifiers and a reference learner, independent of the
+learner's machinery.
 
-Everything here trades speed for obviousness: plain tuples, sets, and
+Everything here trades speed for obviousness: plain tuples, dicts, and
 Fractions, no bucketing, no bit-packed shortcuts beyond what a completion
 counter needs.  Tests use these as ground truth against the optimized
-learner; the CLI exposes them through the verify command.
+learner; the CLI exposes the verifiers through the verify command.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
@@ -17,8 +18,16 @@ from .errors import (
     ConsistencyAbort,
     SearchBudgetExceededError,
 )
-from .formula import DnfFormula, Term, term_from_codes
-from .trits import Dataset, Instance
+from .formula import DnfFormula, Literal, Term, term_from_codes
+from .learner import LearnResult, _exact
+from .trits import (
+    Dataset,
+    Instance,
+    Trit,
+    check_self_consistency,
+    delete_repetitions,
+    reduce_uncertainty,
+)
 
 
 class Verdict(Enum):
@@ -175,89 +184,136 @@ def minimal_dnf_exhaustive(d: Dataset, max_literals: int = 12) -> DnfFormula:
     raise BudgetExceededError(f"no consistent DNF within {max_literals} literals")
 
 
-def reference_brain(d: Dataset) -> DnfFormula:
-    """Plain reimplementation of the greedy learner for certain data.
+def membership(u: Instance, v: Instance, lit: Literal, p: int, q: int) -> Fraction:
+    """Grade of ``lit`` in the fuzzy set of the pair (u positive, v negative).
 
-    Built directly on the crisp membership rule (a literal separates a
-    pair iff the cells are certain, unequal, and oriented its way) with
-    naive Fraction scoring.  Deliberately shares no code with the learner
-    beyond the output types and their code converter, so the two can check
-    each other.
+    ``~xk`` reads the table for ``xk`` (see ``_grade``) with 0 and 1
+    swapped; p and q are the class sizes.
     """
-    if not d.all_certain:
-        raise ValueError("reference learner handles fully certain data only")
+    a, b = u.cell(lit.var - 1), v.cell(lit.var - 1)
+    if lit.neg:
+        a, b = a.negated, b.negated
+    return _grade(a, b, p, q)
+
+
+def _grade(a: Trit, b: Trit, p: int, q: int) -> Fraction:
+    """The per-cell table of README.md: the grade of ``xk`` when u's cell
+    is ``a`` and v's cell is ``b``."""
+    if (a, b) == (Trit.TRUE, Trit.FALSE):
+        return Fraction(1)
+    if (a, b) in ((Trit.TRUE, Trit.UNKNOWN), (Trit.UNKNOWN, Trit.FALSE)):
+        return Fraction(1, 2 ** (p + q))
+    if a is b is Trit.UNKNOWN:
+        return Fraction(1, 2 ** (p + q + 1))
+    return Fraction(0)
+
+
+def reference_learn(d: Dataset) -> LearnResult:
+    """Plain reimplementation of ``learn(d, LearnerConfig(trace=True))``.
+
+    The default-config method written out with dicts of Fractions: the
+    ``trits`` preprocessing at the start of every outer iteration, every
+    literal graded by the table behind ``membership``, exact relevances
+    with first-max ties, erasure and complement striking, positive erasure and negative
+    updates.  Returns the same LearnResult, trace included, or raises the
+    same ConsistencyAbort.  Shares no code with the learner beyond the
+    preprocessing, the data and formula types, and the trace's number
+    formatting, so the two can check each other.
+    """
     n = d.n
+    lits = [Literal(False, k) for k in range(1, n + 1)] + [Literal(True, k) for k in range(1, n + 1)]
+    trace: list[str] = []
 
-    def dedupe(rows):
-        seen, out = set(), []
-        for row in rows:
-            if row not in seen:
-                seen.add(row)
-                out.append(row)
-        return out
+    def abort(reason: str, **details) -> None:
+        trace.append(f"ABORT {reason}")
+        raise ConsistencyAbort(reason, trace=tuple(trace), **details)
 
-    positives = dedupe([inst.cells for inst in d.positives])
-    negatives = dedupe([inst.cells for inst in d.negatives])
-
-    clashes = tuple(
-        (i, j)
-        for i, u in enumerate(positives, start=1)
-        for j, v in enumerate(negatives, start=1)
-        if u == v
-    )
-    if clashes:
-        raise ConsistencyAbort("inconsistent-data", pairs=clashes)
-
-    def satisfies(cells, term: Term) -> bool:
-        return all(
-            (cells[lit.var - 1] == 0) if lit.neg else (cells[lit.var - 1] == 2)
-            for lit in term.literals
-        )
-
+    positives = [u if u.id else replace(u, id=f"u{k}") for k, u in enumerate(d.positives, start=1)]
+    negatives = [v if v.id else replace(v, id=f"v{k}") for k, v in enumerate(d.negatives, start=1)]
     terms: list[Term] = []
+    erased: list[Instance] = []
+    iterations = 0
     while positives:
-        sets: dict[tuple[int, int], frozenset[int]] = {}
-        for i, u in enumerate(positives, start=1):
-            for j, v in enumerate(negatives, start=1):
-                codes = {k for k in range(n) if u[k] == 2 and v[k] == 0}
-                codes |= {n + k for k in range(n) if u[k] == 0 and v[k] == 2}
-                sets[(i, j)] = frozenset(codes)
+        iterations += 1
+        work = delete_repetitions(reduce_uncertainty(Dataset(n, tuple(positives), tuple(negatives))))
+        clashes = check_self_consistency(work).violations
+        if clashes:
+            abort("inconsistent-data", pairs=clashes)
+        positives, negatives = list(work.positives), list(work.negatives)
+        p, q = len(positives), len(negatives)
 
-        picked: list[int] = []
-        banned: set[int] = set()
+        # a grade depends on two cells only: tabulate the nonzero ones, and
+        # give every row its cell under each literal code, ~xk reading 0
+        # and 1 swapped
+        table = {(a, b): g for a in Trit for b in Trit if (g := _grade(a, b, p, q))}
+        us = [u.cells + tuple(t.negated for t in u.cells) for u in positives]
+        vs = [v.cells + tuple(t.negated for t in v.cells) for v in negatives]
+        # (i, j) -> {literal code: nonzero grade}; consistent pairs are never empty
+        sets: dict[tuple[int, int], dict[int, Fraction]] = {}
+        for i, u in enumerate(us, start=1):
+            for j, v in enumerate(vs, start=1):
+                sets[i, j] = {c: table[ab] for c, ab in enumerate(zip(u, v)) if ab in table}
+        codes: list[int] = []
         while sets:
             scores: dict[int, Fraction] = {}
-            for s in sets.values():
-                share = Fraction(1, len(s))
-                for code in s:
-                    if code not in banned:
-                        scores[code] = scores.get(code, Fraction(0)) + share
-            if not scores:
-                raise ConsistencyAbort("no-candidate")
+            for grades in sets.values():
+                card = sum(grades.values())
+                for c, g in grades.items():
+                    scores[c] = scores.get(c, Fraction(0)) + g / card
             best = max(scores.values())
-            code = min(c for c, value in scores.items() if value == best)
-            comp = code + n if code < n else code - n
-            groups_with = {i for (i, _), s in sets.items() if code in s}
-            survivors: dict[tuple[int, int], frozenset[int]] = {}
-            for (i, j), s in sets.items():
-                if i not in groups_with or code in s:
-                    continue
-                shrunk = s - {comp}
-                if not shrunk:
-                    raise ConsistencyAbort("empty-constraint-set", pairs=((i, j),))
-                survivors[(i, j)] = shrunk
+            code = min(c for c, score in scores.items() if score == best)
+            trace.append(f"SELECT {lits[code]} R={_exact(best / (p * q))}")
+            codes.append(code)
+            comp = (code + n) % (2 * n)
+            covered = {i for (i, _), grades in sets.items() if code in grades}
+            trace += [f"ERASE_GROUP {i}" for i in sorted({i for i, _ in sets} - covered)]
+            trace += [f"ERASE_SET {i} {j}" for (i, j), grades in sets.items() if code in grades]
+            survivors = {}
+            for (i, j), grades in sets.items():
+                if i in covered and code not in grades:
+                    survivors[i, j] = {c: g for c, g in grades.items() if c != comp}
+                    if not survivors[i, j]:
+                        abort("empty-constraint-set", pairs=((i, j),))
             sets = survivors
-            picked.append(code)
-            banned.add(comp)
 
-        term = term_from_codes(n, picked)
+        term = term_from_codes(n, codes)
         terms.append(term)
-        for v in negatives:
-            if satisfies(v, term):
-                raise ConsistencyAbort("unfalsifiable-negative", term=term.render())
-        kept = [u for u in positives if not satisfies(u, term)]
+        trace.append(f"TERM {term.render()}")
+        kept = []
+        for u in positives:
+            if term.possibly_satisfied_by(u):
+                erased.append(u)
+                trace.append(f"POS_ERASED {u.id}")
+            else:
+                kept.append(u)
         if len(kept) == len(positives):
-            raise ConsistencyAbort("no-positive-erased", term=term.render())
+            abort("no-positive-erased", term=term.render())
         positives = kept
 
-    return DnfFormula(n, tuple(terms))
+        # a negative the term may cover pins its lowest Unknown on the
+        # term's variables against the term's literal there
+        signs = {lit.var - 1: lit.neg for lit in term.literals}
+        for j, v in enumerate(negatives, start=1):
+            if not term.possibly_satisfied_by(v):
+                continue
+            k = min((k for k in signs if v.cell(k) is Trit.UNKNOWN), default=None)
+            if k is None:
+                abort("unfalsifiable-negative", instance_id=v.id, term=term.render())
+            negatives[j - 1] = v = v.with_cell(k, Trit.TRUE if signs[k] else Trit.FALSE)
+            trace.append(f"NEG_UPDATE {v.id} {k + 1} {int(signs[k])}")
+            clashes = tuple(
+                (i, j) for i, u in enumerate(positives, start=1)
+                if v.is_certain and u.cells == v.cells
+            )
+            if clashes:
+                abort("inconsistent-data", pairs=clashes)
+
+    return LearnResult(
+        DnfFormula(n, tuple(terms)), Dataset(n, tuple(erased), tuple(negatives)),
+        tuple(trace), iterations,
+    )
+
+
+def reference_brain(d: Dataset) -> DnfFormula:
+    """The formula of ``reference_learn(d)``."""
+    return reference_learn(d).formula

@@ -15,19 +15,18 @@ from fractions import Fraction
 import pytest
 
 from tridnf import (
+    ConsistencyAbort,
     Dataset,
     Instance,
     Label,
     LearnerConfig,
     Literal,
     Verdict,
-    build_constraints,
-    build_membership,
     learn,
+    membership,
     reduce_uncertainty,
     reference_brain,
     run_experiment,
-    total_relevance,
     verify_consistency,
 )
 from tridnf.learner import _TermEngine
@@ -41,8 +40,7 @@ def test_criterion_1_worked_example_goldens():
     started = time.perf_counter()
 
     d = Dataset.from_texts(["110?1"], ["10010"])
-    cs = build_membership(d.positives[0], d.negatives[0], 1, 1)
-    assert cs.membership(Literal(True, 4)) == Fraction(1, 4)
+    assert membership(d.positives[0], d.negatives[0], Literal(True, 4), 1, 1) == Fraction(1, 4)
     assert learn(d).formula.render() == "x2"
 
     tied = learn(Dataset.from_texts(["1?0"], ["?00"]), LearnerConfig(trace=True))
@@ -53,8 +51,7 @@ def test_criterion_1_worked_example_goldens():
     assert learn(d).formula.render() == "~x3"
 
     d = Dataset.from_texts(["10?1"], ["0111", "1010"])
-    cs = build_membership(d.positives[0], d.negatives[1], 1, 2)
-    assert cs.membership(Literal(True, 3)) == Fraction(1, 8)
+    assert membership(d.positives[0], d.negatives[1], Literal(True, 3), 1, 2) == Fraction(1, 8)
     assert learn(d).formula.render() == "x4 x1"
 
     reduced = reduce_uncertainty(Dataset.from_texts(["1?00"], ["1100", "100?"]))
@@ -80,8 +77,7 @@ def test_criterion_1_worked_example_goldens():
 )
 def test_criterion_1_noted_membership_discrepancy():
     d = Dataset.from_texts(["100"], ["011", "101", "1?1"])
-    cs = build_membership(d.positives[0], d.negatives[2], 1, 3)
-    assert cs.membership(Literal(True, 2)) == Fraction(1, 32)
+    assert membership(d.positives[0], d.negatives[2], Literal(True, 2), 1, 3) == Fraction(1, 32)
 
 
 def test_criterion_2_crisp_equivalence_with_reference():
@@ -216,15 +212,16 @@ def eq2_membership(u_cells, v_cells, p, q, k, neg):
 
 
 def test_criterion_8_exact_arithmetic_oracle():
-    """Package relevances equal a from-scratch rational recomputation.
+    """Package grades and relevances equal a from-scratch rational recomputation.
 
-    Equality of every exact score implies every pairwise comparison
-    agrees; the selection engine's integer fast path is additionally
-    checked against the rational argmax on a subsample.
+    ``membership`` must equal the table above for every pair and literal,
+    and the engine's exact score for every literal, read by banning every
+    other literal, must equal the table's recomputation.  Equality of
+    every exact score implies every pairwise comparison agrees; the
+    unbanned argmax is checked too.
     """
     rng = random.Random(88)
     datasets = 0
-    engine_checks = 0
     while datasets < 1000:
         n = rng.randint(2, 6)
         p = rng.randint(1, 5)
@@ -245,33 +242,38 @@ def test_criterion_8_exact_arithmetic_oracle():
             tuple(Instance.from_cells(u, Label.POSITIVE, f"u{i + 1}") for i, u in enumerate(P)),
             tuple(Instance.from_cells(v, Label.NEGATIVE, f"v{j + 1}") for j, v in enumerate(Q)),
         )
-        groups = build_constraints(d)
+        trace: list[str] = []
+        engine = _TermEngine(list(d.positives), list(d.negatives), trace)
+        codes = range(2 * n)
         scores = {}
-        for s in (False, True):
-            for k in range(1, n + 1):
-                lit = Literal(s, k)
-                mine = Fraction(0)
-                for i, u in enumerate(P):
-                    for j, v in enumerate(Q):
-                        mine += eq2_membership(u, v, p, q, k - 1, s) / cards[i, j]
-                mine /= p * q
-                pkg = total_relevance(groups, lit, p, q)
-                assert type(pkg) is Fraction and type(pkg.numerator) is int
-                assert pkg == mine, (lit.render(), pkg, mine)
-                scores[(k - 1) if not s else (n + k - 1)] = mine
+        for code in codes:
+            neg, k = code >= n, code % n
+            lit = Literal(neg, k + 1)
+            mine = Fraction(0)
+            for i, u in enumerate(P):
+                for j, v in enumerate(Q):
+                    grade = eq2_membership(u, v, p, q, k, neg)
+                    pkg = membership(d.positives[i], d.negatives[j], lit, p, q)
+                    assert type(pkg) is Fraction and type(pkg.numerator) is int
+                    assert pkg == grade, (lit.render(), i, j, pkg, grade)
+                    mine += grade / cards[i, j]
+            mine /= p * q
+            scores[code] = mine
+            banned = set(codes) - {code}
+            if mine == 0:
+                with pytest.raises(ConsistencyAbort) as err:
+                    engine.select(banned)
+                assert err.value.reason == "no-candidate"
+            else:
+                assert engine.select(banned) == code
+                assert Fraction(trace[-1].split("R=")[1]) == mine, (lit.render(), mine)
 
-        if datasets % 25 == 0:
-            trace: list[str] = []
-            engine = _TermEngine(list(d.positives), list(d.negatives), trace)
-            code = engine.select(set())
-            best = max(scores.values())
-            assert code == min(c for c, v in scores.items() if v == best)
-            traced = Fraction(trace[0].split("R=")[1])
-            assert traced == best
-            engine_checks += 1
+        best = max(scores.values())
+        assert engine.select(set()) == min(c for c, v in scores.items() if v == best)
+        assert Fraction(trace[-1].split("R=")[1]) == best
     print(
-        f"criterion 8: 1000 datasets, all exact scores equal; "
-        f"{engine_checks} engine argmax probes agreed"
+        "criterion 8: 1000 datasets, every grade and every literal's exact "
+        "score equal; argmax agreed"
     )
 
 

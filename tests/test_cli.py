@@ -253,6 +253,14 @@ def test_data_errors_exit_2(tmp_path, capsys):
     )
     assert code == 2 and "line 2" in err
 
+    # an empty cell is not absorbed by its neighbour
+    bad.write_text("x1,x2,label\n,11,+\n", encoding="utf-8")
+    code, _, err = run(
+        capsys, "learn", "--format", "csv", "--input", str(bad),
+        "--output", str(tmp_path / "f.txt"),
+    )
+    assert code == 2 and "line 2, column 1" in err
+
 
 def test_inconsistent_data_exits_3(tmp_path, capsys):
     data = tmp_path / "rows.csv"

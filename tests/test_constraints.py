@@ -5,125 +5,114 @@ from fractions import Fraction
 import pytest
 
 from tridnf import (
+    ConsistencyAbort,
     Dataset,
-    EmptyConstraintError,
     Instance,
     Label,
+    LearnerConfig,
     Literal,
-    build_constraints,
-    build_membership,
-    fuzzy_cardinality,
-    relevance_i,
-    relevance_ij,
-    total_relevance,
+    learn,
+    membership,
+    reference_learn,
 )
+from tridnf.learner import _TermEngine
 
 H = Fraction(1, 2)
 
 
 def pair(u_text, v_text, p, q):
+    """The grade function of the pair (u, v) at class sizes p and q."""
     u = Instance.from_text(u_text, Label.POSITIVE)
     v = Instance.from_text(v_text, Label.NEGATIVE)
-    return build_membership(u, v, p, q)
+    return lambda lit: membership(u, v, lit, p, q)
+
+
+def every_literal(n):
+    return [Literal(neg, var) for neg in (False, True) for var in range(1, n + 1)]
 
 
 def test_grades_on_certain_coordinates():
-    cs = pair("10", "01", 1, 1)
-    assert cs.membership(Literal(False, 1)) == 1  # u=1, v=0
-    assert cs.membership(Literal(True, 2)) == 1  # u=0, v=1
-    assert cs.membership(Literal(True, 1)) == 0
-    assert cs.membership(Literal(False, 2)) == 0
+    grade = pair("10", "01", 1, 1)
+    assert grade(Literal(False, 1)) == 1  # u=1, v=0
+    assert grade(Literal(True, 2)) == 1  # u=0, v=1
+    assert grade(Literal(True, 1)) == 0
+    assert grade(Literal(False, 2)) == 0
 
 
 def test_grades_on_half_coordinates():
     # one Unknown against a certain cell grades (1/2)^(p+q)
-    cs = pair("1?", "10", 2, 3)
-    assert cs.membership(Literal(False, 2)) == H ** 5
-    assert cs.membership(Literal(True, 2)) == 0
-    cs = pair("1?", "11", 2, 3)
-    assert cs.membership(Literal(True, 2)) == H ** 5
-    assert cs.membership(Literal(False, 2)) == 0
+    grade = pair("1?", "10", 2, 3)
+    assert grade(Literal(False, 2)) == H ** 5
+    assert grade(Literal(True, 2)) == 0
+    grade = pair("1?", "11", 2, 3)
+    assert grade(Literal(True, 2)) == H ** 5
+    assert grade(Literal(False, 2)) == 0
 
 
 def test_grades_on_double_unknown():
     # Unknown against Unknown grades (1/2)^(p+q+1), both signs
-    cs = pair("?", "?", 1, 2)
-    assert cs.membership(Literal(False, 1)) == H ** 4
-    assert cs.membership(Literal(True, 1)) == H ** 4
+    grade = pair("?", "?", 1, 2)
+    assert grade(Literal(False, 1)) == H ** 4
+    assert grade(Literal(True, 1)) == H ** 4
 
 
 def test_worked_membership_values():
-    assert pair("110?1", "10010", 1, 1).membership(Literal(True, 4)) == Fraction(1, 4)
-    assert pair("10?1", "1010", 1, 2).membership(Literal(True, 3)) == Fraction(1, 8)
-    assert pair("100", "1?1", 1, 3).membership(Literal(True, 2)) == Fraction(1, 16)
-    assert pair("100", "1?1", 1, 3).membership(Literal(True, 3)) == 1
+    assert pair("110?1", "10010", 1, 1)(Literal(True, 4)) == Fraction(1, 4)
+    assert pair("10?1", "1010", 1, 2)(Literal(True, 3)) == Fraction(1, 8)
+    assert pair("100", "1?1", 1, 3)(Literal(True, 2)) == Fraction(1, 16)
+    assert pair("100", "1?1", 1, 3)(Literal(True, 3)) == 1
 
 
 def test_scaled_membership_is_exact():
-    cs = pair("1?0?", "0??1", 2, 2)
-    for var in range(1, 5):
-        for neg in (False, True):
-            lit = Literal(neg, var)
-            assert cs.membership(lit) == Fraction(cs.scaled_membership(lit), cs.scale)
+    # every grade is an exact Fraction, an integer multiple of (1/2)^(p+q+1)
+    grade = pair("1?0?", "0??1", 2, 2)
+    for lit in every_literal(4):
+        g = grade(lit)
+        assert type(g) is Fraction and type(g.numerator) is int
+        assert (g * 2 ** 5).denominator == 1
 
 
 def test_cardinality_sums_all_grades():
-    cs = pair("110?1", "10010", 1, 1)
-    assert fuzzy_cardinality(cs) == Fraction(9, 4)
-    assert fuzzy_cardinality(cs) == sum(cs.memberships.values(), Fraction(0))
-
-
-def test_discard_removes_one_sign_only():
-    cs = pair("?", "?", 1, 1)
-    kept = cs.discard(Literal(False, 1))
-    assert kept.membership(Literal(False, 1)) == 0
-    assert kept.membership(Literal(True, 1)) == H ** 3
+    grade = pair("110?1", "10010", 1, 1)
+    assert sum(grade(lit) for lit in every_literal(5)) == Fraction(9, 4)
 
 
 def test_empty_set_detection():
-    cs = pair("10", "10", 1, 1)
-    assert cs.is_empty
-    assert cs.scaled_cardinality == 0
-    with pytest.raises(EmptyConstraintError):
-        relevance_ij(cs, Literal(False, 1))
-
-
-def test_build_constraints_shape_and_origins():
-    d = Dataset.from_texts(["11", "10"], ["00", "01", "0?"])
-    groups = build_constraints(d)
-    assert [g.positive_index for g in groups] == [1, 2]
-    for g in groups:
-        assert [cs.negative_index for cs in g.sets] == [1, 2, 3]
-        assert all(cs.positive_index == g.positive_index for cs in g.sets)
-        assert all(cs.exponent == d.p + d.q for cs in g.sets)
+    # a pair that agrees on every certain cell grades no literal, and the
+    # engine refuses to normalize it
+    grade = pair("10", "10", 1, 1)
+    assert all(grade(lit) == 0 for lit in every_literal(2))
+    d = Dataset.from_texts(["10"], ["10"])
+    with pytest.raises(ConsistencyAbort) as err:
+        _TermEngine(list(d.positives), list(d.negatives), None)
+    assert err.value.reason == "empty-constraint-set"
+    assert err.value.pairs == ((1, 1),)
 
 
 def test_relevance_chain_worked_example():
+    # relevance = grade / cardinality, averaged over the p*q pairs
     d = Dataset.from_texts(["110?1"], ["10010"])
-    groups = build_constraints(d)
-    x2 = Literal(False, 2)
-    assert relevance_ij(groups[0].sets[0], x2) == Fraction(4, 9)
-    assert relevance_i(groups[0], x2, d.q) == Fraction(4, 9)
-    assert total_relevance(groups, x2, d.p, d.q) == Fraction(4, 9)
+    grade = pair("110?1", "10010", 1, 1)
+    card = sum(grade(lit) for lit in every_literal(5))
+    assert grade(Literal(False, 2)) / card == Fraction(4, 9)
+    want = "SELECT x2 R=4/9"
+    assert learn(d, LearnerConfig(trace=True)).trace[0] == want
+    assert reference_learn(d).trace[0] == want
 
 
 def test_relevance_divides_by_frozen_counts():
-    # erased sets leave the group but the divisor stays q
-    d = Dataset.from_texts(["11"], ["00", "01"])
-    groups = build_constraints(d)
-    g = groups[0]
-    x1 = Literal(False, 1)
-    trimmed = type(g)(g.positive_index, g.sets[:1])
-    assert relevance_i(trimmed, x1, 2) == relevance_ij(g.sets[0], x1) / 2
-    with pytest.raises(ValueError):
-        relevance_i(g, x1, 0)
-    with pytest.raises(ValueError):
-        total_relevance(groups, x1, 0, 2)
+    # after x4 erases pair (1, 2), x1's relevance still divides by p*q = 2
+    d = Dataset.from_texts(["10?1"], ["0111", "1010"])
+    grade = pair("10?1", "0111", 1, 2)
+    card = sum(grade(lit) for lit in every_literal(4))
+    assert card == Fraction(17, 8)
+    assert grade(Literal(False, 1)) / card / 2 == Fraction(4, 17)
+    for trace in (learn(d, LearnerConfig(trace=True)).trace, reference_learn(d).trace):
+        assert trace[:3] == ("SELECT x4 R=4/9", "ERASE_SET 1 2", "SELECT x1 R=4/17")
 
 
 def test_relevance_values_are_fractions():
+    # x1 grades 1 and each sign of x2 grades 1/8 in a set of cardinality 5/4
     d = Dataset.from_texts(["1?"], ["0?"])
-    groups = build_constraints(d)
-    val = total_relevance(groups, Literal(False, 1), 1, 1)
-    assert isinstance(val, Fraction)
-    assert isinstance(val.numerator, int)
+    assert reference_learn(d).trace[0] == "SELECT x1 R=4/5"
+    assert learn(d, LearnerConfig(trace=True)).trace[0] == "SELECT x1 R=4/5"

@@ -152,6 +152,19 @@ def test_csv_rejects_bad_cells_with_line_numbers(tmp_path):
         load_ternary_csv(path)
 
 
+@pytest.mark.parametrize("row, column", [
+    (",11,+", 1), ("1,,+", 2), ("1,01,+", 2), ("1,??,-", 2), ("x,1,+", 1),
+])
+def test_csv_cells_are_single_symbols(tmp_path, row, column):
+    # cells are not joined and re-split, so a missing or doubled cell is
+    # named where it sits in the file, blank lines counted
+    path = tmp_path / "rows.csv"
+    path.write_text(f"x1,x2,label\n0,1,-\n\n{row}\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_ternary_csv(path)
+    assert err.value.where == f"line 4, column {column}"
+
+
 def test_csv_mask_cells_spell_unknown(tmp_path):
     path = tmp_path / "rows.csv"
     path.write_text("x1,x2,label\n?,1,+\n1,?,-\n", encoding="utf-8")
