@@ -33,7 +33,7 @@ from .experiments import (
     evaluate,
     run_experiment,
 )
-from .formula import DnfFormula, Literal, TernaryTruth, Term, parse_formula
+from .formula import DnfFormula, Literal, Term, parse_formula
 from .learner import LearnerConfig, LearnResult, learn
 from .masking import MaskPlan, SplitMix64, apply_mask, make_mask
 from .oracle import (
@@ -82,7 +82,6 @@ __all__ = [
     "SearchBudgetExceededError",
     "SplitMix64",
     "SummaryRow",
-    "TernaryTruth",
     "Term",
     "TridnfError",
     "Trit",

@@ -135,7 +135,7 @@ def _formula_paths(out: Path) -> tuple[Path, Path]:
 
 def cmd_learn(args) -> int:
     dataset = _load_dataset(args)
-    config = LearnerConfig(dedupe=args.dedupe, trace=args.trace is not None)
+    config = LearnerConfig(trace=args.trace is not None)
     try:
         result = learn(dataset, config)
     except ConsistencyAbort as abort:
@@ -332,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     learn_p = subparsers.add_parser("learn", help="learn a DNF formula from data")
     _add_dataset_arguments(learn_p)
-    learn_p.add_argument("--dedupe", choices=["certain", "exact"], default="exact")
     learn_p.add_argument("--trace", help="write the per-step trace to this file")
     learn_p.add_argument("--output", required=True, help="formula file (text; a .json sibling is written too)")
     learn_p.add_argument("--json", action="store_true")

@@ -11,23 +11,11 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from typing import Iterable
 
 from .errors import ParseError
 from .trits import Instance
-
-
-class TernaryTruth(Enum):
-    """Outcome of evaluating under a partially-unknown assignment."""
-
-    FALSE = "0"
-    UNKNOWN = "?"
-    TRUE = "1"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 @dataclass(frozen=True, order=True)
@@ -74,10 +62,6 @@ class Term:
         """Truth under a fully-certain assignment packed as an int."""
         return not (self.pos_mask & ~bits) and not (self.neg_mask & bits)
 
-    def certainly_true(self, inst: Instance) -> bool:
-        """Every required cell is certain and agrees."""
-        return not (self.pos_mask & ~inst.ones) and not (self.neg_mask & ~inst.zeros)
-
     def certainly_false(self, inst: Instance) -> bool:
         """Some certain cell contradicts a literal."""
         return bool((self.pos_mask & inst.zeros) | (self.neg_mask & inst.ones))
@@ -112,18 +96,6 @@ class DnfFormula:
     def evaluate(self, bits: int) -> bool:
         return any(term.evaluate(bits) for term in self.terms)
 
-    def eval_ternary(self, inst: Instance) -> TernaryTruth:
-        """Strong three-valued evaluation.
-
-        TRUE if some term holds on the certain cells alone, FALSE if every
-        term is contradicted by a certain cell, UNKNOWN otherwise.
-        """
-        if any(term.certainly_true(inst) for term in self.terms):
-            return TernaryTruth.TRUE
-        if all(term.certainly_false(inst) for term in self.terms):
-            return TernaryTruth.FALSE
-        return TernaryTruth.UNKNOWN
-
     @property
     def vars_used(self) -> tuple[int, ...]:
         return tuple(sorted({lit.var for term in self.terms for lit in term.literals}))
@@ -131,20 +103,6 @@ class DnfFormula:
     @property
     def literal_count(self) -> int:
         return sum(len(term.literals) for term in self.terms)
-
-    def is_tautology(self) -> bool:
-        """Syntactic check only: an empty term, or ``xk`` alongside ``~xk``.
-
-        A deeper semantic check belongs to the exhaustive tooling; the
-        learner only ever creates these two shapes of vacuous formula.
-        """
-        singles = set()
-        for term in self.terms:
-            if not term.literals:
-                return True
-            if len(term.literals) == 1:
-                singles.add(term.literals[0])
-        return any(Literal(not lit.neg, lit.var) in singles for lit in singles)
 
     def render(self) -> str:
         if not self.terms:

@@ -39,19 +39,13 @@ from .trits import (
 
 @dataclass(frozen=True)
 class LearnerConfig:
-    """Knobs for learn().
+    """The one option of learn(): ``trace`` collects the per-event text log.
 
-    ``dedupe``: duplicate-row removal mode, "exact" (ternary duplicates) or
-    "certain" (fully-certain duplicates only).  ``trace``: collect the
-    per-event text log.  ``reduce`` and ``update_negatives`` exist to
-    reproduce degraded behavior in tests; production callers leave them
-    True.
+    The method itself has no switches; every run reduces uncertainty,
+    deletes repetitions and updates the negatives.
     """
 
-    dedupe: str = "exact"
     trace: bool = False
-    reduce: bool = True
-    update_negatives: bool = True
 
 
 @dataclass(frozen=True)
@@ -163,9 +157,9 @@ class _TermEngine:
             group: dict[int, _LiveSet] = {}
             for j, (v_value, v_known) in enumerate(dilated, start=1):
                 s = _LiveSet(*pair_grades(u_value, u_known, v_value, v_known, full, neg_at))
+                # nonzero: a pair grades nothing only when both rows are
+                # certain and equal, which the consistency check rejected
                 s.card = self._card(s)
-                if s.card == 0:
-                    _abort(trace, "empty-constraint-set", pairs=((i, j),))
                 group[j] = s
                 self._bucket_add(s)
             if group:
@@ -191,7 +185,7 @@ class _TermEngine:
         if not (bucket[0] or bucket[1]):
             del self.buckets[s.card]
 
-    def select(self, banned: set[int]) -> int:
+    def select(self) -> int:
         """Literal code of maximal total relevance; exact, first-max ties.
 
         Scores differ from true relevances only by the constant positive
@@ -211,9 +205,9 @@ class _TermEngine:
                     # (num << 64) // card with num = scale*fc + rc
                     lower[c] += (fc * shifted + (rc << 64)) // card
                     slack[c] += 1
-        live = [c for c in range(codes) if slack[c] and c not in banned]
-        if not live:
-            _abort(self.trace, "no-candidate")
+        # while sets are left some bucket has a nonzero field, so some
+        # literal is live
+        live = [c for c in range(codes) if slack[c]]
         best_lower = max(lower[c] for c in live)
         # every floor lost < 1 unit, so true score < lower + slack
         cluster = [c for c in live if lower[c] + slack[c] > best_lower]
@@ -320,8 +314,6 @@ def learn(dataset: Dataset, config: LearnerConfig | None = None) -> LearnResult:
     positive or aborts, so there are at most p of them.
     """
     cfg = config or LearnerConfig()
-    if cfg.dedupe not in ("exact", "certain"):
-        raise ValueError(f"unknown dedupe mode {cfg.dedupe!r}")
     trace: list[str] | None = [] if cfg.trace else None
 
     n = dataset.n
@@ -344,9 +336,7 @@ def learn(dataset: Dataset, config: LearnerConfig | None = None) -> LearnResult:
     while positives:
         iterations += 1
         work = Dataset(n, tuple(positives), tuple(negatives))
-        if cfg.reduce:
-            work = reduce_uncertainty(work)
-        work = delete_repetitions(work, cfg.dedupe)
+        work = delete_repetitions(reduce_uncertainty(work))
         report = check_self_consistency(work)
         if not report.ok:
             _abort(trace, "inconsistent-data", pairs=report.violations)
@@ -355,11 +345,9 @@ def learn(dataset: Dataset, config: LearnerConfig | None = None) -> LearnResult:
 
         engine = _TermEngine(positives, negatives, trace)
         codes: list[int] = []
-        banned: set[int] = set()
         while engine.total:
-            code = engine.select(banned)
+            code = engine.select()
             codes.append(code)
-            banned.add(code + n if code < n else code - n)
             engine.apply(code)
         term = term_from_codes(n, codes)
         terms.append(term)
@@ -378,33 +366,32 @@ def learn(dataset: Dataset, config: LearnerConfig | None = None) -> LearnResult:
             _abort(trace, "no-positive-erased", term=term.render())
         positives = kept
 
-        if cfg.update_negatives:
-            for j, inst in enumerate(negatives):
-                if not term.possibly_satisfied_by(inst):
-                    continue
-                k = _lowest_unknown_on(inst, term)
-                if k is None:
-                    # every cell on the term's variables is certain and
-                    # agrees: the term is certainly true on a negative
-                    _abort(
-                        trace, "unfalsifiable-negative",
-                        instance_id=inst.id, term=term.render(),
-                    )
-                value = Trit.TRUE if (term.neg_mask >> k) & 1 else Trit.FALSE
-                v = inst.with_cell(k, value)
-                negatives[j] = v
-                if trace is not None:
-                    trace.append(f"NEG_UPDATE {inst.id} {k + 1} {int(value is Trit.TRUE)}")
-                # only this updated row can newly collide with a positive:
-                # erasure removes rows and never edits them
-                if v.known_bits == full:
-                    violations = tuple(
-                        (i, j + 1)
-                        for i, u in enumerate(positives, start=1)
-                        if u.known_bits == full and u.value_bits == v.value_bits
-                    )
-                    if violations:
-                        _abort(trace, "inconsistent-data", pairs=violations)
+        for j, inst in enumerate(negatives):
+            if not term.possibly_satisfied_by(inst):
+                continue
+            k = _lowest_unknown_on(inst, term)
+            if k is None:
+                # every cell on the term's variables is certain and
+                # agrees: the term is certainly true on a negative
+                _abort(
+                    trace, "unfalsifiable-negative",
+                    instance_id=inst.id, term=term.render(),
+                )
+            value = Trit.TRUE if (term.neg_mask >> k) & 1 else Trit.FALSE
+            v = inst.with_cell(k, value)
+            negatives[j] = v
+            if trace is not None:
+                trace.append(f"NEG_UPDATE {inst.id} {k + 1} {int(value is Trit.TRUE)}")
+            # only this updated row can newly collide with a positive:
+            # erasure removes rows and never edits them
+            if v.known_bits == full:
+                violations = tuple(
+                    (i, j + 1)
+                    for i, u in enumerate(positives, start=1)
+                    if u.known_bits == full and u.value_bits == v.value_bits
+                )
+                if violations:
+                    _abort(trace, "inconsistent-data", pairs=violations)
 
     formula = DnfFormula(n, tuple(terms))
     final = Dataset(n, tuple(erased), tuple(negatives))

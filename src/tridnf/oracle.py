@@ -211,14 +211,14 @@ def _grade(a: Trit, b: Trit, p: int, q: int) -> Fraction:
 def reference_learn(d: Dataset) -> LearnResult:
     """Plain reimplementation of ``learn(d, LearnerConfig(trace=True))``.
 
-    The default-config method written out with dicts of Fractions: the
-    ``trits`` preprocessing at the start of every outer iteration, every
-    literal graded by the table behind ``membership``, exact relevances
-    with first-max ties, erasure and complement striking, positive erasure and negative
-    updates.  Returns the same LearnResult, trace included, or raises the
-    same ConsistencyAbort.  Shares no code with the learner beyond the
-    preprocessing, the data and formula types, and the trace's number
-    formatting, so the two can check each other.
+    The whole method, which has no switches, written out with dicts of
+    Fractions: the ``trits`` preprocessing at the start of every outer
+    iteration, every literal graded by the table behind ``membership``,
+    exact relevances with first-max ties, erasure and complement striking,
+    positive erasure and negative updates.  Returns the same LearnResult,
+    trace included, or raises the same ConsistencyAbort.  Shares no code
+    with the learner beyond the preprocessing, the data and formula types,
+    and the trace's number formatting, so the two can check each other.
     """
     n = d.n
     lits = [Literal(False, k) for k in range(1, n + 1)] + [Literal(True, k) for k in range(1, n + 1)]

@@ -287,24 +287,18 @@ def reduce_uncertainty(d: Dataset) -> Dataset:
     return Dataset(d.n, tuple(pos), tuple(neg))
 
 
-def delete_repetitions(d: Dataset, mode: str = "exact") -> Dataset:
+def delete_repetitions(d: Dataset) -> Dataset:
     """Drop duplicate rows within each class, keeping the first occurrence.
 
-    ``mode="exact"`` compares the full ternary vector; ``mode="certain"``
-    only removes duplicates among fully-certain instances.  Duplicates
-    across classes are never dropped here: a certain cross-class duplicate
-    is a consistency violation and must stay visible to the check.
+    Rows are duplicates when their full ternary vectors are equal.
+    Duplicates across classes are never dropped here: a certain cross-class
+    duplicate is a consistency violation and must stay visible to the check.
     """
-    if mode not in ("exact", "certain"):
-        raise ValueError(f"unknown dedupe mode {mode!r}")
 
     def dedupe(instances: tuple[Instance, ...]) -> tuple[Instance, ...]:
         seen = set()
         kept = []
         for inst in instances:
-            if mode == "certain" and not inst.is_certain:
-                kept.append(inst)
-                continue
             key = (inst.value_bits, inst.known_bits)
             if key in seen:
                 continue

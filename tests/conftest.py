@@ -1,4 +1,5 @@
-"""Shared fixtures and the acceptance-summary reporter.
+"""Shared fixtures, the acceptance-summary reporter, and the learner's
+term loop without its safeguards.
 
 The ``sweep`` fixture materializes the full masked-run grid once per
 session; the acceptance tests slice it for statistics, certificates,
@@ -26,11 +27,30 @@ from tridnf import (
     make_mask,
     verify_consistency,
 )
+from tridnf.formula import term_from_codes
+from tridnf.learner import _TermEngine
 from tridnf.masking import RANDOM, TRUSTWORTHY
 
 ZOO_TYPES = (1, 2, 3, 4, 5, 6, 7)
 SWEEP_FRACTIONS = tuple(Fraction(k, 10) for k in range(1, 6))
 SWEEP_SEEDS = tuple(range(10))
+
+
+def without_safeguards(d: Dataset) -> DnfFormula:
+    """The term loop of ``learn`` with no uncertainty reduction, no dedupe,
+    no consistency check and no negative updates."""
+    positives, terms = list(d.positives), []
+    while positives:
+        engine = _TermEngine(positives, list(d.negatives), None)
+        codes = []
+        while engine.total:
+            codes.append(engine.select())
+            engine.apply(codes[-1])
+        terms.append(term_from_codes(d.n, codes))
+        kept = [u for u in positives if not terms[-1].possibly_satisfied_by(u)]
+        assert len(kept) < len(positives), terms[-1].render()
+        positives = kept
+    return DnfFormula(d.n, tuple(terms))
 
 
 @pytest.fixture(scope="session")

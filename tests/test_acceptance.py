@@ -13,9 +13,9 @@ import time
 from fractions import Fraction
 
 import pytest
+from conftest import without_safeguards
 
 from tridnf import (
-    ConsistencyAbort,
     Dataset,
     Instance,
     Label,
@@ -60,8 +60,8 @@ def test_criterion_1_worked_example_goldens():
 
     d = Dataset.from_texts(["100", "?10"], ["1?0"])
     assert learn(d).formula.render() == "~x1 | ~x2"
-    bare = learn(d, LearnerConfig(reduce=False, update_negatives=False))
-    assert bare.formula.is_tautology()
+    bare = without_safeguards(d)
+    assert all(bare.evaluate(bits) for bits in range(1 << d.n))
 
     elapsed = time.perf_counter() - started
     print(f"criterion 1: goldens exact, {elapsed * 1000:.1f} ms")
@@ -215,10 +215,10 @@ def test_criterion_8_exact_arithmetic_oracle():
     """Package grades and relevances equal a from-scratch rational recomputation.
 
     ``membership`` must equal the table above for every pair and literal,
-    and the engine's exact score for every literal, read by banning every
-    other literal, must equal the table's recomputation.  Equality of
-    every exact score implies every pairwise comparison agrees; the
-    unbanned argmax is checked too.
+    and the engine's exact score for every literal, read from its packed
+    buckets, must equal the table's recomputation (zero for a literal no
+    set grades).  Equality of every exact score implies every pairwise
+    comparison agrees; ``select``'s argmax and traced value are checked too.
     """
     rng = random.Random(88)
     datasets = 0
@@ -244,9 +244,9 @@ def test_criterion_8_exact_arithmetic_oracle():
         )
         trace: list[str] = []
         engine = _TermEngine(list(d.positives), list(d.negatives), trace)
-        codes = range(2 * n)
+        w, field = engine.width, engine.field
         scores = {}
-        for code in codes:
+        for code in range(2 * n):
             neg, k = code >= n, code % n
             lit = Literal(neg, k + 1)
             mine = Fraction(0)
@@ -259,17 +259,18 @@ def test_criterion_8_exact_arithmetic_oracle():
                     mine += grade / cards[i, j]
             mine /= p * q
             scores[code] = mine
-            banned = set(codes) - {code}
-            if mine == 0:
-                with pytest.raises(ConsistencyAbort) as err:
-                    engine.select(banned)
-                assert err.value.reason == "no-candidate"
-            else:
-                assert engine.select(banned) == code
-                assert Fraction(trace[-1].split("R=")[1]) == mine, (lit.render(), mine)
+            # field c of a bucket's F and R words: scale*F_c + R_c over card
+            packed = sum(
+                (
+                    Fraction(engine.scale * (f >> code * w & field) + (r >> code * w & field), card)
+                    for card, (f, r) in engine.buckets.items()
+                ),
+                Fraction(0),
+            ) / engine.norm
+            assert packed == mine, (lit.render(), packed, mine)
 
         best = max(scores.values())
-        assert engine.select(set()) == min(c for c, v in scores.items() if v == best)
+        assert engine.select() == min(c for c, v in scores.items() if v == best)
         assert Fraction(trace[-1].split("R=")[1]) == best
     print(
         "criterion 8: 1000 datasets, every grade and every literal's exact "

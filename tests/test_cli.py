@@ -236,6 +236,10 @@ def test_argparse_errors_exit_1(capsys):
         main(["learn", "--format", "zoo", "--positive-type", "1",
               "--output", "f.txt", "--threads", "2"])
     assert stop.value.code == 1
+    with pytest.raises(SystemExit) as stop:
+        main(["learn", "--format", "zoo", "--positive-type", "1",
+              "--output", "f.txt", "--dedupe", "exact"])
+    assert stop.value.code == 1
 
 
 def test_data_errors_exit_2(tmp_path, capsys):

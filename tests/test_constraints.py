@@ -15,7 +15,6 @@ from tridnf import (
     membership,
     reference_learn,
 )
-from tridnf.learner import _TermEngine
 
 H = Fraction(1, 2)
 
@@ -78,15 +77,16 @@ def test_cardinality_sums_all_grades():
 
 
 def test_empty_set_detection():
-    # a pair that agrees on every certain cell grades no literal, and the
-    # engine refuses to normalize it
+    # a pair that agrees on every certain cell grades no literal; the
+    # consistency check rejects it before any set is built
     grade = pair("10", "10", 1, 1)
     assert all(grade(lit) == 0 for lit in every_literal(2))
     d = Dataset.from_texts(["10"], ["10"])
-    with pytest.raises(ConsistencyAbort) as err:
-        _TermEngine(list(d.positives), list(d.negatives), None)
-    assert err.value.reason == "empty-constraint-set"
-    assert err.value.pairs == ((1, 1),)
+    for run in (learn, reference_learn):
+        with pytest.raises(ConsistencyAbort) as err:
+            run(d)
+        assert err.value.reason == "inconsistent-data"
+        assert err.value.pairs == ((1, 1),)
 
 
 def test_relevance_chain_worked_example():

@@ -1,8 +1,6 @@
-"""Formula types, the text grammar, JSON round-trip, ternary evaluation."""
+"""Formula types, the text grammar, JSON round-trip, evaluation."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from tridnf import (
     DnfFormula,
@@ -11,7 +9,6 @@ from tridnf import (
     Literal,
     ParseError,
     Term,
-    TernaryTruth,
     parse_formula,
 )
 from tridnf.formula import term_from_codes
@@ -39,9 +36,10 @@ def test_term_against_uncertain_instance():
     sure = Instance.from_text("1?0", Label.POSITIVE)
     open_ = Instance.from_text("1??", Label.POSITIVE)
     blocked = Instance.from_text("1?1", Label.POSITIVE)
-    assert term.certainly_true(sure)
-    assert not term.certainly_true(open_)
+    assert term.possibly_satisfied_by(sure)
+    assert not term.certainly_false(sure)
     assert term.possibly_satisfied_by(open_)
+    assert not term.certainly_false(open_)
     assert term.certainly_false(blocked)
     assert not term.possibly_satisfied_by(blocked)
 
@@ -105,31 +103,6 @@ def test_formula_from_codes_uses_internal_codes():
     # code k-1 is xk, code n+k-1 is ~xk
     f = DnfFormula(3, (term_from_codes(3, [0, 5]), term_from_codes(3, [1])))
     assert f.render() == "x1 ~x3 | x2"
-
-
-def test_eval_ternary_three_outcomes():
-    f = parse_formula("x1 x2 | ~x3", n=3)
-    assert f.eval_ternary(Instance.from_text("11?", Label.POSITIVE)) is TernaryTruth.TRUE
-    assert f.eval_ternary(Instance.from_text("?11", Label.POSITIVE)) is TernaryTruth.UNKNOWN
-    assert f.eval_ternary(Instance.from_text("001", Label.POSITIVE)) is TernaryTruth.FALSE
-    assert str(TernaryTruth.UNKNOWN) == "?"
-
-
-def test_is_tautology_shapes():
-    assert parse_formula("x2 | ~x2", n=2).is_tautology()
-    assert parse_formula("TRUE", n=2).is_tautology()
-    assert not parse_formula("x1 | ~x2", n=2).is_tautology()
-    # only single-literal complements count; this pair is satisfiable-false
-    assert not parse_formula("x1 x2 | ~x2 x1", n=2).is_tautology()
-
-
-@given(st.integers(0, 2 ** 6 - 1))
-@settings(max_examples=64, deadline=None)
-def test_eval_ternary_agrees_with_certain_evaluate(bits):
-    f = parse_formula("x1 x2 | ~x3 x5 | x6", n=6)
-    inst = Instance.from_cells([(bits >> k) & 1 for k in range(6)], Label.POSITIVE)
-    want = TernaryTruth.TRUE if f.evaluate(bits) else TernaryTruth.FALSE
-    assert f.eval_ternary(inst) is want
 
 
 def test_formula_width_validation():

@@ -11,6 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import without_safeguards
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +26,7 @@ from tridnf import (
     make_mask,
     reference_learn,
 )
+from tridnf import learner
 from tridnf.learner import _TermEngine
 
 TRACED = LearnerConfig(trace=True)
@@ -83,7 +85,7 @@ def test_two_literal_term():
     )
 
 
-def test_reduction_changes_the_outcome():
+def test_reduction_changes_the_outcome(monkeypatch):
     # without preprocessing the greedy pick degenerates to a tautology
     d = Dataset.from_texts(["100", "?10"], ["1?0"])
     full = learn(d, TRACED)
@@ -100,14 +102,15 @@ def test_reduction_changes_the_outcome():
         "POS_ERASED u1",
     )
 
-    raw = learn(d, LearnerConfig(trace=True, reduce=False, update_negatives=False))
-    assert raw.formula.render() == "~x2 | x2"
-    assert raw.formula.is_tautology()
+    raw = without_safeguards(d)
+    assert raw.render() == "~x2 | x2"
+    assert all(raw.evaluate(bits) for bits in range(1 << d.n))
 
     # negative updating alone also rescues consistency here
-    updated = learn(d, LearnerConfig(trace=True, reduce=False))
+    monkeypatch.setattr(learner, "reduce_uncertainty", lambda w: w)
+    updated = learn(d, TRACED)
     assert updated.formula.render() == "~x2 | ~x1"
-    assert not updated.formula.is_tautology()
+    assert not all(updated.formula.evaluate(bits) for bits in range(1 << d.n))
     assert "NEG_UPDATE v1 2 1" in updated.trace
 
 
@@ -146,7 +149,7 @@ def test_inconsistent_data_aborts_with_pairs():
     assert err.value.trace[-1] == "ABORT inconsistent-data"
 
 
-def test_update_can_reveal_inconsistency():
+def test_update_can_reveal_inconsistency(monkeypatch):
     # filling the negative's gap collides it with the second positive;
     # reduction finds the collision up front, updating finds it mid-run
     d = Dataset.from_texts(["011", "001"], ["0?1"])
@@ -155,8 +158,9 @@ def test_update_can_reveal_inconsistency():
     assert err.value.reason == "inconsistent-data"
     assert err.value.pairs == ((2, 1),)
 
+    monkeypatch.setattr(learner, "reduce_uncertainty", lambda w: w)
     with pytest.raises(ConsistencyAbort) as err:
-        learn(d, LearnerConfig(trace=True, reduce=False))
+        learn(d, TRACED)
     assert err.value.reason == "inconsistent-data"
     assert err.value.trace[-2:] == ("NEG_UPDATE v1 2 0", "ABORT inconsistent-data")
 
@@ -260,7 +264,7 @@ def test_packed_fields_hold_their_largest_sum():
         trace: list[str] = []
         engine = _TermEngine(list(d.positives), list(d.negatives), trace)
         assert len(engine.buckets) == 1
-        assert engine.select(set()) == 0
+        assert engine.select() == 0
         assert _traced_relevance(trace) == Fraction(1, 2)
 
 

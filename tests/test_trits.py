@@ -111,26 +111,13 @@ def test_reduce_uncertainty_preserves_ids():
 
 
 def test_delete_repetitions_keeps_first_per_class():
-    d = Dataset.from_texts(["10", "10", "0?"], ["10"])
-    g = delete_repetitions(d, "exact")
+    # rows with an Unknown cell are duplicates when their ternary vectors match
+    d = Dataset.from_texts(["10", "10", "0?", "0?"], ["10"])
+    g = delete_repetitions(d)
     assert [i.text for i in g.positives] == ["10", "0?"]
     assert [i.id for i in g.positives] == ["u1", "u3"]
     # the negative copy lives in the other class and stays
     assert [i.text for i in g.negatives] == ["10"]
-
-
-def test_delete_repetitions_certain_mode_spares_uncertain_rows():
-    d = Dataset.from_texts(["1?", "1?", "11", "11"], [])
-    exact = delete_repetitions(d, "exact")
-    certain = delete_repetitions(d, "certain")
-    assert [i.text for i in exact.positives] == ["1?", "11"]
-    assert [i.text for i in certain.positives] == ["1?", "1?", "11"]
-
-
-def test_delete_repetitions_rejects_unknown_mode():
-    d = Dataset.from_texts(["1"], ["0"])
-    with pytest.raises(ValueError):
-        delete_repetitions(d, "fuzzy")
 
 
 def test_check_self_consistency_reports_one_based_pairs():
