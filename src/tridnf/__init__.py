@@ -22,7 +22,6 @@ from .errors import (
     FractionOutOfRangeError,
     LengthMismatchError,
     ParseError,
-    SearchBudgetExceededError,
     TridnfError,
 )
 from .experiments import (
@@ -46,7 +45,6 @@ from .oracle import (
     verify_consistency,
 )
 from .trits import (
-    ConsistencyReport,
     Dataset,
     Instance,
     Label,
@@ -63,7 +61,6 @@ __all__ = [
     "CellOutOfRangeError",
     "ConsistencyAbort",
     "ConsistencyCertificate",
-    "ConsistencyReport",
     "CountWarning",
     "Dataset",
     "DnfFormula",
@@ -79,7 +76,6 @@ __all__ = [
     "MaskPlan",
     "ParseError",
     "RunResult",
-    "SearchBudgetExceededError",
     "SplitMix64",
     "SummaryRow",
     "Term",

@@ -54,11 +54,14 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_fraction(token: str) -> Fraction:
     """Accept 0.1, 1/10, 10%, or a bare percentage like 10 (values above 1
-    are read as percentages)."""
+    are read as percentages).  Exponent notation is refused: Fraction
+    would build 10^|exponent|, which for 1e-99999999 does not finish."""
     text = str(token).strip()
     percent = text.endswith("%")
     if percent:
         text = text[:-1].strip()
+    if "e" in text or "E" in text:
+        raise ValueError(f"cannot parse fraction {token!r}")
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -310,8 +313,8 @@ def cmd_verify(args) -> int:
     return EXIT_INCONSISTENT if violations else EXIT_OK
 
 
-def _add_dataset_arguments(sub: argparse.ArgumentParser, input_flag: str = "--input") -> None:
-    sub.add_argument(input_flag, help="data file (defaults to the bundled animal data for --format zoo)")
+def _add_dataset_arguments(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--input", help="data file (defaults to the bundled animal data for --format zoo)")
     sub.add_argument("--format", choices=["zoo", "csv"], required=True)
     sub.add_argument("--positive-type", type=int, help="class code 1..7 (zoo format)")
     sub.add_argument(

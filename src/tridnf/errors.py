@@ -32,12 +32,9 @@ class CellOutOfRangeError(TridnfError, ValueError):
     """A mask plan names a cell that does not exist in the dataset."""
 
 
-class SearchBudgetExceededError(TridnfError, RuntimeError):
-    """A completion search would enumerate more candidates than allowed."""
-
-
 class BudgetExceededError(TridnfError, RuntimeError):
-    """Exhaustive formula search ran out of literal budget."""
+    """A search ran out of budget: the exhaustive formula search of its
+    literal budget, or a completion search of its candidate budget."""
 
 
 class ConsistencyAbort(TridnfError, RuntimeError):

@@ -231,32 +231,20 @@ def run_experiment(
                     masked = apply_mask(complete, plan)
                     start = time.perf_counter()
                     try:
-                        result = learn(masked)
+                        formula = learn(masked).formula
+                        errors, reason = evaluate(formula, complete).errors, ""
                     except ConsistencyAbort as abort:
-                        runs.append(
-                            RunResult(
-                                positive_type=kind,
-                                mode=mode,
-                                fraction=fraction,
-                                seed=seed,
-                                formula=None,
-                                errors=None,
-                                size=complete.p + complete.q,
-                                abort_reason=abort.reason,
-                                seconds=time.perf_counter() - start,
-                            )
-                        )
-                        continue
-                    report = evaluate(result.formula, complete)
+                        formula, errors, reason = None, None, abort.reason
                     runs.append(
                         RunResult(
                             positive_type=kind,
                             mode=mode,
                             fraction=fraction,
                             seed=seed,
-                            formula=result.formula,
-                            errors=report.errors,
-                            size=report.size,
+                            formula=formula,
+                            errors=errors,
+                            size=complete.p + complete.q,
+                            abort_reason=reason,
                             seconds=time.perf_counter() - start,
                         )
                     )

@@ -161,6 +161,8 @@ class DnfFormula:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"not valid JSON: {exc.msg}", where=exc.pos) from exc
+        except RecursionError:
+            raise ParseError("JSON nested too deeply") from None
         return cls.from_json_dict(data)
 
 

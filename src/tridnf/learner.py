@@ -9,15 +9,17 @@ cover and forces each surviving negative to commit one Unknown cell
 against the term.
 
 Relevance comparisons are exact.  The hot path avoids building full
-rational scores: sets are bucketed by scaled cardinality, and each bucket
-keeps its literals' scaled grade sums in two packed integers with one
-fixed-width field per literal (see ``_TermEngine``), so adding, removing
-or shrinking a set is a few big-integer operations instead of per-literal
-dictionary updates.  Each literal gets an integer lower bound
-sum(floor(num << 64 / card)) whose error is below one unit per bucket,
-and only literals whose upper bound reaches the best lower bound are
-re-scored with Fractions.  The winner (ties broken by literal code: x1..xn
-then ~x1..~xn) is provably the same literal exact arithmetic would pick.
+rational scores: each live set is the list [F, R, card] of two packed
+integers, with one fixed-width field per literal, and its scaled
+cardinality, held in one map keyed by the pair (i, j).  Sets are bucketed
+by card, and each bucket keeps the [F, R] sums of its sets (see
+``_TermEngine``), so adding, removing or shrinking a set is a few
+big-integer operations instead of per-literal dictionary updates.  Each
+literal gets an integer lower bound sum(floor(num << 64 / card)) whose
+error is below one unit per bucket, and only literals whose upper bound
+reaches the best lower bound are re-scored with Fractions.  The winner
+(ties broken by literal code: x1..xn then ~x1..~xn) is provably the same
+literal exact arithmetic would pick.
 """
 from __future__ import annotations
 
@@ -70,18 +72,6 @@ def _abort(trace: list[str] | None, reason: str, **details) -> None:
     raise ConsistencyAbort(reason, **details)
 
 
-class _LiveSet:
-    """Mutable constraint set: three packed grade masks plus scaled cardinality."""
-
-    __slots__ = ("full", "half", "quarter", "card")
-
-    def __init__(self, full, half, quarter):
-        self.full = full
-        self.half = half
-        self.quarter = quarter
-        self.card = 0
-
-
 def pair_grades(
     u_value: int, u_known: int, v_value: int, v_known: int, full: int, neg_at: int,
 ) -> tuple[int, int, int]:
@@ -125,12 +115,13 @@ class _TermEngine:
 
     Packed layout: literal code c owns the W-bit field that starts at bit
     c*W, with W = (2*p*q).bit_length().  Instance bits are dilated once
-    per engine (bit k moves to bit k*W) and graded by ``pair_grades``; a
-    set's ``full``, ``half`` and ``quarter`` masks then have bit c*W set
-    when the set grades literal c at that level.  Each bucket holds two
-    packed ints summed over its sets: F, whose field c counts the full
-    grades of literal c, and R, whose field c is 2*halves + quarters, so
-    the literal's scaled grade sum in the bucket is scale*F_c + R_c.  A
+    per engine (bit k moves to bit k*W) and graded by ``pair_grades``.
+    The live sets sit in ``sets``, keyed (i, j) in trace order, each as
+    the list [F, R, card]: field c of F is 1 when the set grades literal
+    c full, field c of R is 2 for a half grade and 1 for a quarter, and
+    card is the scaled cardinality scale*|full| + 2*|half| + |quarter|.
+    Each bucket holds the [F, R] sums over the sets of one card, so the
+    literal's scaled grade sum in the bucket is scale*F_c + R_c.  A
     literal has one grade level per set and a bucket has at most p*q sets,
     so F_c <= p*q and R_c <= 2*p*q fit in W bits: no field carries into
     the next, and adding or removing a set is two additions or
@@ -141,49 +132,43 @@ class _TermEngine:
         n = self.n = positives[0].n
         p, q = len(positives), len(negatives)
         self.norm = p * q
-        self.scale = 1 << (p + q + 1)
+        scale = self.scale = 1 << (p + q + 1)
         w = self.width = (2 * p * q).bit_length()
         self.field = (1 << w) - 1
         self.trace = trace
-        self.groups: dict[int, dict[int, _LiveSet]] = {}
+        self.sets: dict[tuple[int, int], list[int]] = {}  # (i, j) -> [F, R, card]
         self.buckets: dict[int, list[int]] = {}  # card -> [F, R]
-        self.total = 0
         full = _dilate((1 << n) - 1, w)
         neg_at = n * w
         dilated = [(_dilate(v.value_bits, w), _dilate(v.known_bits, w)) for v in negatives]
 
         for i, u in enumerate(positives, start=1):
             u_value, u_known = _dilate(u.value_bits, w), _dilate(u.known_bits, w)
-            group: dict[int, _LiveSet] = {}
             for j, (v_value, v_known) in enumerate(dilated, start=1):
-                s = _LiveSet(*pair_grades(u_value, u_known, v_value, v_known, full, neg_at))
-                # nonzero: a pair grades nothing only when both rows are
-                # certain and equal, which the consistency check rejected
-                s.card = self._card(s)
-                group[j] = s
-                self._bucket_add(s)
-            if group:
-                self.groups[i] = group
-                self.total += len(group)
+                f, half, quarter = pair_grades(u_value, u_known, v_value, v_known, full, neg_at)
+                # card is nonzero: a pair grades nothing only when both rows
+                # are certain and equal, which the consistency check rejected
+                s = self.sets[i, j] = [
+                    f, (half << 1) + quarter,
+                    scale * f.bit_count() + 2 * half.bit_count() + quarter.bit_count(),
+                ]
+                self._add(s)
 
-    def _card(self, s: _LiveSet) -> int:
-        return self.scale * s.full.bit_count() + 2 * s.half.bit_count() + s.quarter.bit_count()
-
-    def _bucket_add(self, s: _LiveSet) -> None:
-        bucket = self.buckets.get(s.card)
+    def _add(self, s: list[int]) -> None:
+        bucket = self.buckets.get(s[2])
         if bucket is None:
-            self.buckets[s.card] = [s.full, (s.half << 1) + s.quarter]
+            self.buckets[s[2]] = s[:2]
         else:
-            bucket[0] += s.full
-            bucket[1] += (s.half << 1) + s.quarter
+            bucket[0] += s[0]
+            bucket[1] += s[1]
 
-    def _bucket_remove(self, s: _LiveSet) -> None:
-        bucket = self.buckets[s.card]
-        bucket[0] -= s.full
-        bucket[1] -= (s.half << 1) + s.quarter
+    def _remove(self, s: list[int]) -> None:
+        bucket = self.buckets[s[2]]
+        bucket[0] -= s[0]
+        bucket[1] -= s[1]
         # every set adds a nonzero field, so zero sums mean no sets are left
         if not (bucket[0] or bucket[1]):
-            del self.buckets[s.card]
+            del self.buckets[s[2]]
 
     def select(self) -> int:
         """Literal code of maximal total relevance; exact, first-max ties.
@@ -233,55 +218,36 @@ class _TermEngine:
         in the rest, sets holding the literal are satisfied and erased,
         and the complement literal is struck from the sets that remain.
         """
+        w = self.width
         comp = code + self.n if code < self.n else code - self.n
-        bit = 1 << code * self.width
-        comp_bit = 1 << comp * self.width
-        erase_groups: list[int] = []
-        erase_sets: list[tuple[int, int]] = []
-        shrink: list[tuple[int, int]] = []
-        for i, sets in self.groups.items():
-            has_code: list[int] = []
-            has_comp: list[int] = []
-            for j, s in sets.items():
-                grades = s.full | s.half | s.quarter
-                if grades & bit:
-                    has_code.append(j)
-                elif grades & comp_bit:
-                    has_comp.append(j)
-            if not has_code:
-                erase_groups.append(i)
+        hit = 3 << code * w  # the field bits a held literal sets in F or R
+        sets = self.sets
+        covered = {i for (i, _), s in sets.items() if (s[0] | s[1]) & hit}
+        if self.trace is not None:
+            self.trace.extend(f"ERASE_GROUP {i}" for i in sorted({i for i, _ in sets} - covered))
+            self.trace.extend(
+                f"ERASE_SET {i} {j}" for (i, j), s in sets.items() if (s[0] | s[1]) & hit
+            )
+        survivors = {}
+        for ij, s in sets.items():
+            if ij[0] in covered and not (s[0] | s[1]) & hit:
+                survivors[ij] = s
             else:
-                erase_sets += [(i, j) for j in has_code]
-                shrink += [(i, j) for j in has_comp]
-
-        for i in erase_groups:
-            if self.trace is not None:
-                self.trace.append(f"ERASE_GROUP {i}")
-            group = self.groups.pop(i)
-            for s in group.values():
-                self._bucket_remove(s)
-            self.total -= len(group)
-        for i, j in erase_sets:
-            if self.trace is not None:
-                self.trace.append(f"ERASE_SET {i} {j}")
-            s = self.groups[i].pop(j)
-            self._bucket_remove(s)
-            self.total -= 1
-            if not self.groups[i]:
-                del self.groups[i]
-        for i, j in shrink:
-            s = self.groups[i][j]
-            self._bucket_remove(s)
-            # the complement can only be at half grade here.  At full grade
-            # u's cell is certain against the pick, so no set of the group
-            # holds the pick and the group was erased; at quarter grade the
-            # set holds the pick too (quarters come in +/- pairs) and was
-            # erased
-            s.half &= ~comp_bit
-            s.card = self._card(s)
-            if s.card == 0:
-                _abort(self.trace, "empty-constraint-set", pairs=((i, j),))
-            self._bucket_add(s)
+                self._remove(s)
+        # the complement can only be at half grade in a survivor.  At full
+        # grade u's cell is certain against the pick, so no set of the group
+        # holds the pick and the group was erased; at quarter grade the set
+        # holds the pick too (quarters come in +/- pairs) and was erased
+        half = 2 << comp * w
+        for ij, s in survivors.items():
+            if s[1] & half:
+                self._remove(s)
+                s[1] -= half
+                s[2] -= 2
+                if not s[2]:
+                    _abort(self.trace, "empty-constraint-set", pairs=(ij,))
+                self._add(s)
+        self.sets = survivors
 
 
 def _exact(value: Fraction) -> str:
@@ -337,15 +303,15 @@ def learn(dataset: Dataset, config: LearnerConfig | None = None) -> LearnResult:
         iterations += 1
         work = Dataset(n, tuple(positives), tuple(negatives))
         work = delete_repetitions(reduce_uncertainty(work))
-        report = check_self_consistency(work)
-        if not report.ok:
-            _abort(trace, "inconsistent-data", pairs=report.violations)
+        clashes = check_self_consistency(work)
+        if clashes:
+            _abort(trace, "inconsistent-data", pairs=clashes)
         positives = list(work.positives)
         negatives = list(work.negatives)
 
         engine = _TermEngine(positives, negatives, trace)
         codes: list[int] = []
-        while engine.total:
+        while engine.sets:
             code = engine.select()
             codes.append(code)
             engine.apply(code)

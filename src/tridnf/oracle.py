@@ -13,11 +13,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
-from .errors import (
-    BudgetExceededError,
-    ConsistencyAbort,
-    SearchBudgetExceededError,
-)
+from .errors import BudgetExceededError, ConsistencyAbort
 from .formula import DnfFormula, Literal, Term, term_from_codes
 from .learner import LearnResult, _exact
 from .trits import (
@@ -101,7 +97,7 @@ def _certify(
         cells.append(low.bit_length() - 1)
         mask ^= low
     if (1 << len(cells)) > budget:
-        raise SearchBudgetExceededError(
+        raise BudgetExceededError(
             f"instance {instance_id!r} needs 2^{len(cells)} completions, budget {budget}"
         )
     base = inst.value_bits  # certain ones; every Unknown cell starts at 0
@@ -236,7 +232,7 @@ def reference_learn(d: Dataset) -> LearnResult:
     while positives:
         iterations += 1
         work = delete_repetitions(reduce_uncertainty(Dataset(n, tuple(positives), tuple(negatives))))
-        clashes = check_self_consistency(work).violations
+        clashes = check_self_consistency(work)
         if clashes:
             abort("inconsistent-data", pairs=clashes)
         positives, negatives = list(work.positives), list(work.negatives)

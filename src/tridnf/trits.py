@@ -219,19 +219,9 @@ class Dataset:
         yield from self.negatives
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
-    """Violating (i, j) pairs, 1-based over positives x negatives."""
-
-    violations: tuple[tuple[int, int], ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_self_consistency(d: Dataset) -> ConsistencyReport:
-    """Report every pair that agrees, with certain equal values, everywhere.
+def check_self_consistency(d: Dataset) -> tuple[tuple[int, int], ...]:
+    """Every pair that agrees, with certain equal values, everywhere, as
+    1-based (i, j) over positives x negatives; empty when consistent.
 
     Such a pair has no separating literal: the same fully-certain vector
     appears as both a positive and a negative.  Any Unknown cell (in either
@@ -245,7 +235,7 @@ def check_self_consistency(d: Dataset) -> ConsistencyReport:
         for j, v in enumerate(d.negatives, start=1):
             if v.known_bits == full and v.value_bits == u.value_bits:
                 violations.append((i, j))
-    return ConsistencyReport(tuple(violations))
+    return tuple(violations)
 
 
 def reduce_uncertainty(d: Dataset) -> Dataset:

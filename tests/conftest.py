@@ -43,7 +43,7 @@ def without_safeguards(d: Dataset) -> DnfFormula:
     while positives:
         engine = _TermEngine(positives, list(d.negatives), None)
         codes = []
-        while engine.total:
+        while engine.sets:
             codes.append(engine.select())
             engine.apply(codes[-1])
         terms.append(term_from_codes(d.n, codes))

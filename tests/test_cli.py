@@ -113,6 +113,17 @@ def test_mask_fraction_spellings_agree(tmp_path, capsys):
     assert len(set(files)) == 1
 
 
+def test_mask_fraction_refuses_exponent_notation(tmp_path, capsys):
+    # Fraction would build 10^99999999 before the range check could run
+    for token in ("1e-99999999", "3E-1"):
+        code, _, err = run(
+            capsys, "mask", "--format", "zoo", "--positive-type", "1",
+            "--mode", "random", "--fraction", token, "--seed", "7",
+            "--output", str(tmp_path / "m.csv"),
+        )
+        assert code == 1 and "cannot parse fraction" in err
+
+
 def test_mask_then_learn_then_verify(tmp_path, capsys):
     masked = tmp_path / "masked.csv"
     run(
@@ -172,6 +183,18 @@ def test_verify_exhaustive_min(tmp_path, capsys):
     )
     assert code == 0
     assert stdout.splitlines()[-1] == "minimal: x1 x2 (2 literals)"
+
+
+def test_verify_budget_exceeded_exits_1(tmp_path, capsys):
+    data = tmp_path / "rows.csv"
+    save_ternary_csv(Dataset.from_texts(["???"], []), data)
+    f = tmp_path / "f.txt"
+    f.write_text("x1 x2 | x3\n", encoding="utf-8")
+    code, _, err = run(
+        capsys, "verify", "--formula", str(f), "--format", "csv",
+        "--input", str(data), "--budget", "1",
+    )
+    assert code == 1 and "budget" in err
 
 
 def test_experiment_writes_report_and_csv(tmp_path, capsys):
@@ -264,6 +287,15 @@ def test_data_errors_exit_2(tmp_path, capsys):
         "--output", str(tmp_path / "f.txt"),
     )
     assert code == 2 and "line 2, column 1" in err
+
+
+def test_deeply_nested_formula_json_exits_2(tmp_path, capsys):
+    f = tmp_path / "f.json"
+    f.write_text('{"n": ' + "[" * 200_000 + "]" * 200_000 + "}", encoding="utf-8")
+    code, _, err = run(
+        capsys, "eval", "--formula", str(f), "--format", "zoo", "--positive-type", "1",
+    )
+    assert code == 2 and "nested too deeply" in err
 
 
 def test_inconsistent_data_exits_3(tmp_path, capsys):

@@ -99,6 +99,11 @@ def test_json_rejects_malformed_documents(doc):
         DnfFormula.from_json(doc)
 
 
+def test_json_nesting_depth_is_a_parse_error():
+    with pytest.raises(ParseError, match="nested too deeply"):
+        DnfFormula.from_json('{"n": ' + "[" * 200_000 + "]" * 200_000 + "}")
+
+
 def test_formula_from_codes_uses_internal_codes():
     # code k-1 is xk, code n+k-1 is ~xk
     f = DnfFormula(3, (term_from_codes(3, [0, 5]), term_from_codes(3, [1])))

@@ -21,12 +21,13 @@ from tridnf import (
     Dataset,
     LearnerConfig,
     LearnResult,
+    Term,
     apply_mask,
     learn,
     make_mask,
     reference_learn,
 )
-from tridnf import learner
+from tridnf import learner, oracle
 from tridnf.learner import _TermEngine
 
 TRACED = LearnerConfig(trace=True)
@@ -314,6 +315,21 @@ def test_term_that_erases_no_positive_aborts_under_optimize():
     }
 
 
+def test_term_certainly_true_on_a_negative_aborts(monkeypatch):
+    # a correct run never closes such a term; patching the converter to
+    # return the empty term (TRUE) reaches the guard in both learners
+    d = Dataset.from_texts(["110", "011"], ["000", "1?1"])
+    for module in (learner, oracle):
+        monkeypatch.setattr(module, "term_from_codes", lambda n, codes: Term(()))
+    for run in (_traced_learn, reference_learn):
+        with pytest.raises(ConsistencyAbort) as err:
+            run(d)
+        assert (err.value.reason, err.value.instance_id, err.value.term) == (
+            "unfalsifiable-negative", "v1", "TRUE",
+        )
+        assert err.value.trace[-1] == "ABORT unfalsifiable-negative"
+
+
 def test_package_has_no_assert_statements():
     # invariants raise explicit errors, which python -O cannot strip
     package = Path(tridnf.__file__).resolve().parent
@@ -322,5 +338,22 @@ def test_package_has_no_assert_statements():
         for path in sorted(package.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
+    ]
+    assert not found, found
+
+
+def test_package_imports_only_the_standard_library():
+    # the package has no runtime dependencies; relative imports are its own
+    package = Path(tridnf.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno} {name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for name in (
+            [alias.name for alias in node.names] if isinstance(node, ast.Import)
+            else [node.module] if isinstance(node, ast.ImportFrom) and not node.level
+            else []
+        )
+        if name.partition(".")[0] not in sys.stdlib_module_names
     ]
     assert not found, found

@@ -9,7 +9,6 @@ from tridnf import (
     Dataset,
     Instance,
     Label,
-    SearchBudgetExceededError,
     Verdict,
     learn,
     minimal_dnf_exhaustive,
@@ -76,7 +75,7 @@ def test_unsatisfiable_uncertain_negative_is_violated():
 def test_completion_budget_is_enforced():
     f = parse_formula(" ".join(f"x{k}" for k in range(1, 26)), n=25)
     d = Dataset.from_texts(["?" * 25], [])
-    with pytest.raises(SearchBudgetExceededError):
+    with pytest.raises(BudgetExceededError):
         verify_consistency(f, d)
 
 

@@ -122,12 +122,10 @@ def test_delete_repetitions_keeps_first_per_class():
 
 def test_check_self_consistency_reports_one_based_pairs():
     d = Dataset.from_texts(["10", "11"], ["11", "10"])
-    report = check_self_consistency(d)
-    assert not report.ok
-    assert report.violations == ((1, 2), (2, 1))
+    assert check_self_consistency(d) == ((1, 2), (2, 1))
 
 
 def test_check_self_consistency_ignores_uncertain_collisions():
     # '1?' could complete to '10' but is not a certain duplicate
     d = Dataset.from_texts(["1?"], ["10"])
-    assert check_self_consistency(d).ok
+    assert check_self_consistency(d) == ()
