@@ -158,12 +158,24 @@ class DnfFormula:
     @classmethod
     def from_json(cls, text: str) -> "DnfFormula":
         try:
-            data = json.loads(text)
+            data = json.loads(text, parse_int=lambda token: _integer(token, token))
         except json.JSONDecodeError as exc:
             raise ParseError(f"not valid JSON: {exc.msg}", where=exc.pos) from exc
         except RecursionError:
             raise ParseError("JSON nested too deeply") from None
         return cls.from_json_dict(data)
+
+
+def _integer(digits: str, token: str, where: int | None = None) -> int:
+    """``int(digits)``, or ParseError naming ``token`` when the digits are
+    past Python's int-to-str digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        shown = token if len(token) <= 20 else f"{token[:16]}..."
+        raise ParseError(
+            f"number too long: {shown!r} has {len(token)} characters", where=where,
+        ) from None
 
 
 _TOKEN = re.compile(r"[^\s|]+|\|")
@@ -204,7 +216,7 @@ def parse_formula(text: str, n: int | None = None) -> DnfFormula:
             m = _LITERAL.match(tok)
             if not m or tok in ("x0", "~x0") or m.group(2).startswith("0"):
                 raise ParseError(f"not a literal: {tok!r}", where=pos)
-            var = int(m.group(2))
+            var = _integer(m.group(2), tok, pos)
             if n is not None and var > n:
                 raise ParseError(f"variable x{var} exceeds declared width {n}", where=pos)
             max_var = max(max_var, var)

@@ -9,20 +9,30 @@ cover and forces each surviving negative to commit one Unknown cell
 against the term.
 
 Relevance comparisons are exact.  The hot path avoids building full
-rational scores: each live set is the list [F, R, card] of two packed
-integers, with one fixed-width field per literal, and its scaled
-cardinality, held in one map keyed by the pair (i, j).  Sets are bucketed
-by card, and each bucket keeps the [F, R] sums of its sets (see
-``_TermEngine``), so adding, removing or shrinking a set is a few
-big-integer operations instead of per-literal dictionary updates.  Each
-literal gets an integer lower bound sum(floor(num << 64 / card)) whose
-error is below one unit per bucket, and only literals whose upper bound
-reaches the best lower bound are re-scored with Fractions.  The winner
-(ties broken by literal code: x1..xn then ~x1..~xn) is provably the same
-literal exact arithmetic would pick.
+rational scores: a (positive, negative) pair's constraint set is two
+packed integers F and R, with one fixed-width field per literal, and the
+set's full-grade count nf and its half/quarter weight nr.  Sets sit in
+buckets keyed (nf, nr), and each bucket keeps the [F, R] sums of its sets
+(see ``_TermEngine``), so adding, removing or shrinking a set is a few
+big-integer operations instead of per-literal dictionary updates.
+
+Selection is adaptive-exact, in the manner of Shewchuk's robust
+geometric predicates: a cheap integer estimate with a proven error bound
+decides alone when it can, and exact arithmetic settles the rest.  The
+estimate is each literal's leading tier, sum F_c/nf over the sets with a
+full grade plus sum R_c/nr over the others; at the grade scale
+2^(p+q+1) it is within total*2n/scale of the exact score.  Only literals
+whose tier is that close to the best are scored with Fractions.  The
+winner (ties broken by literal code: x1..xn then ~x1..~xn) is provably
+the same literal exact arithmetic would pick.
+
+The sets are graded once per ``learn`` call and kept across outer
+iterations: each iteration drops the pairs of rows that were erased,
+deduplicated or edited, and grades only the pairs of edited rows.
 """
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -72,103 +82,131 @@ def _abort(trace: list[str] | None, reason: str, **details) -> None:
     raise ConsistencyAbort(reason, **details)
 
 
-def pair_grades(
-    u_value: int, u_known: int, v_value: int, v_known: int, full: int, neg_at: int,
-) -> tuple[int, int, int]:
-    """The full, half and quarter grade masks of the pair (u positive, v negative).
+def _row_masks(inst: Instance, width: int, negative: bool) -> tuple[int, int]:
+    """The packed literals a row decides and the literals it leaves open.
 
-    Takes the value and known bits of u and of v; ``full`` marks every
-    variable's bit.  In each mask the bit of variable k grades ``xk`` and
-    that bit shifted left by ``neg_at`` grades ``~xk``.  The rule is
-    bitwise, so any layout that gives each variable one bit works.
+    Literal code c (x1..xn, then ~x1..~xn) owns bit c*width of each mask.
+    A positive row decides the literals its certain cells make true, a
+    negative row those its certain cells make false; an Unknown cell
+    leaves both signs of its variable open.
     """
-    u_unk = ~u_known & full
-    v_unk = ~v_known & full
-    u_one, u_zero = u_value, u_known & ~u_value
-    v_one, v_zero = v_value, v_known & ~v_value
-    pos_half = (u_one & v_unk) | (u_unk & v_zero)
-    neg_half = (u_zero & v_unk) | (u_unk & v_one)
-    both = u_unk & v_unk
+    n = inst.n
+    decided = inst.zeros | inst.ones << n if negative else inst.ones | inst.zeros << n
     return (
-        (u_one & v_zero) | (u_zero & v_one) << neg_at,
-        pos_half | neg_half << neg_at,
-        both | both << neg_at,
+        _dilate(decided, 2 * n, width),
+        _dilate(inst.unknowns | inst.unknowns << n, 2 * n, width),
     )
 
 
-def _dilate(bits: int, width: int) -> int:
-    """``bits`` with bit k moved to bit k*width."""
-    out = 0
-    while bits:
-        low = bits & -bits
-        out |= 1 << (low.bit_length() - 1) * width
-        bits ^= low
-    return out
+def _dilate(bits: int, n: int, width: int) -> int:
+    """The n-bit ``bits`` with bit k moved to bit k*width."""
+    return int(("0" * (width - 1)).join(format(bits, f"0{n}b")), 2)
 
 
 class _TermEngine:
-    """Scoring and erasure state for building one term.
+    """Scoring and erasure state for the terms of one ``learn`` call.
 
-    Rebuilt from the working dataset at the start of every outer
-    iteration; p, q, and the grade scale 2^(p+q+1) are frozen here and do
-    not drift as sets are erased mid-term.
+    Built on the first outer iteration's working rows; ``start`` brings it
+    to each later iteration's rows and opens a term.  p, q, the grade
+    scale 2^(p+q+1) and the norm p*q are set there and do not drift as
+    sets are erased mid-term.
 
     Packed layout: literal code c owns the W-bit field that starts at bit
-    c*W, with W = (2*p*q).bit_length().  Instance bits are dilated once
-    per engine (bit k moves to bit k*W) and graded by ``pair_grades``.
-    The live sets sit in ``sets``, keyed (i, j) in trace order, each as
-    the list [F, R, card]: field c of F is 1 when the set grades literal
-    c full, field c of R is 2 for a half grade and 1 for a quarter, and
-    card is the scaled cardinality scale*|full| + 2*|half| + |quarter|.
-    Each bucket holds the [F, R] sums over the sets of one card, so the
-    literal's scaled grade sum in the bucket is scale*F_c + R_c.  A
-    literal has one grade level per set and a bucket has at most p*q sets,
-    so F_c <= p*q and R_c <= 2*p*q fit in W bits: no field carries into
-    the next, and adding or removing a set is two additions or
-    subtractions on the whole bucket.
+    c*W, with W = (2*p*q).bit_length() fixed at the first iteration (p
+    and q never grow).  Each row's literal masks are dilated once (see
+    ``_row_masks``).  A set is the tuple (F, R, (nf, nr)): field c of F
+    is 1 when the set grades literal c full, field c of R is 2 for a half
+    grade and 1 for a quarter, nf counts the full grades (by counting
+    bits) and nr = 2*|half| + |quarter|.  The set's scaled cardinality is
+    scale*nf + nr and literal c's scaled grade is scale*F_c + R_c.  Only
+    scale depends on p and q, so a set stays valid while its two rows
+    stay in the working data.
+
+    ``grid`` holds the set of every (positive, negative) pair, keyed by
+    the rows' serials.  A row is known by its content and id: a row that
+    reduction or a negative update edits gets a new serial and its pairs
+    are graded again.  Rows of one class must be distinct, which
+    ``delete_repetitions`` guarantees in ``learn``.  ``base`` holds the
+    [F, R] sums of the grid's sets per (nf, nr).  A term starts from the
+    grid and a copy of those sums, ``sets`` and ``buckets``.  A bucket has at most
+    p*q sets, so F_c <= p*q and R_c <= 2*p*q fit in W bits: no field
+    carries into the next, and adding or removing a set is two additions
+    or subtractions on the whole bucket.  Trace lines and aborts name a
+    pair by its 1-based positions in the current working rows.
     """
 
     def __init__(self, positives, negatives, trace: list[str] | None):
-        n = self.n = positives[0].n
-        p, q = len(positives), len(negatives)
-        self.norm = p * q
-        scale = self.scale = 1 << (p + q + 1)
-        w = self.width = (2 * p * q).bit_length()
+        self.n = positives[0].n
+        w = self.width = (2 * len(positives) * len(negatives)).bit_length()
         self.field = (1 << w) - 1
         self.trace = trace
-        self.sets: dict[tuple[int, int], list[int]] = {}  # (i, j) -> [F, R, card]
-        self.buckets: dict[int, list[int]] = {}  # card -> [F, R]
-        full = _dilate((1 << n) - 1, w)
-        neg_at = n * w
-        dilated = [(_dilate(v.value_bits, w), _dilate(v.known_bits, w)) for v in negatives]
+        self.serials = 0  # the serial the next new row gets
+        self.us: dict[tuple, tuple[int, int, int]] = {}  # row key -> (serial, decided, open)
+        self.vs: dict[tuple, tuple[int, int, int]] = {}
+        self.grid: dict[tuple[int, int], tuple] = {}  # (u serial, v serial) -> (F, R, (nf, nr))
+        self.base: dict[tuple[int, int], list[int]] = {}  # (nf, nr) -> [F sum, R sum]
+        self.start(positives, negatives)
 
-        for i, u in enumerate(positives, start=1):
-            u_value, u_known = _dilate(u.value_bits, w), _dilate(u.known_bits, w)
-            for j, (v_value, v_known) in enumerate(dilated, start=1):
-                f, half, quarter = pair_grades(u_value, u_known, v_value, v_known, full, neg_at)
-                # card is nonzero: a pair grades nothing only when both rows
-                # are certain and equal, which the consistency check rejected
-                s = self.sets[i, j] = [
-                    f, (half << 1) + quarter,
-                    scale * f.bit_count() + 2 * half.bit_count() + quarter.bit_count(),
-                ]
-                self._add(s)
+    def _rows(self, rows, held, negative: bool) -> dict[tuple, tuple[int, int, int]]:
+        """Serial and ``_row_masks`` of each row, kept for the rows already held."""
+        out = {}
+        for inst in rows:
+            key = (inst.value_bits, inst.known_bits, inst.id)
+            entry = held.get(key)
+            if entry is None:
+                entry = (self.serials, *_row_masks(inst, self.width, negative))
+                self.serials += 1
+            out[key] = entry
+        return out
 
-    def _add(self, s: list[int]) -> None:
-        bucket = self.buckets.get(s[2])
-        if bucket is None:
-            self.buckets[s[2]] = s[:2]
-        else:
-            bucket[0] += s[0]
-            bucket[1] += s[1]
+    def start(self, positives, negatives) -> None:
+        """Bring the grid to the working rows and open a term on them.
 
-    def _remove(self, s: list[int]) -> None:
-        bucket = self.buckets[s[2]]
-        bucket[0] -= s[0]
-        bucket[1] -= s[1]
-        # every set adds a nonzero field, so zero sums mean no sets are left
-        if not (bucket[0] or bucket[1]):
-            del self.buckets[s[2]]
+        The pairs of rows that left are dropped and the pairs of new (that
+        is, edited) rows graded; every other pair keeps its set.
+        """
+        p, q = len(positives), len(negatives)
+        self.norm = p * q
+        self.scale = 1 << (p + q + 1)
+        fresh = self.serials
+        held_us, held_vs = self.us, self.vs
+        us = self.us = self._rows(positives, held_us, False)
+        vs = self.vs = self._rows(negatives, held_vs, True)
+        grid, base = self.grid, self.base
+
+        every_v = [sv for sv, _, _ in held_vs.values()]
+        gone_v = [sv for key, (sv, _, _) in held_vs.items() if key not in vs]
+        _remove(base, [
+            grid.pop((su, sv))
+            for key, (su, _, _) in held_us.items()
+            for sv in (gone_v if key in us else every_v)
+        ])
+
+        graded = []
+        new_vs = [v for v in vs.values() if v[0] >= fresh]
+        for su, u_on, u_open in us.values():
+            for sv, v_off, v_open in vs.values() if su >= fresh else new_vs:
+                # the grade table: full where u makes the literal true and v
+                # makes it false, half where one of them leaves it open and
+                # the other decides it that way, quarter where both leave it
+                # open.  Some literal is graded, since the consistency check
+                # rejected every pair of equal certain rows
+                f = u_on & v_off
+                half = (u_on & v_open) | (u_open & v_off)
+                quarter = u_open & v_open
+                s = grid[su, sv] = (
+                    f, (half << 1) | quarter,
+                    (f.bit_count(), 2 * half.bit_count() + quarter.bit_count()),
+                )
+                graded.append(s)
+        _add(base, graded)
+
+        # apply reads a set map and builds the next one, so the term can
+        # start from the grid itself; the bucket sums change in place
+        self.sets = grid
+        self.buckets = {key: sums[:] for key, sums in base.items()}
+        self.at_u = {su: i for i, (su, _, _) in enumerate(us.values(), start=1)}
+        self.at_v = {sv: j for j, (sv, _, _) in enumerate(vs.values(), start=1)}
 
     def select(self) -> int:
         """Literal code of maximal total relevance; exact, first-max ties.
@@ -176,32 +214,46 @@ class _TermEngine:
         Scores differ from true relevances only by the constant positive
         factor 1/(p*q), which cannot move the argmax; the exact factor is
         applied to the traced value.
+
+        A literal's leading tier is L_c = sum F_c/nf over the sets with
+        nf >= 1 plus sum R_c/nr over the sets with nf = 0.  A set with
+        nf = 0 adds its exact share R_c/nr; any other set's share
+        (scale*F_c + R_c)/(scale*nf + nr) lies within 2n/scale of F_c/nf.
+        So a literal whose tier trails the best by more than twice
+        total*2n/scale can neither win nor tie, and only the literals left
+        are scored with Fractions.
         """
         w, field, codes = self.width, self.field, 2 * self.n
-        shifted = self.scale << 64
-        lower = [0] * codes
-        slack = [0] * codes
-        for card, (f, r) in self.buckets.items():
-            for c in range(codes):
-                fc, rc = f & field, r & field
-                f >>= w
-                r >>= w
-                if fc or rc:
-                    # (num << 64) // card with num = scale*fc + rc
-                    lower[c] += (fc * shifted + (rc << 64)) // card
-                    slack[c] += 1
-        # while sets are left some bucket has a nonzero field, so some
-        # literal is live
-        live = [c for c in range(codes) if slack[c]]
-        best_lower = max(lower[c] for c in live)
-        # every floor lost < 1 unit, so true score < lower + slack
-        cluster = [c for c in live if lower[c] + slack[c] > best_lower]
+        # the words of each tier denominator: F words by nf >= 1, R words
+        # by nr where nf = 0.  A set adds at most 2 to a field and there
+        # are at most p*q sets, so the sums still fit the field
+        tiers: dict[int, int] = {}
+        for (nf, nr), (f, r) in self.buckets.items():
+            if nf:
+                tiers[nf] = tiers.get(nf, 0) + f
+            else:
+                tiers[nr] = tiers.get(nr, 0) + r
+        d = math.lcm(*tiers)
+        lead = [0] * codes  # L_c * d, an integer
+        for t, word in tiers.items():
+            m = d // t
+            c = 0
+            while word:
+                lead[c] += (word & field) * m
+                word >>= w
+                c += 1
+        best_lead = max(lead)
+        margin = 4 * len(self.sets) * self.n * d
+        shift = self.scale.bit_length() - 1
+        cluster = [c for c in range(codes) if (best_lead - lead[c]) << shift <= margin]
         if len(cluster) == 1 and self.trace is None:
             return cluster[0]
+        scale = self.scale
         exact = {c: Fraction(0) for c in cluster}
-        for card, (f, r) in self.buckets.items():
+        for (nf, nr), (f, r) in self.buckets.items():
+            card = scale * nf + nr
             for c in cluster:
-                num = self.scale * (f >> c * w & field) + (r >> c * w & field)
+                num = scale * (f >> c * w & field) + (r >> c * w & field)
                 if num:
                     exact[c] += Fraction(num, card)
         best = max(exact.values())
@@ -221,33 +273,67 @@ class _TermEngine:
         w = self.width
         comp = code + self.n if code < self.n else code - self.n
         hit = 3 << code * w  # the field bits a held literal sets in F or R
-        sets = self.sets
-        covered = {i for (i, _), s in sets.items() if (s[0] | s[1]) & hit}
+        sets, buckets, at_u, at_v = self.sets, self.buckets, self.at_u, self.at_v
+        covered = {u for (u, _), s in sets.items() if (s[0] | s[1]) & hit}
         if self.trace is not None:
-            self.trace.extend(f"ERASE_GROUP {i}" for i in sorted({i for i, _ in sets} - covered))
             self.trace.extend(
-                f"ERASE_SET {i} {j}" for (i, j), s in sets.items() if (s[0] | s[1]) & hit
+                f"ERASE_GROUP {i}" for i in sorted(at_u[u] for u in {u for u, _ in sets} - covered)
             )
-        survivors = {}
-        for ij, s in sets.items():
-            if ij[0] in covered and not (s[0] | s[1]) & hit:
-                survivors[ij] = s
-            else:
-                self._remove(s)
+            self.trace.extend(
+                f"ERASE_SET {i} {j}"
+                for i, j in sorted((at_u[u], at_v[v]) for (u, v), s in sets.items() if (s[0] | s[1]) & hit)
+            )
         # the complement can only be at half grade in a survivor.  At full
         # grade u's cell is certain against the pick, so no set of the group
         # holds the pick and the group was erased; at quarter grade the set
-        # holds the pick too (quarters come in +/- pairs) and was erased
+        # holds the pick too (quarters come in +/- pairs) and was erased.
+        # Sets are shared with the grid, so a struck set is a new tuple
         half = 2 << comp * w
-        for ij, s in survivors.items():
+        survivors, gone, struck, emptied = {}, [], [], []
+        for uv, s in sets.items():
+            if uv[0] not in covered or (s[0] | s[1]) & hit:
+                gone.append(s)
+                continue
             if s[1] & half:
-                self._remove(s)
-                s[1] -= half
-                s[2] -= 2
-                if not s[2]:
-                    _abort(self.trace, "empty-constraint-set", pairs=(ij,))
-                self._add(s)
+                gone.append(s)
+                nf, nr = s[2]
+                s = (s[0], s[1] - half, (nf, nr - 2))
+                if not (s[0] or s[1]):
+                    emptied.append((at_u[uv[0]], at_v[uv[1]]))
+                struck.append(s)
+            survivors[uv] = s
+        if emptied:
+            _abort(self.trace, "empty-constraint-set", pairs=(min(emptied),))
+        if len(gone) > len(survivors):
+            # fewer sets to add than to take away: sum the survivors afresh
+            self.buckets = {}
+            _add(self.buckets, survivors.values())
+        else:
+            _remove(buckets, gone)
+            _add(buckets, struck)
         self.sets = survivors
+
+
+def _add(buckets: dict[tuple[int, int], list[int]], sets) -> None:
+    """Add each set's [F, R] words to the sums of its (nf, nr) bucket."""
+    for f, r, key in sets:
+        bucket = buckets.get(key)
+        if bucket is None:
+            buckets[key] = [f, r]
+        else:
+            bucket[0] += f
+            bucket[1] += r
+
+
+def _remove(buckets: dict[tuple[int, int], list[int]], sets) -> None:
+    """Take each set's [F, R] words from the sums of its (nf, nr) bucket."""
+    for f, r, key in sets:
+        bucket = buckets[key]
+        bucket[0] -= f
+        bucket[1] -= r
+        # every set adds a nonzero field, so zero sums mean no sets are left
+        if not (bucket[0] or bucket[1]):
+            del buckets[key]
 
 
 def _exact(value: Fraction) -> str:
@@ -298,6 +384,7 @@ def learn(dataset: Dataset, config: LearnerConfig | None = None) -> LearnResult:
     terms: list[Term] = []
     erased: list[Instance] = []
     iterations = 0
+    engine: _TermEngine | None = None
 
     while positives:
         iterations += 1
@@ -309,7 +396,10 @@ def learn(dataset: Dataset, config: LearnerConfig | None = None) -> LearnResult:
         positives = list(work.positives)
         negatives = list(work.negatives)
 
-        engine = _TermEngine(positives, negatives, trace)
+        if engine is None:
+            engine = _TermEngine(positives, negatives, trace)
+        else:
+            engine.start(positives, negatives)
         codes: list[int] = []
         while engine.sets:
             code = engine.select()

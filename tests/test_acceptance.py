@@ -259,11 +259,15 @@ def test_criterion_8_exact_arithmetic_oracle():
                     mine += grade / cards[i, j]
             mine /= p * q
             scores[code] = mine
-            # field c of a bucket's F and R words: scale*F_c + R_c over card
+            # field c of a bucket's F and R words: scale*F_c + R_c over the
+            # card scale*nf + nr of the bucket's (nf, nr) key
             packed = sum(
                 (
-                    Fraction(engine.scale * (f >> code * w & field) + (r >> code * w & field), card)
-                    for card, (f, r) in engine.buckets.items()
+                    Fraction(
+                        engine.scale * (f >> code * w & field) + (r >> code * w & field),
+                        engine.scale * nf + nr,
+                    )
+                    for (nf, nr), (f, r) in engine.buckets.items()
                 ),
                 Fraction(0),
             ) / engine.norm

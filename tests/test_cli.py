@@ -298,6 +298,20 @@ def test_deeply_nested_formula_json_exits_2(tmp_path, capsys):
     assert code == 2 and "nested too deeply" in err
 
 
+def test_overlong_numbers_in_a_formula_exit_2(tmp_path, capsys):
+    # past Python's int-to-str digit limit; the error names the token
+    for name, text, token in (
+        ("f.txt", "x" + "9" * 5000, "'x999"),
+        ("f.json", '{"n": ' + "1" * 4400 + ', "terms": []}', "'111"),
+    ):
+        f = tmp_path / name
+        f.write_text(text, encoding="utf-8")
+        code, _, err = run(
+            capsys, "eval", "--formula", str(f), "--format", "zoo", "--positive-type", "1",
+        )
+        assert code == 2 and "number too long: " + token in err, err
+
+
 def test_inconsistent_data_exits_3(tmp_path, capsys):
     data = tmp_path / "rows.csv"
     save_ternary_csv(Dataset.from_texts(["11"], ["11"]), data)

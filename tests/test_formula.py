@@ -1,6 +1,10 @@
 """Formula types, the text grammar, JSON round-trip, evaluation."""
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tridnf import (
     DnfFormula,
@@ -115,3 +119,41 @@ def test_formula_width_validation():
         parse_formula("x9", n=3)
     with pytest.raises(ValueError):
         DnfFormula(2, (Term((Literal(False, 5),)),))
+
+
+_GRAMMAR = st.text(alphabet="x~|0123456789 TRUEFALS\t\n", max_size=40)
+# numerals around Python's default int-to-str limit of 4300 digits
+_DIGITS = st.builds(lambda digit, k: digit * k, st.sampled_from("123456789"), st.integers(4290, 4400))
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["n", "terms", "var", "neg"]), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.text(max_size=40),
+    _GRAMMAR,
+    st.tuples(_GRAMMAR, _DIGITS, _GRAMMAR).map(lambda t: f"{t[0]} ~x{t[1]} {t[2]}"),
+))
+def test_formula_text_parses_or_raises_parse_error(text):
+    try:
+        parse_formula(text)
+    except ParseError:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.text(max_size=40),
+    _JSON.map(json.dumps),
+    _DIGITS.map(lambda digits: '{"n": %s, "terms": []}' % digits),
+    _DIGITS.map(lambda digits: '{"n": 3, "terms": [[{"var": %s, "neg": true}]]}' % digits),
+))
+def test_formula_json_parses_or_raises_parse_error(text):
+    try:
+        DnfFormula.from_json(text)
+    except ParseError:
+        pass

@@ -245,6 +245,60 @@ def test_learner_equals_reference_on_drawn_ternary_data(rows):
     assert _outcome(_traced_learn, d) == _outcome(reference_learn, d)
 
 
+def _masked_rows(seed, n, p, q, fraction):
+    """p positive and q negative distinct random rows of width n, with the
+    given fraction of cells blanked."""
+    rng = random.Random(seed)
+    rows = [format(x, f"0{n}b") for x in rng.sample(range(1 << n), p + q)]
+    complete = Dataset.from_texts(rows[:p], rows[p:])
+    return apply_mask(complete, make_mask(complete, "random", fraction, seed))
+
+
+def test_learner_equals_reference_at_benchmark_scale():
+    # p + q = 60 puts the grade scale at 2^61, where the leading tier
+    # decides most picks alone; later iterations regrade only the rows
+    # that negative updates edit
+    regraded = False
+    for seed in range(4):
+        d = _masked_rows(seed, 20, 20, 40, Fraction(1, 5))
+        got = _traced_learn(d)
+        assert got == reference_learn(d), seed
+        assert learn(d) == replace(got, trace=())
+        updates = sum(line.startswith("NEG_UPDATE") for line in got.trace)
+        regraded |= got.iterations >= 3 and updates >= 1
+    assert regraded
+
+
+def test_learner_equals_reference_when_the_scale_is_small():
+    # with p + q <= 4 the grade scale 2^(p+q+1) is at most 32, below
+    # 2n = 40, so a set's half and quarter grades can outweigh one full
+    # grade in its cardinality and the leading tier cannot decide alone;
+    # half the cells blanked makes such sets common
+    rng = random.Random(7)
+    for k in range(200):
+        p = rng.randint(1, 3)
+        q = rng.randint(0, 4 - p)
+        d = _masked_rows(k, 20, p, q, Fraction(1, 2))
+        got = _outcome(_traced_learn, d)
+        assert got == _outcome(reference_learn, d), k
+        if isinstance(got, LearnResult):
+            assert learn(d) == replace(got, trace=())
+
+
+def test_trace_positions_follow_a_dropped_negative():
+    # the first term's updates make v2 equal to v1 once reduction fills
+    # v1, so the second iteration drops v2 and v4 moves to column 3
+    d = Dataset.from_texts(["?00", "???", "0?1"], ["0?1", "00?", "?0?", "1?0"])
+    result = _traced_learn(d)
+    assert result == reference_learn(d)
+    second = result.trace.index("TERM ~x3 ~x1") + 1
+    assert "ERASE_SET 2 4" in result.trace[:second]
+    assert "ERASE_SET 1 3" in result.trace[second:]
+    assert not any(line.endswith(" 4") for line in result.trace[second:] if line.startswith("ERASE"))
+    assert [v.id for v in result.dataset.negatives] == ["v1", "v3", "v4"]
+    assert result.iterations == 2
+
+
 def test_striking_the_complement_can_empty_a_set():
     # ~x1 erases pair (1, 3); x3 then strikes ~x3, the last literal of (2, 1)
     d = Dataset.from_texts(["011", "?0?"], ["0?1", "010", "1?1"])
