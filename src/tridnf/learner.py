@@ -304,13 +304,8 @@ class _TermEngine:
             survivors[uv] = s
         if emptied:
             _abort(self.trace, "empty-constraint-set", pairs=(min(emptied),))
-        if len(gone) > len(survivors):
-            # fewer sets to add than to take away: sum the survivors afresh
-            self.buckets = {}
-            _add(self.buckets, survivors.values())
-        else:
-            _remove(buckets, gone)
-            _add(buckets, struck)
+        _remove(buckets, gone)
+        _add(buckets, struck)
         self.sets = survivors
 
 
