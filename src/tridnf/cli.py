@@ -23,6 +23,7 @@ from .datasets import (
     encode_zoo,
     load_ternary_csv,
     load_zoo,
+    read_text,
     save_ternary_csv,
 )
 from .errors import (
@@ -104,7 +105,7 @@ def _load_dataset(args) -> Dataset:
 
 
 def _read_formula_file(path: str) -> DnfFormula:
-    text = Path(path).read_text(encoding="utf-8").strip()
+    text = read_text(path).strip()
     if text.startswith("{"):
         return DnfFormula.from_json(text)
     return parse_formula(text)

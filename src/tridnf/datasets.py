@@ -12,6 +12,7 @@ and catsize.
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from dataclasses import dataclass
 from importlib import resources
@@ -53,6 +54,19 @@ class ZooRecord:
             raise ValueError(f"class code must be 1..7, got {self.kind}")
 
 
+def read_text(path: str | Path, encoding: str = "utf-8", newline: str | None = None) -> str:
+    """The whole text of a file, as ``open`` reads it.
+
+    Bytes that do not decode are a fault of the data, not of the command
+    line, so they raise ParseError naming the file.
+    """
+    try:
+        with open(path, encoding=encoding, newline=newline) as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason}", where=str(path)) from None
+
+
 def _parse_binary(token: str, field: str, line_no: int) -> int:
     if token == "0":
         return 0
@@ -67,7 +81,7 @@ def load_zoo(path: str | Path) -> list[ZooRecord]:
     Raises ParseError (with a 1-based line number) on any malformed line
     and warns with CountWarning when the record count is not 101.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     records: list[ZooRecord] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -176,10 +190,13 @@ def load_ternary_csv(path: str | Path) -> Dataset:
     variable, each exactly ``0``, ``1`` or ``?``, plus a +/- label.  Rows
     are assigned ids r1, r2, ... in file order.
     """
-    with open(path, encoding="utf-8-sig", newline="") as handle:
-        reader = csv.reader(handle)
+    reader = csv.reader(io.StringIO(read_text(path, "utf-8-sig", newline=""), newline=""))
+    try:
         # (file line number, cells) of every row that is not blank
         rows = [(reader.line_num, row) for row in reader if any(cell.strip() for cell in row)]
+    except csv.Error as exc:
+        # such as a cell longer than csv's field size limit
+        raise ParseError(str(exc), where=f"line {reader.line_num}") from None
     if not rows:
         raise ParseError("no header row found", where=str(path))
     header_line, header = rows[0][0], [cell.strip() for cell in rows[0][1]]

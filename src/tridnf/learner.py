@@ -13,8 +13,13 @@ rational scores: a (positive, negative) pair's constraint set is two
 packed integers F and R, with one fixed-width field per literal, and the
 set's full-grade count nf and its half/quarter weight nr.  Sets sit in
 buckets keyed (nf, nr), and each bucket keeps the [F, R] sums of its sets
-(see ``_TermEngine``), so adding, removing or shrinking a set is a few
-big-integer operations instead of per-literal dictionary updates.
+(see ``_TermEngine``), so adding or removing a set is a few big-integer
+operations instead of per-literal dictionary updates.
+
+A term's live sets form a rectangle of rows: set (u, v) holds literal c
+exactly when u admits c (decides it true or leaves it open) and v admits
+c (decides it false or leaves it open), so erasure drops rows, and
+striking the pick's complement is one adjustment per positive row.
 
 Selection is adaptive-exact, in the manner of Shewchuk's robust
 geometric predicates: a cheap integer estimate with a proven error bound
@@ -127,12 +132,17 @@ class _TermEngine:
     reduction or a negative update edits gets a new serial and its pairs
     are graded again.  Rows of one class must be distinct, which
     ``delete_repetitions`` guarantees in ``learn``.  ``base`` holds the
-    [F, R] sums of the grid's sets per (nf, nr).  A term starts from the
-    grid and a copy of those sums, ``sets`` and ``buckets``.  A bucket has at most
-    p*q sets, so F_c <= p*q and R_c <= 2*p*q fit in W bits: no field
-    carries into the next, and adding or removing a set is two additions
-    or subtractions on the whole bucket.  Trace lines and aborts name a
-    pair by its 1-based positions in the current working rows.
+    [F, R] sums of the grid's sets per (nf, nr).  A bucket has at most p*q
+    sets, so F_c <= p*q and R_c <= 2*p*q fit in W bits: no field carries
+    into the next, and adding a set is two additions on the whole bucket.
+
+    A term's state is its rectangle: ``live_u`` and ``live_v`` list the
+    live rows in position order, u as (serial, admit, open, i) and v as
+    (serial, admit, j), where admit = decided | open and i, j are the
+    1-based positions by which trace lines and aborts name a pair.
+    ``cut`` maps a u serial to the R word of the half grades struck from
+    its sets and their weight in nr.  Live set (u, v) is grid set (u, v)
+    less u's cut; ``buckets`` sums the live sets.
     """
 
     def __init__(self, positives, negatives, trace: list[str] | None):
@@ -201,12 +211,11 @@ class _TermEngine:
                 graded.append(s)
         _add(base, graded)
 
-        # apply reads a set map and builds the next one, so the term can
-        # start from the grid itself; the bucket sums change in place
-        self.sets = grid
-        self.buckets = {key: sums[:] for key, sums in base.items()}
-        self.at_u = {su: i for i, (su, _, _) in enumerate(us.values(), start=1)}
-        self.at_v = {sv: j for j, (sv, _, _) in enumerate(vs.values(), start=1)}
+        # every row live, nothing struck; apply sums anew, so base can be shared
+        self.buckets = base
+        self.live_u = [(su, on | op, op, i) for i, (su, on, op) in enumerate(us.values(), 1)]
+        self.live_v = [(sv, off | op, j) for j, (sv, off, op) in enumerate(vs.values(), 1)]
+        self.cut: dict[int, tuple[int, int]] = {}  # u serial -> (R word, nr) struck
 
     def select(self) -> int:
         """Literal code of maximal total relevance; exact, first-max ties.
@@ -243,7 +252,7 @@ class _TermEngine:
                 word >>= w
                 c += 1
         best_lead = max(lead)
-        margin = 4 * len(self.sets) * self.n * d
+        margin = 4 * len(self.live_u) * len(self.live_v) * self.n * d
         shift = self.scale.bit_length() - 1
         cluster = [c for c in range(codes) if (best_lead - lead[c]) << shift <= margin]
         if len(cluster) == 1 and self.trace is None:
@@ -264,49 +273,46 @@ class _TermEngine:
         return code
 
     def apply(self, code: int) -> None:
-        """Erasures for a just-selected literal, against a pre-pick snapshot.
-
-        Groups where the literal occurs nowhere leave the term's scope;
-        in the rest, sets holding the literal are satisfied and erased,
-        and the complement literal is struck from the sets that remain.
+        """Erasures for a just-selected literal: the u rows that do not
+        admit it leave the term (ERASE_GROUP), as do the v rows that admit
+        it, whose sets with the kept u rows it satisfies (ERASE_SET).  The
+        complement is struck from the survivors, which the buckets re-sum.
         """
         w = self.width
+        bit = 1 << code * w
         comp = code + self.n if code < self.n else code - self.n
-        hit = 3 << code * w  # the field bits a held literal sets in F or R
-        sets, buckets, at_u, at_v = self.sets, self.buckets, self.at_u, self.at_v
-        covered = {u for (u, _), s in sets.items() if (s[0] | s[1]) & hit}
+        live_u = [u for u in self.live_u if u[1] & bit]
+        live_v = [v for v in self.live_v if not v[1] & bit]
         if self.trace is not None:
+            self.trace.extend(f"ERASE_GROUP {i}" for _, admit, _, i in self.live_u if not admit & bit)
             self.trace.extend(
-                f"ERASE_GROUP {i}" for i in sorted(at_u[u] for u in {u for u, _ in sets} - covered)
+                f"ERASE_SET {i} {j}" for *_, i in live_u for _, admit, j in self.live_v if admit & bit
             )
-            self.trace.extend(
-                f"ERASE_SET {i} {j}"
-                for i, j in sorted((at_u[u], at_v[v]) for (u, v), s in sets.items() if (s[0] | s[1]) & hit)
-            )
-        # the complement can only be at half grade in a survivor.  At full
-        # grade u's cell is certain against the pick, so no set of the group
-        # holds the pick and the group was erased; at quarter grade the set
-        # holds the pick too (quarters come in +/- pairs) and was erased.
-        # Sets are shared with the grid, so a struck set is a new tuple
-        half = 2 << comp * w
-        survivors, gone, struck, emptied = {}, [], [], []
-        for uv, s in sets.items():
-            if uv[0] not in covered or (s[0] | s[1]) & hit:
-                gone.append(s)
-                continue
-            if s[1] & half:
-                gone.append(s)
-                nf, nr = s[2]
-                s = (s[0], s[1] - half, (nf, nr - 2))
-                if not (s[0] or s[1]):
-                    emptied.append((at_u[uv[0]], at_v[uv[1]]))
-                struck.append(s)
-            survivors[uv] = s
-        if emptied:
-            _abort(self.trace, "empty-constraint-set", pairs=(min(emptied),))
-        _remove(buckets, gone)
-        _add(buckets, struck)
-        self.sets = survivors
+        # a kept v's cell makes the pick true and the complement false, so
+        # a kept u open there grades the complement half in all its live
+        # sets, and a kept certain u cannot hold it: one cut per u row
+        cut, grid, buckets = self.cut, self.grid, {}
+        for su, _, op, i in live_u:
+            r_cut, nr_cut = cut.get(su, (0, 0))
+            if op & bit:
+                r_cut, nr_cut = cut[su] = (r_cut + (2 << comp * w), nr_cut + 2)
+            sets = []
+            for sv, _, j in live_v:
+                f, r, (nf, nr) = grid[su, sv]
+                r -= r_cut
+                if not (f or r):
+                    _abort(self.trace, "empty-constraint-set", pairs=((i, j),))
+                sets.append((f, r, (nf, nr - nr_cut)))
+            _add(buckets, sets)
+        self.buckets, self.live_u, self.live_v = buckets, live_u, live_v
+
+    def term(self) -> list[int]:
+        """Select and apply literals until no v row is live; the picked codes."""
+        codes: list[int] = []
+        while self.live_v:
+            codes.append(self.select())
+            self.apply(codes[-1])
+        return codes
 
 
 def _add(buckets: dict[tuple[int, int], list[int]], sets) -> None:
@@ -395,12 +401,7 @@ def learn(dataset: Dataset, config: LearnerConfig | None = None) -> LearnResult:
             engine = _TermEngine(positives, negatives, trace)
         else:
             engine.start(positives, negatives)
-        codes: list[int] = []
-        while engine.sets:
-            code = engine.select()
-            codes.append(code)
-            engine.apply(code)
-        term = term_from_codes(n, codes)
+        term = term_from_codes(n, engine.term())
         terms.append(term)
         if trace is not None:
             trace.append(f"TERM {term.render()}")

@@ -42,11 +42,7 @@ def without_safeguards(d: Dataset) -> DnfFormula:
     positives, terms = list(d.positives), []
     while positives:
         engine = _TermEngine(positives, list(d.negatives), None)
-        codes = []
-        while engine.sets:
-            codes.append(engine.select())
-            engine.apply(codes[-1])
-        terms.append(term_from_codes(d.n, codes))
+        terms.append(term_from_codes(d.n, engine.term()))
         kept = [u for u in positives if not terms[-1].possibly_satisfied_by(u)]
         assert len(kept) < len(positives), terms[-1].render()
         positives = kept

@@ -289,6 +289,40 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert code == 2 and "line 2, column 1" in err
 
 
+def test_csv_cell_past_the_field_limit_exits_2(tmp_path, capsys):
+    # csv refuses a field longer than 131,072 characters
+    big = tmp_path / "big.csv"
+    big.write_text("x1,label\n0,-\n" + "1" * 200_000 + ",+\n", encoding="utf-8")
+    code, _, err = run(
+        capsys, "learn", "--format", "csv", "--input", str(big),
+        "--output", str(tmp_path / "f.txt"),
+    )
+    assert code == 2 and "field limit" in err and "line 3" in err, err
+
+
+@pytest.mark.parametrize("kind", ["csv", "zoo", "formula", "truth"])
+def test_undecodable_input_exits_2(tmp_path, capsys, kind):
+    bad = tmp_path / "bad.in"
+    good = {
+        "csv": b"x1,label\n1,+\n",
+        "zoo": b"aardvark,1,0,0,1,0,0,1,1,1,1,0,0,4,0,0,1,1\n",
+        "formula": b"x4\n",
+        "truth": b"x4\n",
+    }[kind]
+    bad.write_bytes(good[:3] + b"\xff" + good[3:])
+    args = {
+        "csv": ["learn", "--format", "csv", "--input", str(bad), "--output", str(tmp_path / "f.txt")],
+        "zoo": ["learn", "--format", "zoo", "--positive-type", "1", "--input", str(bad),
+                "--output", str(tmp_path / "f.txt")],
+        "formula": ["eval", "--formula", str(bad), "--format", "zoo", "--positive-type", "1"],
+        "truth": ["mask", "--format", "zoo", "--positive-type", "1", "--mode", "trustworthy",
+                  "--fraction", "10%", "--seed", "1", "--truth", str(bad),
+                  "--output", str(tmp_path / "m.csv")],
+    }[kind]
+    code, _, err = run(capsys, *args)
+    assert code == 2 and "not UTF-8 text" in err and str(bad) in err, err
+
+
 def test_deeply_nested_formula_json_exits_2(tmp_path, capsys):
     f = tmp_path / "f.json"
     f.write_text('{"n": ' + "[" * 200_000 + "]" * 200_000 + "}", encoding="utf-8")

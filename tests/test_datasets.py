@@ -1,9 +1,13 @@
 """Zoo file handling, the one-hot encoding, and ternary CSV round-trips."""
 
+import tempfile
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tridnf import (
     CountWarning,
@@ -171,3 +175,27 @@ def test_csv_mask_cells_spell_unknown(tmp_path):
     d = load_ternary_csv(path)
     assert d.positives[0].text == "?1"
     assert d.negatives[0].text == "1?"
+
+
+# text shaped like a ternary CSV, sometimes after a header or a valid
+# animal line so that the loaders get past their first checks
+_CSV_SHAPED = st.tuples(
+    st.sampled_from(["", "x1,label\n", "x1,x2,label\r\n", "\ufeffx1,label\n",
+                     "aardvark,1,0,0,1,0,0,1,1,1,1,0,0,4,0,0,1,1\n"]),
+    st.text(st.sampled_from(list("01?+-,\r\n") + ["\ufeff"]), max_size=60),
+).map(lambda parts: "".join(parts).encode("utf-8"))
+
+
+@pytest.mark.parametrize("load", [load_ternary_csv, load_zoo])
+@settings(max_examples=300, deadline=None)
+@given(data=st.one_of(st.binary(max_size=80), _CSV_SHAPED))
+def test_loaders_return_or_raise_parse_error(load, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data"
+        path.write_bytes(data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CountWarning)
+            try:
+                load(path)
+            except ParseError:
+                pass

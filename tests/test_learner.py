@@ -21,7 +21,9 @@ from tridnf import (
     Dataset,
     LearnerConfig,
     LearnResult,
+    Literal,
     Term,
+    Trit,
     apply_mask,
     learn,
     make_mask,
@@ -308,6 +310,60 @@ def test_striking_the_complement_can_empty_a_set():
         assert err.value.reason == "empty-constraint-set"
         assert err.value.pairs == ((2, 1),)
         assert err.value.trace[-2:] == ("ERASE_SET 2 2", "ABORT empty-constraint-set")
+
+
+def _admits(inst, lit, negative):
+    """Whether the row's cell leaves ``lit`` possible: not false in a
+    positive row, not true in a negative one."""
+    cell = inst.cell(lit.var - 1)
+    return (cell.negated if lit.neg else cell) is not (Trit.TRUE if negative else Trit.FALSE)
+
+
+def test_a_terms_live_sets_form_a_rectangle():
+    # whole terms replayed on plain dicts of oracle.membership grades with
+    # exact first-max picks, as reference_learn keeps them, on raw rows
+    # dense in Unknowns: the engine keeps only the rectangle of rows and
+    # one cut per positive row, which is sound only if these hold
+    rng = random.Random(5)
+    ends = []
+    for _ in range(300):
+        n, p, q = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        rows = ["".join(rng.choice("01??") for _ in range(n)) for _ in range(p + q)]
+        d = Dataset.from_texts(rows[:p], rows[p:])
+        lits = [Literal(neg, k) for neg in (False, True) for k in range(1, n + 1)]
+        first = {
+            (i, j): {c: g for c, lit in enumerate(lits) if (g := oracle.membership(u, v, lit, p, q))}
+            for i, u in enumerate(d.positives) for j, v in enumerate(d.negatives)
+        }
+        if not all(first.values()):
+            continue  # equal certain rows, which the consistency check rejects
+        sets, picks = first, []
+        while sets and all(sets.values()):
+            scores = {}
+            for grades in sets.values():
+                card = sum(grades.values())
+                for c, g in grades.items():
+                    scores[c] = scores.get(c, Fraction(0)) + g / card
+            best = max(scores.values())
+            code = min(c for c, score in scores.items() if score == best)
+            picks.append(code)
+            comp = (code + n) % (2 * n)
+            covered = {i for (i, _), grades in sets.items() if code in grades}
+            sets = {
+                (i, j): {c: g for c, g in grades.items() if c != comp}
+                for (i, j), grades in sets.items() if i in covered and code not in grades
+            }
+            live_u = [i for i, u in enumerate(d.positives)
+                      if all(_admits(u, lits[c], False) for c in picks)]
+            live_v = [j for j, v in enumerate(d.negatives)
+                      if not any(_admits(v, lits[c], True) for c in picks)]
+            assert set(sets) == {(i, j) for i in live_u for j in live_v}, rows
+            for (i, j), grades in sets.items():
+                u = d.positives[i]
+                struck = {(c + n) % (2 * n) for c in picks if u.cell(lits[c].var - 1) is Trit.UNKNOWN}
+                assert grades == {c: g for c, g in first[i, j].items() if c not in struck}, rows
+        ends.append("term" if not sets else "empty-constraint-set")
+    assert len(ends) > 200 and "empty-constraint-set" in ends
 
 
 def test_packed_fields_hold_their_largest_sum():
