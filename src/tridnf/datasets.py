@@ -67,6 +67,18 @@ def read_text(path: str | Path, encoding: str = "utf-8", newline: str | None = N
         raise ParseError(f"not UTF-8 text: {exc.reason}", where=str(path)) from None
 
 
+def _parse_natural(token: str, what: str, line_no: int) -> int:
+    """A count written in the ASCII digits 0-9; ``int`` alone would also
+    take other scripts' digits, ``_`` and a sign."""
+    where = f"line {line_no}"
+    if not (token.isascii() and token.isdigit()):
+        raise ParseError(f"{what} must be written in the digits 0-9, got {token!r}", where=where)
+    try:
+        return int(token)
+    except ValueError:  # past the int-to-str digit limit
+        raise ParseError(f"{what} has too many digits ({len(token)})", where=where) from None
+
+
 def _parse_binary(token: str, field: str, line_no: int) -> int:
     if token == "0":
         return 0
@@ -100,13 +112,7 @@ def load_zoo(path: str | Path) -> list[ZooRecord]:
         legs = 0
         for field, token in zip(ZOO_FIELDS, parts[1:17]):
             if field == "legs":
-                try:
-                    legs = int(token)
-                except ValueError:
-                    raise ParseError(
-                        f"leg count must be an integer, got {token!r}",
-                        where=f"line {line_no}",
-                    ) from None
+                legs = _parse_natural(token, "leg count", line_no)
                 if legs not in VALID_LEGS:
                     raise ParseError(
                         f"leg count must be one of {VALID_LEGS}, got {legs}",
@@ -114,13 +120,7 @@ def load_zoo(path: str | Path) -> list[ZooRecord]:
                     )
             else:
                 flags.append(_parse_binary(token, field, line_no))
-        try:
-            kind = int(parts[17])
-        except ValueError:
-            raise ParseError(
-                f"class code must be an integer, got {parts[17]!r}",
-                where=f"line {line_no}",
-            ) from None
+        kind = _parse_natural(parts[17], "class code", line_no)
         if not 1 <= kind <= 7:
             raise ParseError(
                 f"class code must be 1..7, got {kind}", where=f"line {line_no}"

@@ -97,15 +97,26 @@ def _row_masks(inst: Instance, width: int, negative: bool) -> tuple[int, int]:
     """
     n = inst.n
     decided = inst.zeros | inst.ones << n if negative else inst.ones | inst.zeros << n
-    return (
-        _dilate(decided, 2 * n, width),
-        _dilate(inst.unknowns | inst.unknowns << n, 2 * n, width),
-    )
+    open_ = _dilate(inst.unknowns, width)
+    return _dilate(decided, width), open_ | open_ << n * width
 
 
-def _dilate(bits: int, n: int, width: int) -> int:
-    """The n-bit ``bits`` with bit k moved to bit k*width."""
-    return int(("0" * (width - 1)).join(format(bits, f"0{n}b")), 2)
+_BYTE_DILATIONS: dict[int, tuple[int, ...]] = {}  # width -> each byte value dilated
+
+
+def _dilate(bits: int, width: int) -> int:
+    """``bits`` with bit k moved to bit k*width, one table lookup per byte."""
+    table = _BYTE_DILATIONS.get(width)
+    if table is None:
+        table = _BYTE_DILATIONS[width] = tuple(
+            sum(1 << k * width for k in range(8) if b >> k & 1) for b in range(256)
+        )
+    out = shift = 0
+    while bits:
+        out |= table[bits & 0xFF] << shift
+        bits >>= 8
+        shift += 8 * width
+    return out
 
 
 class _TermEngine:

@@ -9,7 +9,12 @@ ids may repeat (the bundled animal data contains two frogs).
 Randomness comes from SplitMix64, chosen because it is tiny, fast, and
 specified exactly (see README), so plans reproduce across platforms and
 implementations.  Selection without replacement is a partial Fisher-Yates
-shuffle over the candidate cells in row-major order.
+shuffle over the candidate cells in row-major order, each cell held as the
+integer row * len(columns) + k for the k-th candidate column.
+
+A plan is applied a row at a time: its cells are checked in plan order,
+then gathered into one blank mask per row, and each touched row is copied
+once with those cells made Unknown.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from fractions import Fraction
 
 from .errors import CellOutOfRangeError, FractionOutOfRangeError
 from .formula import DnfFormula
-from .trits import Dataset, Instance, Trit
+from .trits import Dataset, Instance
 
 MASK64 = (1 << 64) - 1
 
@@ -100,14 +105,18 @@ def make_mask(
         columns = [col for col in range(dataset.n) if col + 1 not in relevant]
     else:
         columns = list(range(dataset.n))
-    candidates = [(row, col) for row in range(rows) for col in columns]
+    width = len(columns)
+    candidates = list(range(rows * width))
 
     count = min(requested, len(candidates))
     rng = SplitMix64(seed)
     for i in range(count):
         j = i + rng.below(len(candidates) - i)
         candidates[i], candidates[j] = candidates[j], candidates[i]
-    chosen = tuple(sorted(candidates[:count]))
+    # columns ascend, so the indices sort as their (row, col) cells do
+    chosen = tuple(
+        (cell // width, columns[cell % width]) for cell in sorted(candidates[:count])
+    )
     return MaskPlan(
         mode=mode,
         fraction=value,
@@ -121,12 +130,18 @@ def make_mask(
 def apply_mask(dataset: Dataset, plan: MaskPlan) -> Dataset:
     """Blank the plan's cells.  Idempotent; everything else is untouched."""
     rows: list[Instance] = list(dataset.instances())
+    blank: dict[int, int] = {}  # row -> bits of its cells to blank
     for row, col in plan.cells:
         if not 0 <= row < len(rows):
             raise CellOutOfRangeError(f"row {row} outside 0..{len(rows) - 1}")
         if not 0 <= col < dataset.n:
             raise CellOutOfRangeError(f"column {col} outside 0..{dataset.n - 1}")
-        rows[row] = rows[row].with_cell(col, Trit.UNKNOWN)
+        blank[row] = blank.get(row, 0) | 1 << col
+    for row, bits in blank.items():
+        inst = rows[row]
+        rows[row] = Instance(
+            inst.n, inst.value_bits & ~bits, inst.known_bits & ~bits, inst.label, inst.id
+        )
     positives = tuple(rows[: dataset.p])
     negatives = tuple(rows[dataset.p :])
     return Dataset(n=dataset.n, positives=positives, negatives=negatives)

@@ -8,6 +8,7 @@ and the iteration bound so the expensive part runs exactly once.
 
 import re
 import time
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,6 +31,17 @@ from tridnf import (
 from tridnf.formula import term_from_codes
 from tridnf.learner import _TermEngine
 from tridnf.masking import RANDOM, TRUSTWORTHY
+
+# Hypothesis imports this module to report a failing example.  Where libcst
+# is installed the import raises a DeprecationWarning (from mypy_extensions),
+# which under ``-W error`` ends the session in INTERNALERROR before the
+# example is printed, so it is imported here with that warning ignored.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 ZOO_TYPES = (1, 2, 3, 4, 5, 6, 7)
 SWEEP_FRACTIONS = tuple(Fraction(k, 10) for k in range(1, 6))

@@ -289,6 +289,18 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert code == 2 and "line 2, column 1" in err
 
 
+@pytest.mark.parametrize("legs, kind", [("\u0664", "1"), ("4", "\u0661"), ("+4", "1"), ("0_4", "1")])
+def test_zoo_counts_in_other_digits_exit_2(tmp_path, capsys, legs, kind):
+    bad = tmp_path / "zoo.data"
+    bad.write_text(f"aardvark,1,0,0,1,0,0,1,1,1,1,0,0,{legs},0,0,1,{kind}\n", encoding="utf-8")
+    code, _, err = run(
+        capsys, "learn", "--format", "zoo", "--positive-type", "1", "--input", str(bad),
+        "--output", str(tmp_path / "f.txt"),
+    )
+    token = legs if legs != "4" else kind
+    assert code == 2 and "line 1" in err and repr(token) in err, err
+
+
 def test_csv_cell_past_the_field_limit_exits_2(tmp_path, capsys):
     # csv refuses a field longer than 131,072 characters
     big = tmp_path / "big.csv"

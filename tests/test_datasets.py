@@ -92,6 +92,35 @@ def test_load_zoo_rejects_bad_rows(tmp_path):
             load_zoo(bad)
 
 
+_AARDVARK = ["aardvark", *"1,0,0,1,0,0,1,1,1,1,0,0".split(","), "4", "0", "0", "1", "1"]
+
+
+@pytest.mark.parametrize("column, token", [
+    (13, "\u0664"), (13, "+4"), (13, "0_4"), pytest.param(13, "4" * 5000, id="13-overlong"),
+    (17, "\u0661"), (17, "+1"), (17, "0_1"),
+])
+def test_load_zoo_counts_take_only_ascii_digits(tmp_path, column, token):
+    # int() alone reads the Arabic-Indic four as 4, and takes "+4" and "0_4"
+    fields = list(_AARDVARK)
+    fields[column] = token
+    bad = tmp_path / "zoo.data"
+    bad.write_text(",".join(fields) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_zoo(bad)
+    assert err.value.where == "line 1"
+    assert (repr(token) if len(token) < 10 else "too many digits") in str(err.value)
+
+
+def test_load_zoo_counts_keep_leading_zeros(tmp_path):
+    fields = list(_AARDVARK)
+    fields[13], fields[17] = "04", "01"
+    path = tmp_path / "zoo.data"
+    path.write_text(",".join(fields) + "\n", encoding="utf-8")
+    with pytest.warns(CountWarning):
+        (record,) = load_zoo(path)
+    assert (record.legs, record.kind) == (4, 1)
+
+
 def test_load_zoo_warns_on_wrong_count(tmp_path):
     short = tmp_path / "zoo.data"
     short.write_text(

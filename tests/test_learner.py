@@ -379,6 +379,26 @@ def test_packed_fields_hold_their_largest_sum():
         assert _traced_relevance(trace) == Fraction(1, 2)
 
 
+def test_dilate_equals_its_string_definition():
+    # the definition: write bits in binary and put width-1 zeros between digits
+    def by_string(bits: int, n: int, width: int) -> int:
+        return int(("0" * (width - 1)).join(format(bits, f"0{n}b")), 2)
+
+    rng = random.Random(5)
+    for width in range(1, 41):
+        for n in (1, 7, 8, 9, 16, 40, 63, 64):
+            for bits in (0, 1, (1 << n) - 1, 1 << (n - 1), *(rng.getrandbits(n) for _ in range(8))):
+                assert learner._dilate(bits, width) == by_string(bits, n, width), (bits, width)
+
+
+def test_no_negatives_learn_the_empty_term():
+    # q = 0 gives field width 0; no pair is graded and the one term is empty
+    for rows in (["10"], ["1?", "01"], ["???"]):
+        result = learn(Dataset.from_texts(rows, []), TRACED)
+        assert result.formula.render() == "TRUE"
+        assert result.iterations == 1
+
+
 _ERASE_NOTHING = """
 import json
 from tridnf import ConsistencyAbort, Dataset, LearnerConfig, learn, reference_brain

@@ -3,17 +3,24 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tridnf import (
     CellOutOfRangeError,
     Dataset,
+    DnfFormula,
     FractionOutOfRangeError,
+    Instance,
+    Label,
+    MaskPlan,
     SplitMix64,
     Trit,
     apply_mask,
     make_mask,
     parse_formula,
 )
+from tridnf.formula import term_from_codes
 from tridnf.masking import RANDOM, TRUSTWORTHY
 
 
@@ -127,3 +134,75 @@ def test_unknown_mode_is_rejected():
     d = Dataset.from_texts(["10"], ["01"])
     with pytest.raises(ValueError):
         make_mask(d, "adversarial", Fraction(1, 4), seed=0)
+
+
+# --- the cell-by-cell definitions the masking module must agree with ---
+
+
+def plan_by_cells(dataset, mode, fraction, seed, truth=None) -> MaskPlan:
+    """Shuffle the (row, col) candidate tuples themselves."""
+    rows = dataset.p + dataset.q
+    requested = round(fraction * rows * dataset.n)
+    banned = set(truth.vars_used) if mode == TRUSTWORTHY else set()
+    candidates = [
+        (row, col) for row in range(rows) for col in range(dataset.n) if col + 1 not in banned
+    ]
+    count = min(requested, len(candidates))
+    rng = SplitMix64(seed)
+    for i in range(count):
+        j = i + rng.below(len(candidates) - i)
+        candidates[i], candidates[j] = candidates[j], candidates[i]
+    return MaskPlan(mode, fraction, seed, tuple(sorted(candidates[:count])),
+                    requested, requested - count)
+
+
+def apply_by_cells(dataset, plan) -> Dataset:
+    """Blank one cell at a time, checking each cell as it comes."""
+    rows = list(dataset.instances())
+    for row, col in plan.cells:
+        if not 0 <= row < len(rows):
+            raise CellOutOfRangeError(f"row {row} outside 0..{len(rows) - 1}")
+        if not 0 <= col < dataset.n:
+            raise CellOutOfRangeError(f"column {col} outside 0..{dataset.n - 1}")
+        rows[row] = rows[row].with_cell(col, Trit.UNKNOWN)
+    return Dataset(dataset.n, tuple(rows[: dataset.p]), tuple(rows[dataset.p :]))
+
+
+@st.composite
+def masking_cases(draw):
+    n = draw(st.integers(1, 6))
+    # a small pool of ternary rows, so rows repeat and some hold Unknowns
+    pool = draw(st.lists(st.text("01?", min_size=n, max_size=n), min_size=1, max_size=4))
+    texts = draw(st.lists(st.sampled_from(pool), max_size=8))
+    p = draw(st.integers(0, len(texts)))
+    d = Dataset(
+        n,
+        tuple(Instance.from_text(t, Label.POSITIVE, f"u{i}") for i, t in enumerate(texts[:p])),
+        tuple(Instance.from_text(t, Label.NEGATIVE, f"v{i}") for i, t in enumerate(texts[p:])),
+    )
+    mode = draw(st.sampled_from([RANDOM, TRUSTWORTHY]))
+    codes = draw(st.lists(st.integers(0, 2 * n - 1), unique=True, max_size=n))
+    truth = DnfFormula(n, (term_from_codes(n, codes),)) if mode == TRUSTWORTHY else None
+    fraction = draw(st.fractions(0, Fraction(1, 2), max_denominator=40))
+    return d, mode, fraction, draw(st.integers(0, 2**64 - 1)), truth
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=masking_cases(), stray=st.lists(st.tuples(st.integers(-2, 10), st.integers(-2, 8))))
+def test_masking_matches_the_cell_by_cell_definition(case, stray):
+    d, mode, fraction, seed, truth = case
+    plan = make_mask(d, mode, fraction, seed, truth)
+    assert plan == plan_by_cells(d, mode, fraction, seed, truth)
+    assert apply_mask(d, plan) == apply_by_cells(d, plan)
+
+    # hand-made plans: cells repeated, unsorted or out of range fail alike,
+    # at the first bad cell in plan order
+    loose = MaskPlan(mode, fraction, seed, plan.cells + tuple(stray), plan.requested)
+    try:
+        expected = apply_by_cells(d, loose)
+    except CellOutOfRangeError as err:
+        with pytest.raises(CellOutOfRangeError) as got:
+            apply_mask(d, loose)
+        assert str(got.value) == str(err)
+    else:
+        assert apply_mask(d, loose) == expected
