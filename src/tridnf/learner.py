@@ -8,32 +8,25 @@ the pick resolves.  A finished term removes every positive it can still
 cover and forces each surviving negative to commit one Unknown cell
 against the term.
 
-Relevance comparisons are exact.  The hot path avoids building full
-rational scores: a (positive, negative) pair's constraint set is two
-packed integers F and R, with one fixed-width field per literal, and the
-set's full-grade count nf and its half/quarter weight nr.  Sets sit in
-buckets keyed (nf, nr), and each bucket keeps the [F, R] sums of its sets
-(see ``_TermEngine``), so adding or removing a set is a few big-integer
-operations instead of per-literal dictionary updates.
-
-A term's live sets form a rectangle of rows: set (u, v) holds literal c
-exactly when u admits c (decides it true or leaves it open) and v admits
-c (decides it false or leaves it open), so erasure drops rows, and
-striking the pick's complement is one adjustment per positive row.
+Relevance comparisons are exact.  The hot path never builds a whole
+constraint set: a term's live sets form a rectangle of rows, since set
+(u, v) holds literal c exactly when u admits c (decides it true or leaves
+it open) and v admits c (decides it false or leaves it open).  Erasure
+drops rows, and striking the pick's complement clears one bit of each
+positive row that is open there.
 
 Selection is adaptive-exact, in the manner of Shewchuk's robust
 geometric predicates: a cheap integer estimate with a proven error bound
 decides alone when it can, and exact arithmetic settles the rest.  The
-estimate is each literal's leading tier, sum F_c/nf over the sets with a
-full grade plus sum R_c/nr over the others; at the grade scale
-2^(p+q+1) it is within total*2n/scale of the exact score.  Only literals
-whose tier is that close to the best are scored with Fractions.  The
-winner (ties broken by literal code: x1..xn then ~x1..~xn) is provably
-the same literal exact arithmetic would pick.
-
-The sets are graded once per ``learn`` call and kept across outer
-iterations: each iteration drops the pairs of rows that were erased,
-deduplicated or edited, and grades only the pairs of edited rows.
+estimate is each literal's leading tier: its full grades, each over its
+set's count nf of full grades, plus, in the sets with no full grade, its
+half and quarter weight over the set's weight nr.  At the grade scale
+2^(p+q+1) it is within total*2n/scale of the exact score.  The tiers are
+packed integers with one fixed-width field per literal, summed anew over
+the rectangle after every pick (see ``_TermEngine``).  Only literals
+whose tier is that close to the best are scored exactly, from the rows.
+The winner (ties broken by literal code: x1..xn then ~x1..~xn) is
+provably the same literal exact arithmetic would pick.
 """
 from __future__ import annotations
 
@@ -87,18 +80,17 @@ def _abort(trace: list[str] | None, reason: str, **details) -> None:
     raise ConsistencyAbort(reason, **details)
 
 
-def _row_masks(inst: Instance, width: int, negative: bool) -> tuple[int, int]:
-    """The packed literals a row decides and the literals it leaves open.
+def _row_masks(inst: Instance, negative: bool) -> tuple[int, int]:
+    """The literals a row decides and the literals it leaves open.
 
-    Literal code c (x1..xn, then ~x1..~xn) owns bit c*width of each mask.
-    A positive row decides the literals its certain cells make true, a
+    Literal code c (x1..xn, then ~x1..~xn) owns bit c of each mask.  A
+    positive row decides the literals its certain cells make true, a
     negative row those its certain cells make false; an Unknown cell
     leaves both signs of its variable open.
     """
     n = inst.n
     decided = inst.zeros | inst.ones << n if negative else inst.ones | inst.zeros << n
-    open_ = _dilate(inst.unknowns, width)
-    return _dilate(decided, width), open_ | open_ << n * width
+    return decided, inst.unknowns | inst.unknowns << n
 
 
 _BYTE_DILATIONS: dict[int, tuple[int, ...]] = {}  # width -> each byte value dilated
@@ -120,113 +112,102 @@ def _dilate(bits: int, width: int) -> int:
 
 
 class _TermEngine:
-    """Scoring and erasure state for the terms of one ``learn`` call.
+    """Scoring and erasure state of one term, opened on one outer
+    iteration's working rows.  p, q, the grade scale 2^(p+q+1) and the
+    norm p*q are set there and do not drift as sets are erased mid-term.
 
-    Built on the first outer iteration's working rows; ``start`` brings it
-    to each later iteration's rows and opens a term.  p, q, the grade
-    scale 2^(p+q+1) and the norm p*q are set there and do not drift as
-    sets are erased mid-term.
-
-    Packed layout: literal code c owns the W-bit field that starts at bit
-    c*W, with W = (2*p*q).bit_length() fixed at the first iteration (p
-    and q never grow).  Each row's literal masks are dilated once (see
-    ``_row_masks``).  A set is the tuple (F, R, (nf, nr)): field c of F
-    is 1 when the set grades literal c full, field c of R is 2 for a half
-    grade and 1 for a quarter, nf counts the full grades (by counting
-    bits) and nr = 2*|half| + |quarter|.  The set's scaled cardinality is
-    scale*nf + nr and literal c's scaled grade is scale*F_c + R_c.  Only
-    scale depends on p and q, so a set stays valid while its two rows
-    stay in the working data.
-
-    ``grid`` holds the set of every (positive, negative) pair, keyed by
-    the rows' serials.  A row is known by its content and id: a row that
-    reduction or a negative update edits gets a new serial and its pairs
-    are graded again.  Rows of one class must be distinct, which
-    ``delete_repetitions`` guarantees in ``learn``.  ``base`` holds the
-    [F, R] sums of the grid's sets per (nf, nr).  A bucket has at most p*q
-    sets, so F_c <= p*q and R_c <= 2*p*q fit in W bits: no field carries
-    into the next, and adding a set is two additions on the whole bucket.
+    Set (u, v) grades literal c full when u decides c true and v decides
+    it false, half when one of them leaves c open and the other decides it
+    that way, and quarter when both leave it open.  nf counts its full
+    grades and nr = 2*|half| + |quarter|; its scaled cardinality is
+    scale*nf + nr and literal c's scaled grade is scale, 2 or 1.
 
     A term's state is its rectangle: ``live_u`` and ``live_v`` list the
-    live rows in position order, u as (serial, admit, open, i) and v as
-    (serial, admit, j), where admit = decided | open and i, j are the
-    1-based positions by which trace lines and aborts name a pair.
-    ``cut`` maps a u serial to the R word of the half grades struck from
-    its sets and their weight in nr.  Live set (u, v) is grid set (u, v)
-    less u's cut; ``buckets`` sums the live sets.
+    live rows in position order, u as (on, open, wide, i) and v as (off,
+    open, dilated off, j).  on, off and open are ``_row_masks``, wide is
+    on dilated with each bit widened to its whole field, and i and j are
+    the 1-based positions by which trace lines and aborts name a pair.
+    Live set (u, v) is the set of the two rows, and a struck complement is
+    cleared from u's open mask, since every live v decides it false.  Rows
+    need not be distinct.
+
+    ``tiers`` maps each tier denominator to a packed word in which literal
+    c owns the W-bit field at bit c*W, W = (2*p*q).bit_length(): the
+    full-grade indicators of the sets with nf >= 1 summed by nf, and the R
+    words (2 per half grade, 1 per quarter) of the sets with nf = 0 summed
+    by nr.  A set adds at most 2 to a field and there are at most p*q
+    sets, so no field carries into the next.
     """
 
     def __init__(self, positives, negatives, trace: list[str] | None):
-        self.n = positives[0].n
-        w = self.width = (2 * len(positives) * len(negatives)).bit_length()
-        self.field = (1 << w) - 1
-        self.trace = trace
-        self.serials = 0  # the serial the next new row gets
-        self.us: dict[tuple, tuple[int, int, int]] = {}  # row key -> (serial, decided, open)
-        self.vs: dict[tuple, tuple[int, int, int]] = {}
-        self.grid: dict[tuple[int, int], tuple] = {}  # (u serial, v serial) -> (F, R, (nf, nr))
-        self.base: dict[tuple[int, int], list[int]] = {}  # (nf, nr) -> [F sum, R sum]
-        self.start(positives, negatives)
-
-    def _rows(self, rows, held, negative: bool) -> dict[tuple, tuple[int, int, int]]:
-        """Serial and ``_row_masks`` of each row, kept for the rows already held."""
-        out = {}
-        for inst in rows:
-            key = (inst.value_bits, inst.known_bits, inst.id)
-            entry = held.get(key)
-            if entry is None:
-                entry = (self.serials, *_row_masks(inst, self.width, negative))
-                self.serials += 1
-            out[key] = entry
-        return out
-
-    def start(self, positives, negatives) -> None:
-        """Bring the grid to the working rows and open a term on them.
-
-        The pairs of rows that left are dropped and the pairs of new (that
-        is, edited) rows graded; every other pair keeps its set.
-        """
         p, q = len(positives), len(negatives)
+        self.n = positives[0].n
         self.norm = p * q
         self.scale = 1 << (p + q + 1)
-        fresh = self.serials
-        held_us, held_vs = self.us, self.vs
-        us = self.us = self._rows(positives, held_us, False)
-        vs = self.vs = self._rows(negatives, held_vs, True)
-        grid, base = self.grid, self.base
+        w = self.width = (2 * p * q).bit_length()
+        self.field = (1 << w) - 1
+        self.trace = trace
+        self.live_u = []
+        for i, inst in enumerate(positives, 1):
+            on, op = _row_masks(inst, False)
+            self.live_u.append((on, op, _dilate(on, w) * self.field, i))
+        self.live_v = []
+        for j, inst in enumerate(negatives, 1):
+            off, op = _row_masks(inst, True)
+            self.live_v.append((off, op, _dilate(off, w), j))
+        self.tiers = self._sum(self.live_u, self.live_v)
 
-        every_v = [sv for sv, _, _ in held_vs.values()]
-        gone_v = [sv for key, (sv, _, _) in held_vs.items() if key not in vs]
-        _remove(base, [
-            grid.pop((su, sv))
-            for key, (su, _, _) in held_us.items()
-            for sv in (gone_v if key in us else every_v)
-        ])
+    def _sum(self, live_u, live_v) -> dict[int, int]:
+        """The tiers of the rectangle live_u x live_v; aborts on its
+        first empty set in (i, j) order.
 
-        graded = []
-        new_vs = [v for v in vs.values() if v[0] >= fresh]
-        for su, u_on, u_open in us.values():
-            for sv, v_off, v_open in vs.values() if su >= fresh else new_vs:
-                # the grade table: full where u makes the literal true and v
-                # makes it false, half where one of them leaves it open and
-                # the other decides it that way, quarter where both leave it
-                # open.  Some literal is graded, since the consistency check
-                # rejected every pair of equal certain rows
-                f = u_on & v_off
-                half = (u_on & v_open) | (u_open & v_off)
-                quarter = u_open & v_open
-                s = grid[su, sv] = (
-                    f, (half << 1) | quarter,
-                    (f.bit_count(), 2 * half.bit_count() + quarter.bit_count()),
-                )
-                graded.append(s)
-        _add(base, graded)
+        Per u, the v rows are grouped by nf and a group's dilated off
+        words are added up; ANDing the sum with u's widened on mask keeps
+        the fields of u's full grades, which hold at most q, so nothing
+        carries.  Only the sets with nf = 0 are graded in full.
+        """
+        w, tiers = self.width, {}
+        for on, op, wide, i in live_u:
+            groups = {}  # nf -> sum of the group's dilated off words
+            for off, v_op, d_off, j in live_v:
+                nf = (on & off).bit_count()
+                if nf:
+                    groups[nf] = groups.get(nf, 0) + d_off
+                    continue
+                half = on & v_op | op & off
+                quarter = op & v_op
+                nr = 2 * half.bit_count() + quarter.bit_count()
+                if not nr:
+                    _abort(self.trace, "empty-constraint-set", pairs=((i, j),))
+                tiers[nr] = tiers.get(nr, 0) + (_dilate(half, w) << 1 | _dilate(quarter, w))
+            for nf, total in groups.items():
+                tiers[nf] = tiers.get(nf, 0) + (total & wide)
+        return tiers
 
-        # every row live, nothing struck; apply sums anew, so base can be shared
-        self.buckets = base
-        self.live_u = [(su, on | op, op, i) for i, (su, on, op) in enumerate(us.values(), 1)]
-        self.live_v = [(sv, off | op, j) for j, (sv, off, op) in enumerate(vs.values(), 1)]
-        self.cut: dict[int, tuple[int, int]] = {}  # u serial -> (R word, nr) struck
+    def scores(self, codes) -> dict[int, Fraction]:
+        """Exact scores of the given literal codes, from the live rows that
+        admit one of them: per code, the scaled grades are summed as
+        integers per cardinality before any Fraction is formed."""
+        scale, want = self.scale, sum(1 << c for c in codes)
+        sums: dict[int, dict[int, int]] = {c: {} for c in codes}  # code -> card -> sum
+        bits = [(1 << c, sums[c]) for c in codes]
+        live_v = [v for v in self.live_v if (v[0] | v[1]) & want]
+        for on, op, _, _ in self.live_u:
+            if not (on | op) & want:
+                continue
+            for off, v_op, _, _ in live_v:
+                f = on & off
+                half = on & v_op | op & off
+                quarter = op & v_op
+                card = scale * f.bit_count() + 2 * half.bit_count() + quarter.bit_count()
+                for b, per_card in bits:
+                    num = scale if f & b else 2 if half & b else 1 if quarter & b else 0
+                    if num:
+                        per_card[card] = per_card.get(card, 0) + num
+        return {
+            c: sum((Fraction(num, card) for card, num in per_card.items()), Fraction(0))
+            for c, per_card in sums.items()
+        }
 
     def select(self) -> int:
         """Literal code of maximal total relevance; exact, first-max ties.
@@ -241,21 +222,12 @@ class _TermEngine:
         (scale*F_c + R_c)/(scale*nf + nr) lies within 2n/scale of F_c/nf.
         So a literal whose tier trails the best by more than twice
         total*2n/scale can neither win nor tie, and only the literals left
-        are scored with Fractions.
+        are scored exactly.
         """
         w, field, codes = self.width, self.field, 2 * self.n
-        # the words of each tier denominator: F words by nf >= 1, R words
-        # by nr where nf = 0.  A set adds at most 2 to a field and there
-        # are at most p*q sets, so the sums still fit the field
-        tiers: dict[int, int] = {}
-        for (nf, nr), (f, r) in self.buckets.items():
-            if nf:
-                tiers[nf] = tiers.get(nf, 0) + f
-            else:
-                tiers[nr] = tiers.get(nr, 0) + r
-        d = math.lcm(*tiers)
+        d = math.lcm(*self.tiers)
         lead = [0] * codes  # L_c * d, an integer
-        for t, word in tiers.items():
+        for t, word in self.tiers.items():
             m = d // t
             c = 0
             while word:
@@ -268,14 +240,7 @@ class _TermEngine:
         cluster = [c for c in range(codes) if (best_lead - lead[c]) << shift <= margin]
         if len(cluster) == 1 and self.trace is None:
             return cluster[0]
-        scale = self.scale
-        exact = {c: Fraction(0) for c in cluster}
-        for (nf, nr), (f, r) in self.buckets.items():
-            card = scale * nf + nr
-            for c in cluster:
-                num = scale * (f >> c * w & field) + (r >> c * w & field)
-                if num:
-                    exact[c] += Fraction(num, card)
+        exact = self.scores(cluster)
         best = max(exact.values())
         code = min(c for c in cluster if exact[c] == best)
         if self.trace is not None:
@@ -287,35 +252,24 @@ class _TermEngine:
         """Erasures for a just-selected literal: the u rows that do not
         admit it leave the term (ERASE_GROUP), as do the v rows that admit
         it, whose sets with the kept u rows it satisfies (ERASE_SET).  The
-        complement is struck from the survivors, which the buckets re-sum.
+        complement is struck from the survivors, whose tiers are summed
+        anew.
         """
-        w = self.width
-        bit = 1 << code * w
-        comp = code + self.n if code < self.n else code - self.n
-        live_u = [u for u in self.live_u if u[1] & bit]
-        live_v = [v for v in self.live_v if not v[1] & bit]
-        if self.trace is not None:
-            self.trace.extend(f"ERASE_GROUP {i}" for _, admit, _, i in self.live_u if not admit & bit)
-            self.trace.extend(
-                f"ERASE_SET {i} {j}" for *_, i in live_u for _, admit, j in self.live_v if admit & bit
-            )
+        bit = 1 << code
         # a kept v's cell makes the pick true and the complement false, so
         # a kept u open there grades the complement half in all its live
-        # sets, and a kept certain u cannot hold it: one cut per u row
-        cut, grid, buckets = self.cut, self.grid, {}
-        for su, _, op, i in live_u:
-            r_cut, nr_cut = cut.get(su, (0, 0))
-            if op & bit:
-                r_cut, nr_cut = cut[su] = (r_cut + (2 << comp * w), nr_cut + 2)
-            sets = []
-            for sv, _, j in live_v:
-                f, r, (nf, nr) = grid[su, sv]
-                r -= r_cut
-                if not (f or r):
-                    _abort(self.trace, "empty-constraint-set", pairs=((i, j),))
-                sets.append((f, r, (nf, nr - nr_cut)))
-            _add(buckets, sets)
-        self.buckets, self.live_u, self.live_v = buckets, live_u, live_v
+        # sets, and a kept certain u cannot hold it: clearing the
+        # complement from u's open mask strikes it from all of them
+        strike = ~(1 << (code + self.n if code < self.n else code - self.n))
+        live_u = [(on, op & strike, wide, i) for on, op, wide, i in self.live_u if (on | op) & bit]
+        live_v = [v for v in self.live_v if not (v[0] | v[1]) & bit]
+        if self.trace is not None:
+            self.trace.extend(f"ERASE_GROUP {u[3]}" for u in self.live_u if not (u[0] | u[1]) & bit)
+            self.trace.extend(
+                f"ERASE_SET {u[3]} {v[3]}" for u in live_u for v in self.live_v if (v[0] | v[1]) & bit
+            )
+        self.tiers = self._sum(live_u, live_v)
+        self.live_u, self.live_v = live_u, live_v
 
     def term(self) -> list[int]:
         """Select and apply literals until no v row is live; the picked codes."""
@@ -324,28 +278,6 @@ class _TermEngine:
             codes.append(self.select())
             self.apply(codes[-1])
         return codes
-
-
-def _add(buckets: dict[tuple[int, int], list[int]], sets) -> None:
-    """Add each set's [F, R] words to the sums of its (nf, nr) bucket."""
-    for f, r, key in sets:
-        bucket = buckets.get(key)
-        if bucket is None:
-            buckets[key] = [f, r]
-        else:
-            bucket[0] += f
-            bucket[1] += r
-
-
-def _remove(buckets: dict[tuple[int, int], list[int]], sets) -> None:
-    """Take each set's [F, R] words from the sums of its (nf, nr) bucket."""
-    for f, r, key in sets:
-        bucket = buckets[key]
-        bucket[0] -= f
-        bucket[1] -= r
-        # every set adds a nonzero field, so zero sums mean no sets are left
-        if not (bucket[0] or bucket[1]):
-            del buckets[key]
 
 
 def _exact(value: Fraction) -> str:
@@ -396,7 +328,6 @@ def learn(dataset: Dataset, config: LearnerConfig | None = None) -> LearnResult:
     terms: list[Term] = []
     erased: list[Instance] = []
     iterations = 0
-    engine: _TermEngine | None = None
 
     while positives:
         iterations += 1
@@ -408,11 +339,7 @@ def learn(dataset: Dataset, config: LearnerConfig | None = None) -> LearnResult:
         positives = list(work.positives)
         negatives = list(work.negatives)
 
-        if engine is None:
-            engine = _TermEngine(positives, negatives, trace)
-        else:
-            engine.start(positives, negatives)
-        term = term_from_codes(n, engine.term())
+        term = term_from_codes(n, _TermEngine(positives, negatives, trace).term())
         terms.append(term)
         if trace is not None:
             trace.append(f"TERM {term.render()}")

@@ -215,10 +215,14 @@ def test_criterion_8_exact_arithmetic_oracle():
     """Package grades and relevances equal a from-scratch rational recomputation.
 
     ``membership`` must equal the table above for every pair and literal,
-    and the engine's exact score for every literal, read from its packed
-    buckets, must equal the table's recomputation (zero for a literal no
-    set grades).  Equality of every exact score implies every pairwise
-    comparison agrees; ``select``'s argmax and traced value are checked too.
+    and the engine's exact score for every literal, rescored from its live
+    rows, must equal the table's recomputation (zero for a literal no set
+    grades).  Each literal's leading tier, read from the engine's packed
+    tier words, must equal the one summed from the table: 1/nf per full
+    grade in a set with nf >= 1 full grades, and the grade over the set's
+    cardinality in a set with none.  Equality of every exact score implies
+    every pairwise comparison agrees; ``select``'s argmax and traced value
+    are checked too.
     """
     rng = random.Random(88)
     datasets = 0
@@ -237,6 +241,10 @@ def test_criterion_8_exact_arithmetic_oracle():
         if any(card == 0 for card in cards.values()):
             continue  # normalization needs nonempty sets
         datasets += 1
+        fulls = {
+            (i, j): sum(eq2_membership(u, v, p, q, k, s) == 1 for k in range(n) for s in (False, True))
+            for i, u in enumerate(P) for j, v in enumerate(Q)
+        }
         d = Dataset(
             n,
             tuple(Instance.from_cells(u, Label.POSITIVE, f"u{i + 1}") for i, u in enumerate(P)),
@@ -245,11 +253,13 @@ def test_criterion_8_exact_arithmetic_oracle():
         trace: list[str] = []
         engine = _TermEngine(list(d.positives), list(d.negatives), trace)
         w, field = engine.width, engine.field
+        exact = engine.scores(range(2 * n))
         scores = {}
         for code in range(2 * n):
             neg, k = code >= n, code % n
             lit = Literal(neg, k + 1)
             mine = Fraction(0)
+            tier = Fraction(0)
             for i, u in enumerate(P):
                 for j, v in enumerate(Q):
                     grade = eq2_membership(u, v, p, q, k, neg)
@@ -257,21 +267,19 @@ def test_criterion_8_exact_arithmetic_oracle():
                     assert type(pkg) is Fraction and type(pkg.numerator) is int
                     assert pkg == grade, (lit.render(), i, j, pkg, grade)
                     mine += grade / cards[i, j]
+                    if not fulls[i, j]:
+                        tier += grade / cards[i, j]
+                    elif grade == 1:
+                        tier += Fraction(1, fulls[i, j])
             mine /= p * q
             scores[code] = mine
-            # field c of a bucket's F and R words: scale*F_c + R_c over the
-            # card scale*nf + nr of the bucket's (nf, nr) key
+            assert exact[code] / engine.norm == mine, (lit.render(), exact[code], mine)
+            # field c of each tier word over the word's denominator
             packed = sum(
-                (
-                    Fraction(
-                        engine.scale * (f >> code * w & field) + (r >> code * w & field),
-                        engine.scale * nf + nr,
-                    )
-                    for (nf, nr), (f, r) in engine.buckets.items()
-                ),
+                (Fraction(word >> code * w & field, t) for t, word in engine.tiers.items()),
                 Fraction(0),
-            ) / engine.norm
-            assert packed == mine, (lit.render(), packed, mine)
+            )
+            assert packed == tier, (lit.render(), packed, tier)
 
         best = max(scores.values())
         assert engine.select() == min(c for c, v in scores.items() if v == best)

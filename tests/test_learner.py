@@ -258,8 +258,8 @@ def _masked_rows(seed, n, p, q, fraction):
 
 def test_learner_equals_reference_at_benchmark_scale():
     # p + q = 60 puts the grade scale at 2^61, where the leading tier
-    # decides most picks alone; later iterations regrade only the rows
-    # that negative updates edit
+    # decides most picks alone; later iterations open their terms on rows
+    # that negative updates edited
     regraded = False
     for seed in range(4):
         d = _masked_rows(seed, 20, 20, 40, Fraction(1, 5))
@@ -319,11 +319,37 @@ def _admits(inst, lit, negative):
     return (cell.negated if lit.neg else cell) is not (Trit.TRUE if negative else Trit.FALSE)
 
 
+def _leading_tiers(sets, n):
+    """Each literal's leading tier from sets of exact grades: 1/nf for a
+    full grade in a set with nf >= 1 full grades, and in a set with none,
+    the literal's grade over the set's cardinality."""
+    tiers = [Fraction(0)] * (2 * n)
+    for grades in sets:
+        nf = sum(g == 1 for g in grades.values())
+        card = sum(grades.values())
+        for c, g in grades.items():
+            if not nf:
+                tiers[c] += g / card
+            elif g == 1:
+                tiers[c] += Fraction(1, nf)
+    return tiers
+
+
+def _engine_tiers(engine):
+    """Each literal's leading tier read from the engine's packed tier words."""
+    tiers = [Fraction(0)] * (2 * engine.n)
+    for t, word in engine.tiers.items():
+        for c in range(2 * engine.n):
+            tiers[c] += Fraction(word >> c * engine.width & engine.field, t)
+    return tiers
+
+
 def test_a_terms_live_sets_form_a_rectangle():
     # whole terms replayed on plain dicts of oracle.membership grades with
     # exact first-max picks, as reference_learn keeps them, on raw rows
-    # dense in Unknowns: the engine keeps only the rectangle of rows and
-    # one cut per positive row, which is sound only if these hold
+    # dense in Unknowns, with a _TermEngine stepped beside them: the engine
+    # keeps only the rectangle of rows and strikes a pick's complement from
+    # each kept positive's open mask, which is sound only if these hold
     rng = random.Random(5)
     ends = []
     for _ in range(300):
@@ -337,8 +363,10 @@ def test_a_terms_live_sets_form_a_rectangle():
         }
         if not all(first.values()):
             continue  # equal certain rows, which the consistency check rejects
+        engine = _TermEngine(list(d.positives), list(d.negatives), None)
         sets, picks = first, []
         while sets and all(sets.values()):
+            assert _engine_tiers(engine) == _leading_tiers(sets.values(), n), rows
             scores = {}
             for grades in sets.values():
                 card = sum(grades.values())
@@ -346,6 +374,8 @@ def test_a_terms_live_sets_form_a_rectangle():
                     scores[c] = scores.get(c, Fraction(0)) + g / card
             best = max(scores.values())
             code = min(c for c, score in scores.items() if score == best)
+            assert engine.scores(range(2 * n)) == {c: scores.get(c, 0) for c in range(2 * n)}, rows
+            assert engine.select() == code, rows
             picks.append(code)
             comp = (code + n) % (2 * n)
             covered = {i for (i, _), grades in sets.items() if code in grades}
@@ -362,19 +392,30 @@ def test_a_terms_live_sets_form_a_rectangle():
                 u = d.positives[i]
                 struck = {(c + n) % (2 * n) for c in picks if u.cell(lits[c].var - 1) is Trit.UNKNOWN}
                 assert grades == {c: g for c, g in first[i, j].items() if c not in struck}, rows
+            empty = [(i + 1, j + 1) for (i, j), grades in sets.items() if not grades]
+            if empty:
+                # the engine aborts at the same pick, naming the first empty set
+                with pytest.raises(ConsistencyAbort) as err:
+                    engine.apply(code)
+                assert (err.value.reason, err.value.pairs) == ("empty-constraint-set", (empty[0],))
+            else:
+                engine.apply(code)
+        assert bool(engine.live_v) == bool(sets), rows
         ends.append("term" if not sets else "empty-constraint-set")
     assert len(ends) > 200 and "empty-constraint-set" in ends
 
 
 def test_packed_fields_hold_their_largest_sum():
-    # x1 and x2 grade half in each of the p*q sets, all in one bucket, so
-    # their packed fields hold 2*p*q, a power of two that needs every bit
-    # of the field width; the tie goes to x1
+    # x1 and x2 grade half in each of the p*q sets, which have no full
+    # grade and nr = 4, so their fields of the one tier word hold 2*p*q, a
+    # power of two that needs every bit of the field width; the tie goes
+    # to x1
     for p, q in ((1, 1), (2, 2), (2, 8), (4, 4), (8, 16)):
         d = Dataset.from_texts(["11"] * p, ["??"] * q)
         trace: list[str] = []
         engine = _TermEngine(list(d.positives), list(d.negatives), trace)
-        assert len(engine.buckets) == 1
+        assert (2 * p * q).bit_length() == engine.width
+        assert engine.tiers == {4: 2 * p * q * (1 + (1 << engine.width))}
         assert engine.select() == 0
         assert _traced_relevance(trace) == Fraction(1, 2)
 

@@ -61,9 +61,12 @@ def test_plan_counts_cells_by_rounded_fraction():
 
 
 def test_plan_rounds_half_cells():
-    d = Dataset.from_texts(["111", "000"], [])  # 6 cells; 25% -> 1.5 -> 2
-    plan = make_mask(d, RANDOM, Fraction(1, 4), seed=3)
-    assert plan.requested == 2
+    # round() on the exact Fraction: a quarter of 6, 10 and 14 cells is
+    # 1.5, 2.5 and 3.5 cells, which plan 2, 2 and 4
+    for n, want in ((3, 2), (5, 2), (7, 4)):
+        d = Dataset.from_texts(["1" * n, "0" * n], [])
+        plan = make_mask(d, RANDOM, Fraction(1, 4), seed=3)
+        assert plan.requested == want, n
 
 
 def test_fraction_zero_masks_nothing():
