@@ -204,12 +204,17 @@ def run_experiment(
 ) -> ExperimentReport:
     """Run the full (type, mode, fraction, seed) grid.
 
+    Each distinct type, mode, fraction and seed is run once: types and
+    fractions in ascending order, modes and seeds in order of first
+    appearance.
+
     Trustworthy masking needs a reference formula per type; it is learned
     once from the unmasked encoding and reported alongside the table.
     """
     kinds = sorted(set(types))
     fracs = sorted({Fraction(f) for f in fractions})
     mode_list = list(dict.fromkeys(modes))
+    seed_list = list(dict.fromkeys(seeds))
     runs: list[RunResult] = []
     references: list[tuple[int, DnfFormula]] = []
     for kind in kinds:
@@ -220,7 +225,7 @@ def run_experiment(
             references.append((kind, truth))
         for mode in mode_list:
             for fraction in fracs:
-                for seed in seeds:
+                for seed in seed_list:
                     plan = make_mask(
                         complete,
                         mode,

@@ -22,18 +22,24 @@ estimate is each literal's leading tier: its full grades, each over its
 set's count nf of full grades, plus, in the sets with no full grade, its
 half and quarter weight over the set's weight nr.  At the grade scale
 2^(p+q+1) it is within total*2n/scale of the exact score.  The tiers are
-packed integers with one fixed-width field per literal, summed anew over
-the rectangle after every pick (see ``_TermEngine``).  Only literals
-whose tier is that close to the best are scored exactly, from the rows.
-The winner (ties broken by literal code: x1..xn then ~x1..~xn) is
-provably the same literal exact arithmetic would pick.
+packed integers with one field per literal, 8, 16, 32 or 64 bits wide,
+summed anew over the rectangle after every pick (see ``_TermEngine``).
+Only literals whose tier is that close to the best are scored exactly,
+from the rows.  The winner (ties broken by literal code: x1..xn then
+~x1..~xn) is provably the same literal exact arithmetic would pick.
+
+A row's packed masks are made once per learn (``_RowMasks``), so an
+outer iteration sets up only the rows that reduction or a negative
+update has changed since an earlier one.
 """
 from __future__ import annotations
 
 import math
+import struct
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import mul
 
 from .errors import ConsistencyAbort
 from .formula import DnfFormula, Term, term_from_codes
@@ -111,6 +117,54 @@ def _dilate(bits: int, width: int) -> int:
     return out
 
 
+# field width in bits -> the native unsigned format that memoryview.cast
+# reads one field with
+_FIELD_FORMATS = {struct.calcsize(code) * 8: code for code in "QLIHB"}
+# to_bytes in native order puts the top field first on a big-endian machine
+_FIELD_ORDER = slice(None, None, -1 if sys.byteorder == "big" else 1)
+
+
+class _RowMasks:
+    """Each distinct row's literal masks, made once per learn.
+
+    Rows are keyed by ``(value_bits, known_bits)`` per class; a row that
+    reduction or a negative update edits is a new key.  The field width W
+    is the narrowest of 8, 16, 32 and 64 bits that holds 2*pairs, fixed
+    from the first outer iteration's p*q: later iterations only erase,
+    dedupe or fill rows, so their p*q is never larger.
+    """
+
+    def __init__(self, n: int, pairs: int):
+        w = next((w for w in (8, 16, 32, 64) if not 2 * pairs >> w), None)
+        if w is None:
+            raise OverflowError(f"{pairs} constraint sets overflow a 64-bit field")
+        if w not in _FIELD_FORMATS:
+            raise RuntimeError(f"no native {w}-bit unsigned format for memoryview.cast")
+        self.width, self.format = w, _FIELD_FORMATS[w]
+        self.field = (1 << w) - 1
+        self.sentinel = 1 << 2 * n * w
+        # per class, positives first: (value_bits, known_bits) -> masks
+        self.masks: tuple[dict, dict] = ({}, {})
+
+    def live(self, instances, negative: bool) -> list[tuple[int, int, int, int]]:
+        """The rows a term opens on: positives as (on, open, wide, i),
+        wide being on dilated with each bit widened to its field, and
+        negatives as (off, open, dilated off, j), the dilated word with a
+        sentinel bit above every field; i and j count from 1."""
+        cache = self.masks[negative]
+        live = []
+        for k, inst in enumerate(instances, 1):
+            key = (inst.value_bits, inst.known_bits)
+            masks = cache.get(key)
+            if masks is None:
+                decided, op = _row_masks(inst, negative)
+                dilated = _dilate(decided, self.width)
+                dilated = dilated | self.sentinel if negative else dilated * self.field
+                masks = cache[key] = (decided, op, dilated)
+            live.append((*masks, k))
+        return live
+
+
 class _TermEngine:
     """Scoring and erasure state of one term, opened on one outer
     iteration's working rows.  p, q, the grade scale 2^(p+q+1) and the
@@ -124,64 +178,70 @@ class _TermEngine:
 
     A term's state is its rectangle: ``live_u`` and ``live_v`` list the
     live rows in position order, u as (on, open, wide, i) and v as (off,
-    open, dilated off, j).  on, off and open are ``_row_masks``, wide is
-    on dilated with each bit widened to its whole field, and i and j are
-    the 1-based positions by which trace lines and aborts name a pair.
-    Live set (u, v) is the set of the two rows, and a struck complement is
-    cleared from u's open mask, since every live v decides it false.  Rows
-    need not be distinct.
+    open, dilated off, j), from ``_RowMasks``.  ``learn`` passes the one it
+    keeps for the whole run; an engine opened without one makes its own.
+    i and j are the 1-based positions by which trace lines and aborts name
+    a pair.  Live set (u, v) is the set of the two rows, and a struck
+    complement is cleared from u's open mask, since every live v decides
+    it false.  Rows need not be distinct.
 
     ``tiers`` maps each tier denominator to a packed word in which literal
-    c owns the W-bit field at bit c*W, W = (2*p*q).bit_length(): the
-    full-grade indicators of the sets with nf >= 1 summed by nf, and the R
-    words (2 per half grade, 1 per quarter) of the sets with nf = 0 summed
-    by nr.  A set adds at most 2 to a field and there are at most p*q
-    sets, so no field carries into the next.
+    c owns the W-bit field at bit c*W: the full-grade indicators of the
+    sets with nf >= 1 summed by nf, and the R words (2 per half grade, 1
+    per quarter) of the sets with nf = 0 summed by nr.  A set adds at most
+    2 to a field and there are at most p*q sets, so no field carries into
+    the next.  W is the narrowest of 8, 16, 32 and 64 bits that holds
+    2*p*q, a whole number of bytes, so ``select`` reads a word's fields
+    with one ``memoryview.cast``.  A v row's dilated off word also carries
+    a sentinel bit above all 2n fields, so that ``_sum`` sees every v with
+    nf = 0, even one whose cells are all Unknown and whose off mask is 0.
     """
 
-    def __init__(self, positives, negatives, trace: list[str] | None):
+    def __init__(
+        self, positives, negatives, trace: list[str] | None, rows: _RowMasks | None = None
+    ):
         p, q = len(positives), len(negatives)
         self.n = positives[0].n
         self.norm = p * q
         self.scale = 1 << (p + q + 1)
-        w = self.width = (2 * p * q).bit_length()
-        self.field = (1 << w) - 1
+        if rows is None:
+            rows = _RowMasks(self.n, p * q)
+        self.width, self.format, self.field = rows.width, rows.format, rows.field
         self.trace = trace
-        self.live_u = []
-        for i, inst in enumerate(positives, 1):
-            on, op = _row_masks(inst, False)
-            self.live_u.append((on, op, _dilate(on, w) * self.field, i))
-        self.live_v = []
-        for j, inst in enumerate(negatives, 1):
-            off, op = _row_masks(inst, True)
-            self.live_v.append((off, op, _dilate(off, w), j))
+        self.live_u = rows.live(positives, False)
+        self.live_v = rows.live(negatives, True)
         self.tiers = self._sum(self.live_u, self.live_v)
 
     def _sum(self, live_u, live_v) -> dict[int, int]:
         """The tiers of the rectangle live_u x live_v; aborts on its
         first empty set in (i, j) order.
 
-        Per u, the v rows are grouped by nf and a group's dilated off
-        words are added up; ANDing the sum with u's widened on mask keeps
-        the fields of u's full grades, which hold at most q, so nothing
-        carries.  Only the sets with nf = 0 are graded in full.
+        Per u, the dilated off words of the v rows are added up in a slot
+        per nf; ANDing a slot with u's widened on mask keeps the fields of
+        u's full grades, which hold at most q, so nothing carries, and
+        drops the sentinel bits.  A v row always leaves its sentinel in
+        its slot, so a nonzero slot 0 means u has sets with nf = 0, and
+        only those are graded in full.
         """
-        w, tiers = self.width, {}
+        w, slots, tiers = self.width, self.n + 1, {}
+        offs = [(v[0], v[2]) for v in live_v]
         for on, op, wide, i in live_u:
-            groups = {}  # nf -> sum of the group's dilated off words
-            for off, v_op, d_off, j in live_v:
-                nf = (on & off).bit_count()
-                if nf:
-                    groups[nf] = groups.get(nf, 0) + d_off
-                    continue
-                half = on & v_op | op & off
-                quarter = op & v_op
-                nr = 2 * half.bit_count() + quarter.bit_count()
-                if not nr:
-                    _abort(self.trace, "empty-constraint-set", pairs=((i, j),))
-                tiers[nr] = tiers.get(nr, 0) + (_dilate(half, w) << 1 | _dilate(quarter, w))
-            for nf, total in groups.items():
-                tiers[nf] = tiers.get(nf, 0) + (total & wide)
+            groups = [0] * slots  # nf -> sum of the dilated off words
+            for off, d_off in offs:
+                groups[(on & off).bit_count()] += d_off
+            if groups[0]:
+                for off, v_op, _, j in live_v:
+                    if on & off:
+                        continue
+                    half = on & v_op | op & off
+                    quarter = op & v_op
+                    nr = 2 * half.bit_count() + quarter.bit_count()
+                    if not nr:
+                        _abort(self.trace, "empty-constraint-set", pairs=((i, j),))
+                    tiers[nr] = tiers.get(nr, 0) + (_dilate(half, w) << 1 | _dilate(quarter, w))
+            for nf in range(1, slots):
+                if groups[nf]:
+                    tiers[nf] = tiers.get(nf, 0) + (groups[nf] & wide)
         return tiers
 
     def scores(self, codes) -> dict[int, Fraction]:
@@ -224,16 +284,15 @@ class _TermEngine:
         total*2n/scale can neither win nor tie, and only the literals left
         are scored exactly.
         """
-        w, field, codes = self.width, self.field, 2 * self.n
+        codes = 2 * self.n
+        size = codes * self.width // 8
         d = math.lcm(*self.tiers)
-        lead = [0] * codes  # L_c * d, an integer
-        for t, word in self.tiers.items():
-            m = d // t
-            c = 0
-            while word:
-                lead[c] += (word & field) * m
-                word >>= w
-                c += 1
+        multipliers = [d // t for t in self.tiers]
+        fields = [
+            memoryview(word.to_bytes(size, sys.byteorder)).cast(self.format)[_FIELD_ORDER]
+            for word in self.tiers.values()
+        ]
+        lead = [sum(map(mul, column, multipliers)) for column in zip(*fields)]  # L_c * d
         best_lead = max(lead)
         margin = 4 * len(self.live_u) * len(self.live_v) * self.n * d
         shift = self.scale.bit_length() - 1
@@ -328,6 +387,7 @@ def learn(dataset: Dataset, config: LearnerConfig | None = None) -> LearnResult:
     terms: list[Term] = []
     erased: list[Instance] = []
     iterations = 0
+    rows: _RowMasks | None = None
 
     while positives:
         iterations += 1
@@ -339,7 +399,9 @@ def learn(dataset: Dataset, config: LearnerConfig | None = None) -> LearnResult:
         positives = list(work.positives)
         negatives = list(work.negatives)
 
-        term = term_from_codes(n, _TermEngine(positives, negatives, trace).term())
+        if rows is None:
+            rows = _RowMasks(n, len(positives) * len(negatives))
+        term = term_from_codes(n, _TermEngine(positives, negatives, trace, rows).term())
         terms.append(term)
         if trace is not None:
             trace.append(f"TERM {term.render()}")

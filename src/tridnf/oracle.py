@@ -16,14 +16,7 @@ from fractions import Fraction
 from .errors import BudgetExceededError, ConsistencyAbort
 from .formula import DnfFormula, Literal, Term, term_from_codes
 from .learner import LearnResult, _exact
-from .trits import (
-    Dataset,
-    Instance,
-    Trit,
-    check_self_consistency,
-    delete_repetitions,
-    reduce_uncertainty,
-)
+from .trits import Dataset, Instance, Trit, delete_repetitions
 
 
 class Verdict(Enum):
@@ -204,17 +197,69 @@ def _grade(a: Trit, b: Trit, p: int, q: int) -> Fraction:
     return Fraction(0)
 
 
+def _check_self_consistency(d: Dataset) -> tuple[tuple[int, int], ...]:
+    """Spec of ``trits.check_self_consistency``: every pair of certain rows
+    with equal values, as 1-based (i, j), scanned in (i, j) order."""
+    full = (1 << d.n) - 1
+    violations = []
+    for i, u in enumerate(d.positives, start=1):
+        if u.known_bits != full:
+            continue
+        for j, v in enumerate(d.negatives, start=1):
+            if v.known_bits == full and v.value_bits == u.value_bits:
+                violations.append((i, j))
+    return tuple(violations)
+
+
+def _reduce_uncertainty(d: Dataset) -> Dataset:
+    """Spec of ``trits.reduce_uncertainty``, scanning every pair.
+
+    Pairs are scanned in (i, j) order and substitutions apply at once:
+    when u and v are certain and equal everywhere but at one coordinate,
+    where exactly one of them is Unknown, that Unknown takes the negation
+    of the other's cell.  Passes repeat until one makes no substitution.
+    """
+    full = (1 << d.n) - 1
+    pos = list(d.positives)
+    neg = list(d.negatives)
+    changed = True
+    while changed:
+        changed = False
+        for i, u in enumerate(pos):
+            for j in range(len(neg)):
+                v = neg[j]
+                both_known = u.known_bits & v.known_bits
+                if (u.value_bits ^ v.value_bits) & both_known:
+                    continue  # a certain disagreement: rule cannot apply
+                unk_u = ~u.known_bits & full
+                unk_v = ~v.known_bits & full
+                either = unk_u | unk_v
+                if either == 0 or either & (either - 1):
+                    continue  # zero or several uncertain coordinates
+                if unk_u & unk_v:
+                    continue  # both sides unknown at the coordinate
+                k = either.bit_length() - 1
+                if unk_u:
+                    u = u.with_cell(k, v.cell(k).negated)
+                    pos[i] = u
+                else:
+                    neg[j] = v.with_cell(k, u.cell(k).negated)
+                changed = True
+    return Dataset(d.n, tuple(pos), tuple(neg))
+
+
 def reference_learn(d: Dataset) -> LearnResult:
     """Plain reimplementation of ``learn(d, LearnerConfig(trace=True))``.
 
     The whole method, which has no switches, written out with dicts of
-    Fractions: the ``trits`` preprocessing at the start of every outer
-    iteration, every literal graded by the table behind ``membership``,
-    exact relevances with first-max ties, erasure and complement striking,
-    positive erasure and negative updates.  Returns the same LearnResult,
-    trace included, or raises the same ConsistencyAbort.  Shares no code
-    with the learner beyond the preprocessing, the data and formula types,
-    and the trace's number formatting, so the two can check each other.
+    Fractions: the preprocessing at the start of every outer iteration
+    (this module's scans over every pair, and the ``trits`` dedupe), every
+    literal graded by the table behind ``membership``, exact relevances
+    with first-max ties, erasure and complement striking, positive erasure
+    and negative updates.  Returns the same LearnResult, trace included,
+    or raises the same ConsistencyAbort.  Shares no code with the learner
+    beyond the dedupe, the data and formula types, and the trace's number
+    formatting, so the two can check each other.
     """
     n = d.n
     lits = [Literal(False, k) for k in range(1, n + 1)] + [Literal(True, k) for k in range(1, n + 1)]
@@ -231,8 +276,8 @@ def reference_learn(d: Dataset) -> LearnResult:
     iterations = 0
     while positives:
         iterations += 1
-        work = delete_repetitions(reduce_uncertainty(Dataset(n, tuple(positives), tuple(negatives))))
-        clashes = check_self_consistency(work)
+        work = delete_repetitions(_reduce_uncertainty(Dataset(n, tuple(positives), tuple(negatives))))
+        clashes = _check_self_consistency(work)
         if clashes:
             abort("inconsistent-data", pairs=clashes)
         positives, negatives = list(work.positives), list(work.negatives)

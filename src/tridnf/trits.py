@@ -221,21 +221,26 @@ class Dataset:
 
 def check_self_consistency(d: Dataset) -> tuple[tuple[int, int], ...]:
     """Every pair that agrees, with certain equal values, everywhere, as
-    1-based (i, j) over positives x negatives; empty when consistent.
+    1-based (i, j) over positives x negatives, sorted; empty when
+    consistent.
 
     Such a pair has no separating literal: the same fully-certain vector
     appears as both a positive and a negative.  Any Unknown cell (in either
-    instance, at any coordinate) makes a pair separable.
+    instance, at any coordinate) makes a pair separable, so only the
+    certain rows are compared, through the certain positives' value bits.
     """
     full = (1 << d.n) - 1
-    violations = []
+    by_value: dict[int, list[int]] = {}
     for i, u in enumerate(d.positives, start=1):
-        if u.known_bits != full:
-            continue
-        for j, v in enumerate(d.negatives, start=1):
-            if v.known_bits == full and v.value_bits == u.value_bits:
-                violations.append((i, j))
-    return tuple(violations)
+        if u.known_bits == full:
+            by_value.setdefault(u.value_bits, []).append(i)
+    if not by_value:
+        return ()
+    violations = []
+    for j, v in enumerate(d.negatives, start=1):
+        if v.known_bits == full and v.value_bits in by_value:
+            violations += [(i, j) for i in by_value[v.value_bits]]
+    return tuple(sorted(violations))
 
 
 def reduce_uncertainty(d: Dataset) -> Dataset:
@@ -247,15 +252,32 @@ def reduce_uncertainty(d: Dataset) -> Dataset:
     inseparable duplicate).  Pairs are scanned in (i, j) ascending order,
     substitutions apply immediately, and passes repeat until one completes
     with no substitution.
+
+    Such a pair has one row with exactly one Unknown and one row with
+    none, and a substitution leaves a row certain, so rows with two or
+    more Unknowns never take part: the data is returned as it is when no
+    row has exactly one Unknown, and otherwise only the rows with at most
+    one are scanned.
     """
     full = (1 << d.n) - 1
+
+    def few(rows: tuple[Instance, ...]) -> list[int]:
+        """Positions of the rows with at most one Unknown."""
+        return [k for k, inst in enumerate(rows) if not (unk := full & ~inst.known_bits) & (unk - 1)]
+
+    pos_at, neg_at = few(d.positives), few(d.negatives)
+    if all(d.positives[k].known_bits == full for k in pos_at) and all(
+        d.negatives[k].known_bits == full for k in neg_at
+    ):
+        return d
     pos = list(d.positives)
     neg = list(d.negatives)
     changed = True
     while changed:
         changed = False
-        for i, u in enumerate(pos):
-            for j in range(len(neg)):
+        for i in pos_at:
+            u = pos[i]
+            for j in neg_at:
                 v = neg[j]
                 both_known = u.known_bits & v.known_bits
                 if (u.value_bits ^ v.value_bits) & both_known:

@@ -225,6 +225,19 @@ def test_experiment_json_summary(tmp_path, capsys):
     assert payload["summary"][0]["runs"] == 1
 
 
+def test_experiment_runs_a_repeated_seed_once(tmp_path, capsys):
+    report = tmp_path / "sweep.txt"
+    code, stdout, _ = run(
+        capsys, "experiment", "--types", "3", "--modes", "random",
+        "--fractions", "20", "--seeds", "1,1", "--report", str(report),
+    )
+    assert code == 0
+    row = next(line.split() for line in stdout.splitlines() if line.lstrip().startswith("random"))
+    assert row[:3] == ["random", "20%", "1"]
+    assert "runs 1," in report.read_text(encoding="utf-8")
+    assert len((tmp_path / "sweep.csv").read_text(encoding="utf-8").splitlines()) == 2
+
+
 def test_usage_errors_exit_1(tmp_path, capsys):
     masked = tmp_path / "m.csv"
     # fraction above the permitted half

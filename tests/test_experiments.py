@@ -121,3 +121,14 @@ def test_run_experiment_normalizes_selections(zoo_records):
     assert kinds == [1, 4]
     assert fracs == [Fraction(1, 10), Fraction(1, 5)]
     assert len(report.runs) == 4
+
+
+def test_run_experiment_runs_a_repeated_seed_once(zoo_records):
+    # a repeated seed would run its cells twice and count them twice in
+    # AEN and R; seeds keep their order of first appearance
+    kw = dict(types=(3,), fractions=(Fraction(1, 5),), modes=(RANDOM,))
+    report = run_experiment(zoo_records, seeds=(2, 1, 2, 1), **kw)
+    assert [run.seed for run in report.runs] == [2, 1]
+    assert report.summary()[0].runs == 2
+    once = run_experiment(zoo_records, seeds=(2, 1), **kw)
+    assert report.render_text() == once.render_text()

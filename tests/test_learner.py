@@ -351,11 +351,19 @@ def test_a_terms_live_sets_form_a_rectangle():
     # keeps only the rectangle of rows and strikes a pick's complement from
     # each kept positive's open mask, which is sound only if these hold
     rng = random.Random(5)
-    ends = []
+    cases = [
+        # an all-? negative decides no literal, so its dilated off word is
+        # zero and only its sentinel bit shows the kernel a set with nf = 0
+        (["10", "0?"], ["01", "??"]),
+    ]
     for _ in range(300):
         n, p, q = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
         rows = ["".join(rng.choice("01??") for _ in range(n)) for _ in range(p + q)]
-        d = Dataset.from_texts(rows[:p], rows[p:])
+        cases.append((rows[:p], rows[p:]))
+    ends = []
+    for rows in cases:
+        d = Dataset.from_texts(*rows)
+        n, p, q = d.n, d.p, d.q
         lits = [Literal(neg, k) for neg in (False, True) for k in range(1, n + 1)]
         first = {
             (i, j): {c: g for c, lit in enumerate(lits) if (g := oracle.membership(u, v, lit, p, q))}
@@ -407,14 +415,15 @@ def test_a_terms_live_sets_form_a_rectangle():
 
 def test_packed_fields_hold_their_largest_sum():
     # x1 and x2 grade half in each of the p*q sets, which have no full
-    # grade and nr = 4, so their fields of the one tier word hold 2*p*q, a
-    # power of two that needs every bit of the field width; the tie goes
-    # to x1
-    for p, q in ((1, 1), (2, 2), (2, 8), (4, 4), (8, 16)):
+    # grade and nr = 4, so their fields of the one tier word hold 2*p*q;
+    # the field width is the narrowest of 8, 16, 32 and 64 bits that holds
+    # it, and 2*p*q = 128, 2^15 and 2^17 fill a field to its top bit or
+    # spill into the next width; the tie goes to x1
+    for p, q in ((1, 1), (2, 2), (8, 8), (8, 16), (128, 128), (256, 256)):
         d = Dataset.from_texts(["11"] * p, ["??"] * q)
         trace: list[str] = []
         engine = _TermEngine(list(d.positives), list(d.negatives), trace)
-        assert (2 * p * q).bit_length() == engine.width
+        assert engine.width == min(w for w in (8, 16, 32, 64) if 2 * p * q < 1 << w)
         assert engine.tiers == {4: 2 * p * q * (1 + (1 << engine.width))}
         assert engine.select() == 0
         assert _traced_relevance(trace) == Fraction(1, 2)
@@ -433,7 +442,8 @@ def test_dilate_equals_its_string_definition():
 
 
 def test_no_negatives_learn_the_empty_term():
-    # q = 0 gives field width 0; no pair is graded and the one term is empty
+    # q = 0 gives the narrowest field width, 8 bits; no pair is graded and
+    # the one term is empty
     for rows in (["10"], ["1?", "01"], ["???"]):
         result = learn(Dataset.from_texts(rows, []), TRACED)
         assert result.formula.render() == "TRUE"

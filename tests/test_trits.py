@@ -1,6 +1,10 @@
 """Ternary cells, instances, datasets, and the preprocessing passes."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tridnf import (
     Dataset,
@@ -10,6 +14,7 @@ from tridnf import (
     Trit,
     check_self_consistency,
     delete_repetitions,
+    oracle,
     reduce_uncertainty,
 )
 
@@ -129,3 +134,60 @@ def test_check_self_consistency_ignores_uncertain_collisions():
     # '1?' could complete to '10' but is not a certain duplicate
     d = Dataset.from_texts(["1?"], ["10"])
     assert check_self_consistency(d) == ()
+
+
+def test_reduce_uncertainty_repeats_passes_until_none_fills():
+    # pass 1 skips (1, 1), where both rows hold an Unknown, then fills v1
+    # from u2; with v1 certain, pass 2 fills u1 from it
+    d = Dataset.from_texts(["1?", "01"], ["?1"])
+    for reduce in (reduce_uncertainty, oracle._reduce_uncertainty):
+        g = reduce(d)
+        assert [i.text for i in g.positives] == ["10", "01"]
+        assert [i.text for i in g.negatives] == ["11"]
+
+
+def _preprocessed(d):
+    """Both preprocessing passes, fast and spec, each also checked on the
+    reduced data, where learn runs the check."""
+    fast = reduce_uncertainty(d)
+    spec = oracle._reduce_uncertainty(d)
+    return (
+        (fast, check_self_consistency(d), check_self_consistency(fast)),
+        (spec, oracle._check_self_consistency(d), oracle._check_self_consistency(spec)),
+    )
+
+
+# Unknowns scarce enough that rows with exactly one are common, which is
+# when reduction fills a cell, and zeros common enough that certain rows
+# collide across the classes
+_ALPHABETS = ("01?", "0001?", "000001?")
+
+
+def test_preprocessing_equals_its_spec_on_random_data():
+    rng = random.Random(4)
+    filled = clashes = 0
+    for _ in range(3000):
+        n, p, q = rng.randint(1, 5), rng.randint(1, 6), rng.randint(0, 6)
+        alphabet = rng.choice(_ALPHABETS)
+        rows = ["".join(rng.choice(alphabet) for _ in range(n)) for _ in range(p + q)]
+        d = Dataset.from_texts(rows[:p], rows[p:])
+        fast, spec = _preprocessed(d)
+        assert fast == spec, (rows[:p], rows[p:])
+        filled += fast[0] != d
+        clashes += bool(fast[2])
+    assert filled > 1000 and clashes > 1000, (filled, clashes)
+
+
+@st.composite
+def _drawn_rows(draw):
+    n = draw(st.integers(1, 5))
+    cell = st.sampled_from(draw(st.sampled_from(_ALPHABETS)))
+    row = st.lists(cell, min_size=n, max_size=n).map("".join)
+    return draw(st.lists(row, min_size=1, max_size=6)), draw(st.lists(row, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_drawn_rows())
+def test_preprocessing_equals_its_spec_on_drawn_data(rows):
+    fast, spec = _preprocessed(Dataset.from_texts(*rows))
+    assert fast == spec
