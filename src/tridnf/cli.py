@@ -35,7 +35,7 @@ from .errors import (
 from .experiments import evaluate, run_experiment
 from .formula import DnfFormula, parse_formula
 from .learner import LearnerConfig, learn
-from .masking import RANDOM, TRUSTWORTHY, apply_mask, make_mask
+from .masking import MASK64, RANDOM, TRUSTWORTHY, apply_mask, make_mask
 from .oracle import Verdict, minimal_dnf_exhaustive, verify_consistency
 from .trits import Dataset, Label
 
@@ -72,8 +72,50 @@ def _parse_fraction(token: str) -> Fraction:
     return value
 
 
+def _int_in(low: int, high: int | None = None, span: str = ""):
+    """An argparse type: a decimal integer in [low, high), described by
+    span, or at least low when high is None.  argparse names the flag in
+    the error (exit 1)."""
+    span = span or f"at least {low}"
+
+    def parse(token: str) -> int:
+        try:
+            value = int(token)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {token!r}") from None
+        if value < low or high is not None and value >= high:
+            raise argparse.ArgumentTypeError(f"must be {span}, got {value}")
+        return value
+
+    return parse
+
+
+def _list_of(parse_entry):
+    """An argparse type: comma-separated entries, each read by parse_entry."""
+
+    def parse(text: str) -> list:
+        entries = []
+        for k, token in enumerate(text.split(","), 1):
+            try:
+                entries.append(parse_entry(token))
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise argparse.ArgumentTypeError(f"entry {k} of {text!r}: {exc}") from None
+        return entries
+
+    return parse
+
+
+_seed = _int_in(0, MASK64 + 1, "in [0, 2^64)")  # make_mask's range
+_type = _int_in(1, 8, "1..7")
+_type_list = _list_of(_type)
+
+
+def _types(text: str) -> list[int]:
+    return list(range(1, 8)) if text == "all" else _type_list(text)
+
+
 def _legs_order(args) -> tuple[int, ...]:
-    raw = getattr(args, "encoding", None)
+    raw = args.encoding
     if not raw:
         return DEFAULT_LEGS_ORDER
     try:
@@ -85,17 +127,21 @@ def _legs_order(args) -> tuple[int, ...]:
 
 def _load_dataset(args) -> Dataset:
     if args.format == "zoo":
-        if getattr(args, "positive_type", None) is None:
+        if args.positive_type is None:
             raise ValueError("--positive-type is required with --format zoo")
+        if args.positive_label is not None:
+            raise ValueError("--positive-label applies only to --format csv")
         path = args.input or bundled_zoo_path()
         records = load_zoo(path)
         return encode_zoo(records, args.positive_type, _legs_order(args))
     if args.input is None:
         raise ValueError("--input is required with --format csv")
-    if getattr(args, "positive_type", None) is not None:
+    if args.positive_type is not None:
         raise ValueError("--positive-type applies only to --format zoo")
+    if args.encoding is not None:
+        raise ValueError("--encoding applies only to --format zoo")
     dataset = load_ternary_csv(args.input)
-    if getattr(args, "positive_label", "+") == "-":
+    if args.positive_label == "-":
         dataset = Dataset(
             n=dataset.n,
             positives=tuple(replace(i, label=Label.POSITIVE) for i in dataset.negatives),
@@ -219,24 +265,16 @@ def cmd_eval(args) -> int:
 
 def cmd_experiment(args) -> int:
     records = load_zoo(args.dataset or bundled_zoo_path())
-    if args.types == "all":
-        types = list(range(1, 8))
-    else:
-        types = [int(tok) for tok in args.types.split(",")]
-        if any(not 1 <= t <= 7 for t in types):
-            raise ValueError("--types entries must be 1..7")
-    fractions = [_parse_fraction(tok) for tok in args.fractions.split(",")]
     modes = [tok.strip() for tok in args.modes.split(",")]
     for mode in modes:
         if mode not in (RANDOM, TRUSTWORTHY):
             raise ValueError(f"unknown mode {mode!r}")
-    seeds = [int(tok) for tok in args.seeds.split(",")]
     report = run_experiment(
         records,
-        types,
-        fractions,
+        args.types,
+        args.fractions,
         modes,
-        seeds,
+        args.seeds,
         legs_order=_legs_order(args),
     )
     report_path = Path(args.report)
@@ -317,12 +355,11 @@ def cmd_verify(args) -> int:
 def _add_dataset_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--input", help="data file (defaults to the bundled animal data for --format zoo)")
     sub.add_argument("--format", choices=["zoo", "csv"], required=True)
-    sub.add_argument("--positive-type", type=int, help="class code 1..7 (zoo format)")
+    sub.add_argument("--positive-type", type=_type, help="class code 1..7 (zoo format)")
     sub.add_argument(
         "--positive-label",
         choices=["+", "-"],
-        default="+",
-        help="which CSV label counts as positive (csv format)",
+        help="which CSV label counts as positive, + by default (csv format)",
     )
     sub.add_argument(
         "--encoding",
@@ -345,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_arguments(mask_p)
     mask_p.add_argument("--mode", choices=[RANDOM, TRUSTWORTHY], required=True)
     mask_p.add_argument("--fraction", required=True, help="share of cells to blank, at most 1/2")
-    mask_p.add_argument("--seed", type=int, required=True)
+    mask_p.add_argument("--seed", type=_seed, required=True, help="integer in [0, 2^64)")
     mask_p.add_argument("--truth", help="reference formula (text or file); required for trustworthy mode")
     mask_p.add_argument("--output", required=True, help="masked dataset (ternary CSV)")
     mask_p.add_argument("--json", action="store_true")
@@ -359,10 +396,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     exp_p = subparsers.add_parser("experiment", help="run the masking sweep and write report tables")
     exp_p.add_argument("--dataset", help="animal data file (defaults to the bundled copy)")
-    exp_p.add_argument("--types", default="all", help="'all' or comma-separated class codes")
-    exp_p.add_argument("--fractions", default="0,10,20,30,40,50")
+    exp_p.add_argument("--types", type=_types, default="all", help="'all' or comma-separated class codes 1..7")
+    exp_p.add_argument("--fractions", type=_list_of(_parse_fraction), default="0,10,20,30,40,50")
     exp_p.add_argument("--modes", default="random,trustworthy")
-    exp_p.add_argument("--seeds", default="1,2")
+    exp_p.add_argument("--seeds", type=_list_of(_seed), default="1,2", help="integers in [0, 2^64)")
     exp_p.add_argument("--report", required=True, help="report text file (a CSV sibling is written too)")
     exp_p.add_argument("--encoding", help="leg-count order for x13..x17")
     exp_p.add_argument("--json", action="store_true")
@@ -372,8 +409,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument("--formula", required=True)
     _add_dataset_arguments(verify_p)
     verify_p.add_argument("--exhaustive-min", action="store_true", help="also search for a smallest consistent formula")
-    verify_p.add_argument("--max-literals", type=int, default=12)
-    verify_p.add_argument("--budget", type=int, default=1 << 24, help="completion-enumeration cap per instance")
+    verify_p.add_argument("--max-literals", type=_int_in(0), default=12)
+    verify_p.add_argument(
+        "--budget", type=_int_in(1), default=1 << 24, help="completion-enumeration cap per instance, at least 1"
+    )
     verify_p.add_argument("--json", action="store_true")
     verify_p.set_defaults(func=cmd_verify)
     return parser

@@ -28,9 +28,11 @@ Only literals whose tier is that close to the best are scored exactly,
 from the rows.  The winner (ties broken by literal code: x1..xn then
 ~x1..~xn) is provably the same literal exact arithmetic would pick.
 
-A row's packed masks are made once per learn (``_RowMasks``), so an
-outer iteration sets up only the rows that reduction or a negative
-update has changed since an earlier one.
+One ``_TermEngine`` serves a whole learn.  It fixes the field width
+from the input's pair count, which bounds every later iteration's, and
+makes a row's packed masks once, so an outer iteration sets up only the
+rows that reduction or a negative update has changed since an earlier
+one.
 """
 from __future__ import annotations
 
@@ -86,19 +88,6 @@ def _abort(trace: list[str] | None, reason: str, **details) -> None:
     raise ConsistencyAbort(reason, **details)
 
 
-def _row_masks(inst: Instance, negative: bool) -> tuple[int, int]:
-    """The literals a row decides and the literals it leaves open.
-
-    Literal code c (x1..xn, then ~x1..~xn) owns bit c of each mask.  A
-    positive row decides the literals its certain cells make true, a
-    negative row those its certain cells make false; an Unknown cell
-    leaves both signs of its variable open.
-    """
-    n = inst.n
-    decided = inst.zeros | inst.ones << n if negative else inst.ones | inst.zeros << n
-    return decided, inst.unknowns | inst.unknowns << n
-
-
 _BYTE_DILATIONS: dict[int, tuple[int, ...]] = {}  # width -> each byte value dilated
 
 
@@ -124,51 +113,11 @@ _FIELD_FORMATS = {struct.calcsize(code) * 8: code for code in "QLIHB"}
 _FIELD_ORDER = slice(None, None, -1 if sys.byteorder == "big" else 1)
 
 
-class _RowMasks:
-    """Each distinct row's literal masks, made once per learn.
-
-    Rows are keyed by ``(value_bits, known_bits)`` per class; a row that
-    reduction or a negative update edits is a new key.  The field width W
-    is the narrowest of 8, 16, 32 and 64 bits that holds 2*pairs, fixed
-    from the first outer iteration's p*q: later iterations only erase,
-    dedupe or fill rows, so their p*q is never larger.
-    """
-
-    def __init__(self, n: int, pairs: int):
-        w = next((w for w in (8, 16, 32, 64) if not 2 * pairs >> w), None)
-        if w is None:
-            raise OverflowError(f"{pairs} constraint sets overflow a 64-bit field")
-        if w not in _FIELD_FORMATS:
-            raise RuntimeError(f"no native {w}-bit unsigned format for memoryview.cast")
-        self.width, self.format = w, _FIELD_FORMATS[w]
-        self.field = (1 << w) - 1
-        self.sentinel = 1 << 2 * n * w
-        # per class, positives first: (value_bits, known_bits) -> masks
-        self.masks: tuple[dict, dict] = ({}, {})
-
-    def live(self, instances, negative: bool) -> list[tuple[int, int, int, int]]:
-        """The rows a term opens on: positives as (on, open, wide, i),
-        wide being on dilated with each bit widened to its field, and
-        negatives as (off, open, dilated off, j), the dilated word with a
-        sentinel bit above every field; i and j count from 1."""
-        cache = self.masks[negative]
-        live = []
-        for k, inst in enumerate(instances, 1):
-            key = (inst.value_bits, inst.known_bits)
-            masks = cache.get(key)
-            if masks is None:
-                decided, op = _row_masks(inst, negative)
-                dilated = _dilate(decided, self.width)
-                dilated = dilated | self.sentinel if negative else dilated * self.field
-                masks = cache[key] = (decided, op, dilated)
-            live.append((*masks, k))
-        return live
-
-
 class _TermEngine:
-    """Scoring and erasure state of one term, opened on one outer
-    iteration's working rows.  p, q, the grade scale 2^(p+q+1) and the
-    norm p*q are set there and do not drift as sets are erased mid-term.
+    """Scoring and erasure state of one learn, opened once per term on
+    that outer iteration's working rows.  ``open`` sets p, q, the grade
+    scale 2^(p+q+1) and the norm p*q, which do not drift as sets are
+    erased mid-term.
 
     Set (u, v) grades literal c full when u decides c true and v decides
     it false, half when one of them leaves c open and the other decides it
@@ -177,13 +126,15 @@ class _TermEngine:
     scale*nf + nr and literal c's scaled grade is scale, 2 or 1.
 
     A term's state is its rectangle: ``live_u`` and ``live_v`` list the
-    live rows in position order, u as (on, open, wide, i) and v as (off,
-    open, dilated off, j), from ``_RowMasks``.  ``learn`` passes the one it
-    keeps for the whole run; an engine opened without one makes its own.
-    i and j are the 1-based positions by which trace lines and aborts name
-    a pair.  Live set (u, v) is the set of the two rows, and a struck
-    complement is cleared from u's open mask, since every live v decides
-    it false.  Rows need not be distinct.
+    live rows in position order, u as (on, open, wide, i), wide being on
+    dilated with each bit widened to its field, and v as (off, open,
+    dilated off, j).  i and j are the 1-based positions by which trace
+    lines and aborts name a pair.  Live set (u, v) is the set of the
+    two rows, and a struck complement is cleared from u's open mask, since
+    every live v decides it false.  Rows need not be distinct.  A row's
+    masks are made once per learn and kept per class under its
+    ``(value_bits, known_bits)``; a row that reduction or a negative
+    update edits is a new key.
 
     ``tiers`` maps each tier denominator to a packed word in which literal
     c owns the W-bit field at bit c*W: the full-grade indicators of the
@@ -191,25 +142,53 @@ class _TermEngine:
     per quarter) of the sets with nf = 0 summed by nr.  A set adds at most
     2 to a field and there are at most p*q sets, so no field carries into
     the next.  W is the narrowest of 8, 16, 32 and 64 bits that holds
-    2*p*q, a whole number of bytes, so ``select`` reads a word's fields
-    with one ``memoryview.cast``.  A v row's dilated off word also carries
-    a sentinel bit above all 2n fields, so that ``_sum`` sees every v with
+    2*pairs, a whole number of bytes, so ``select`` reads a word's fields
+    with one ``memoryview.cast``.  ``learn`` passes the input's p*q as
+    ``pairs``: later iterations only erase, dedupe or fill rows, so no
+    term's p*q is larger.  A v row's dilated off word also carries a
+    sentinel bit above all 2n fields, so that ``_sum`` sees every v with
     nf = 0, even one whose cells are all Unknown and whose off mask is 0.
     """
 
-    def __init__(
-        self, positives, negatives, trace: list[str] | None, rows: _RowMasks | None = None
-    ):
+    def __init__(self, n: int, pairs: int, trace: list[str] | None):
+        w = next((w for w in (8, 16, 32, 64) if not 2 * pairs >> w), None)
+        if w is None:
+            raise OverflowError(f"{pairs} constraint sets overflow a 64-bit field")
+        if w not in _FIELD_FORMATS:
+            raise RuntimeError(f"no native {w}-bit unsigned format for memoryview.cast")
+        self.n, self.trace = n, trace
+        self.width, self.format = w, _FIELD_FORMATS[w]
+        self.field = (1 << w) - 1
+        self.sentinel = 1 << 2 * n * w
+        # per class, positives first: (value_bits, known_bits) -> masks
+        self.masks: tuple[dict, dict] = ({}, {})
+
+    def _live(self, instances, negative: bool) -> list[tuple[int, int, int, int]]:
+        """The rows a term opens on, in the shape of ``live_u`` or ``live_v``."""
+        cache, n = self.masks[negative], self.n
+        live = []
+        for k, inst in enumerate(instances, 1):
+            key = (inst.value_bits, inst.known_bits)
+            masks = cache.get(key)
+            if masks is None:
+                # literal code c (x1..xn, then ~x1..~xn) owns bit c: a
+                # positive decides the literals its certain cells make
+                # true, a negative those they make false, and an Unknown
+                # cell leaves both signs of its variable open
+                decided = inst.zeros | inst.ones << n if negative else inst.ones | inst.zeros << n
+                dilated = _dilate(decided, self.width)
+                dilated = dilated | self.sentinel if negative else dilated * self.field
+                masks = cache[key] = (decided, inst.unknowns | inst.unknowns << n, dilated)
+            live.append((*masks, k))
+        return live
+
+    def open(self, positives, negatives) -> None:
+        """Start a term on an outer iteration's working rows."""
         p, q = len(positives), len(negatives)
-        self.n = positives[0].n
         self.norm = p * q
         self.scale = 1 << (p + q + 1)
-        if rows is None:
-            rows = _RowMasks(self.n, p * q)
-        self.width, self.format, self.field = rows.width, rows.format, rows.field
-        self.trace = trace
-        self.live_u = rows.live(positives, False)
-        self.live_v = rows.live(negatives, True)
+        self.live_u = self._live(positives, False)
+        self.live_v = self._live(negatives, True)
         self.tiers = self._sum(self.live_u, self.live_v)
 
     def _sum(self, live_u, live_v) -> dict[int, int]:
@@ -330,8 +309,10 @@ class _TermEngine:
         self.tiers = self._sum(live_u, live_v)
         self.live_u, self.live_v = live_u, live_v
 
-    def term(self) -> list[int]:
-        """Select and apply literals until no v row is live; the picked codes."""
+    def term(self, positives, negatives) -> list[int]:
+        """Open a term, then select and apply literals until no v row is
+        live; the picked codes."""
+        self.open(positives, negatives)
         codes: list[int] = []
         while self.live_v:
             codes.append(self.select())
@@ -387,7 +368,7 @@ def learn(dataset: Dataset, config: LearnerConfig | None = None) -> LearnResult:
     terms: list[Term] = []
     erased: list[Instance] = []
     iterations = 0
-    rows: _RowMasks | None = None
+    engine = _TermEngine(n, len(positives) * len(negatives), trace)
 
     while positives:
         iterations += 1
@@ -399,9 +380,7 @@ def learn(dataset: Dataset, config: LearnerConfig | None = None) -> LearnResult:
         positives = list(work.positives)
         negatives = list(work.negatives)
 
-        if rows is None:
-            rows = _RowMasks(n, len(positives) * len(negatives))
-        term = term_from_codes(n, _TermEngine(positives, negatives, trace, rows).term())
+        term = term_from_codes(n, engine.term(positives, negatives))
         terms.append(term)
         if trace is not None:
             trace.append(f"TERM {term.render()}")

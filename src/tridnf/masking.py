@@ -85,7 +85,8 @@ def make_mask(
     seed: int,
     truth: DnfFormula | None = None,
 ) -> MaskPlan:
-    """Plan a blanking of round(fraction * cell count) cells.
+    """Plan a blanking of round(fraction * cell count) cells; ``seed``
+    is an integer in [0, 2^64).
 
     Random mode draws from every cell; trustworthy mode draws only from
     columns whose variable does not occur in ``truth``, capping at the
@@ -93,6 +94,9 @@ def make_mask(
     """
     if mode not in (RANDOM, TRUSTWORTHY):
         raise ValueError(f"mode must be '{RANDOM}' or '{TRUSTWORTHY}', got {mode!r}")
+    if not 0 <= seed <= MASK64:
+        # SplitMix64 keeps the low 64 bits, so a wider seed would alias
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
     value = _coerce_fraction(fraction)
     rows = dataset.p + dataset.q
     total = rows * dataset.n

@@ -52,9 +52,9 @@ def without_safeguards(d: Dataset) -> DnfFormula:
     """The term loop of ``learn`` with no uncertainty reduction, no dedupe,
     no consistency check and no negative updates."""
     positives, terms = list(d.positives), []
+    engine = _TermEngine(d.n, d.p * d.q, None)
     while positives:
-        engine = _TermEngine(positives, list(d.negatives), None)
-        terms.append(term_from_codes(d.n, engine.term()))
+        terms.append(term_from_codes(d.n, engine.term(positives, list(d.negatives))))
         kept = [u for u in positives if not terms[-1].possibly_satisfied_by(u)]
         assert len(kept) < len(positives), terms[-1].render()
         positives = kept

@@ -251,7 +251,8 @@ def test_criterion_8_exact_arithmetic_oracle():
             tuple(Instance.from_cells(v, Label.NEGATIVE, f"v{j + 1}") for j, v in enumerate(Q)),
         )
         trace: list[str] = []
-        engine = _TermEngine(list(d.positives), list(d.negatives), trace)
+        engine = _TermEngine(n, p * q, trace)
+        engine.open(list(d.positives), list(d.negatives))
         w, field = engine.width, engine.field
         exact = engine.scores(range(2 * n))
         scores = {}

@@ -406,3 +406,94 @@ def test_custom_encoding_changes_columns(tmp_path, capsys):
     assert code == 0
     # six legs moves from x14 to x16 under the reversed order
     assert stdout.splitlines()[0] == "f* = x16 x10"
+
+
+def refused(capsys, *argv):
+    """Exit code and stderr of a run that the parser or the command refuses."""
+    try:
+        code = main(list(argv))
+    except SystemExit as stop:
+        code = stop.code
+    return code, capsys.readouterr().err
+
+
+def _dataset_command(command, tmp_path, *data):
+    formula = tmp_path / "f.txt"
+    formula.write_text("x1\n", encoding="utf-8")
+    return {
+        "learn": ("learn", *data, "--output", str(formula)),
+        "mask": ("mask", *data, "--mode", "random", "--fraction", "10%", "--seed", "1",
+                 "--output", str(tmp_path / "m.csv")),
+        "eval": ("eval", "--formula", str(formula), *data),
+        "verify": ("verify", "--formula", str(formula), *data),
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["learn", "mask", "eval", "verify"])
+def test_dataset_flags_of_the_other_format_are_refused(tmp_path, capsys, command):
+    data = tmp_path / "rows.csv"
+    save_ternary_csv(Dataset.from_texts(["11"], ["00"]), data)
+    argv = _dataset_command(
+        command, tmp_path, "--format", "zoo", "--positive-type", "1", "--positive-label", "-"
+    )
+    code, err = refused(capsys, *argv)
+    assert code == 1 and "--positive-label" in err
+    argv = _dataset_command(
+        command, tmp_path, "--format", "csv", "--input", str(data), "--encoding", "9,9"
+    )
+    code, err = refused(capsys, *argv)
+    assert code == 1 and "--encoding" in err
+
+
+def test_seeds_outside_64_bits_are_refused(tmp_path, capsys):
+    # SplitMix64 keeps a seed's low 64 bits, so these would alias 0 and 1
+    for seed in ("18446744073709551616", "-1"):
+        code, err = refused(
+            capsys, "mask", "--format", "zoo", "--positive-type", "1", "--mode", "random",
+            "--fraction", "10%", "--seed", seed, "--output", str(tmp_path / "m.csv"),
+        )
+        assert code == 1 and "--seed" in err and "2^64" in err
+    code, err = refused(
+        capsys, "experiment", "--types", "3", "--fractions", "20", "--modes", "random",
+        "--seeds", "1,18446744073709551617", "--report", str(tmp_path / "r.txt"),
+    )
+    assert code == 1 and "--seeds" in err
+    code, _, _ = run(
+        capsys, "mask", "--format", "zoo", "--positive-type", "1", "--mode", "random",
+        "--fraction", "10%", "--seed", "18446744073709551615", "--output", str(tmp_path / "m.csv"),
+    )
+    assert code == 0
+
+
+def test_verify_refuses_a_budget_below_1(tmp_path, capsys):
+    # certain data never reads the budget, so only the flag check can refuse it
+    data = tmp_path / "rows.csv"
+    save_ternary_csv(Dataset.from_texts(["11"], ["00"]), data)
+    f = tmp_path / "f.txt"
+    f.write_text("x1\n", encoding="utf-8")
+    for budget in ("-1", "0"):
+        code, err = refused(
+            capsys, "verify", "--formula", str(f), "--format", "csv", "--input", str(data),
+            "--budget", budget,
+        )
+        assert code == 1 and "--budget" in err
+
+
+def test_verify_refuses_a_negative_literal_limit(tmp_path, capsys):
+    data = tmp_path / "rows.csv"
+    save_ternary_csv(Dataset.from_texts(["11"], ["00"]), data)
+    f = tmp_path / "f.txt"
+    f.write_text("x1\n", encoding="utf-8")
+    code, err = refused(
+        capsys, "verify", "--formula", str(f), "--format", "csv", "--input", str(data),
+        "--exhaustive-min", "--max-literals", "-1",
+    )
+    assert code == 1 and "--max-literals" in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--types", "3,"), ("--seeds", "1,"), ("--fractions", "10,,20"), ("--types", "8"),
+])
+def test_experiment_list_errors_name_the_flag(tmp_path, capsys, flag, value):
+    code, err = refused(capsys, "experiment", flag, value, "--report", str(tmp_path / "r.txt"))
+    assert code == 1 and f"argument {flag}:" in err

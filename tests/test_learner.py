@@ -161,11 +161,44 @@ def test_update_can_reveal_inconsistency(monkeypatch):
     assert err.value.reason == "inconsistent-data"
     assert err.value.pairs == ((2, 1),)
 
+    # with reduction off in both learners, each aborts right after the
+    # update, in the check it keeps for that case
     monkeypatch.setattr(learner, "reduce_uncertainty", lambda w: w)
+    monkeypatch.setattr(oracle, "_reduce_uncertainty", lambda w: w)
     with pytest.raises(ConsistencyAbort) as err:
         learn(d, TRACED)
     assert err.value.reason == "inconsistent-data"
     assert err.value.trace[-2:] == ("NEG_UPDATE v1 2 0", "ABORT inconsistent-data")
+    assert _outcome(reference_learn, d) == _outcome(_traced_learn, d)
+
+    # the smallest such case: x1 erases u2, and v1 then pins its one
+    # Unknown to u1's value
+    d = Dataset.from_texts(["0", "1"], ["?"])
+    trace = (
+        "SELECT x1 R=1/2", "ERASE_GROUP 1", "ERASE_SET 2 1", "TERM x1",
+        "POS_ERASED u2", "NEG_UPDATE v1 1 0", "ABORT inconsistent-data",
+    )
+    for run in (_traced_learn, reference_learn):
+        assert _outcome(run, d) == ("inconsistent-data", ((1, 1),), "", "", trace)
+
+
+def test_learners_agree_on_update_time_aborts_without_reduction(monkeypatch):
+    # reduction finds every collision an update could make, so neither
+    # update-time check fires with it on; with it off, small dense data
+    # reaches them often, and the two learners must still agree
+    monkeypatch.setattr(learner, "reduce_uncertainty", lambda w: w)
+    monkeypatch.setattr(oracle, "_reduce_uncertainty", lambda w: w)
+    rng = random.Random(3)
+    reached = 0
+    for _ in range(2000):
+        n, p, q = rng.randint(1, 4), rng.randint(1, 4), rng.randint(0, 4)
+        rows = ["".join(rng.choice("01?") for _ in range(n)) for _ in range(p + q)]
+        d = Dataset.from_texts(rows[:p], rows[p:])
+        got = _outcome(_traced_learn, d)
+        assert got == _outcome(reference_learn, d), (rows[:p], rows[p:])
+        if isinstance(got, tuple) and got[0] == "inconsistent-data":
+            reached += len(got[4]) > 1 and got[4][-2].startswith("NEG_UPDATE")
+    assert reached > 20, reached
 
 
 def test_iterations_never_exceed_positive_count():
@@ -371,7 +404,8 @@ def test_a_terms_live_sets_form_a_rectangle():
         }
         if not all(first.values()):
             continue  # equal certain rows, which the consistency check rejects
-        engine = _TermEngine(list(d.positives), list(d.negatives), None)
+        engine = _TermEngine(n, p * q, None)
+        engine.open(list(d.positives), list(d.negatives))
         sets, picks = first, []
         while sets and all(sets.values()):
             assert _engine_tiers(engine) == _leading_tiers(sets.values(), n), rows
@@ -422,7 +456,8 @@ def test_packed_fields_hold_their_largest_sum():
     for p, q in ((1, 1), (2, 2), (8, 8), (8, 16), (128, 128), (256, 256)):
         d = Dataset.from_texts(["11"] * p, ["??"] * q)
         trace: list[str] = []
-        engine = _TermEngine(list(d.positives), list(d.negatives), trace)
+        engine = _TermEngine(d.n, p * q, trace)
+        engine.open(list(d.positives), list(d.negatives))
         assert engine.width == min(w for w in (8, 16, 32, 64) if 2 * p * q < 1 << w)
         assert engine.tiers == {4: 2 * p * q * (1 + (1 << engine.width))}
         assert engine.select() == 0

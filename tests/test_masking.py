@@ -139,6 +139,15 @@ def test_unknown_mode_is_rejected():
         make_mask(d, "adversarial", Fraction(1, 4), seed=0)
 
 
+def test_seeds_outside_64_bits_are_rejected():
+    # SplitMix64 keeps the low 64 bits, so these would plan as seeds 0 and 1
+    d = Dataset.from_texts(["10"], ["01"])
+    for bad in (-1, 1 << 64, (1 << 64) + 1):
+        with pytest.raises(ValueError, match="seed"):
+            make_mask(d, RANDOM, Fraction(1, 4), seed=bad)
+    make_mask(d, RANDOM, Fraction(1, 4), seed=(1 << 64) - 1)
+
+
 # --- the cell-by-cell definitions the masking module must agree with ---
 
 
