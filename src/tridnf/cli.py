@@ -53,22 +53,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _parse_fraction(token: str) -> Fraction:
-    """Accept 0.1, 1/10, 10%, or a bare percentage like 10 (values above 1
-    are read as percentages).  Exponent notation is refused: Fraction
-    would build 10^|exponent|, which for 1e-99999999 does not finish."""
-    text = str(token).strip()
+def _fraction(token: str) -> Fraction:
+    """An argparse type: a masking fraction in [0, 1/2], written 0.1,
+    1/10, 10% or a bare percentage like 10 (values above 1 are read as
+    percentages).  Exponent notation is refused: Fraction would build
+    10^|exponent|, which for 1e-99999999 does not finish."""
+    text = token.strip()
     percent = text.endswith("%")
     if percent:
         text = text[:-1].strip()
     if "e" in text or "E" in text:
-        raise ValueError(f"cannot parse fraction {token!r}")
+        raise argparse.ArgumentTypeError(f"cannot parse fraction {token!r}")
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"cannot parse fraction {token!r}") from None
+        raise argparse.ArgumentTypeError(f"cannot parse fraction {token!r}") from None
     if percent or value > 1:
         value /= 100
+    if not 0 <= value <= Fraction(1, 2):
+        raise argparse.ArgumentTypeError(f"must be in [0, 1/2], got {token!r}")
     return value
 
 
@@ -114,14 +117,21 @@ def _types(text: str) -> list[int]:
     return list(range(1, 8)) if text == "all" else _type_list(text)
 
 
-def _legs_order(args) -> tuple[int, ...]:
-    raw = args.encoding
-    if not raw:
-        return DEFAULT_LEGS_ORDER
+def _mode(token: str) -> str:
+    mode = token.strip()
+    if mode not in (RANDOM, TRUSTWORTHY):
+        raise ValueError(f"unknown mode {token!r}")
+    return mode
+
+
+def _encoding(text: str) -> tuple[int, ...]:
+    """An argparse type: a permutation of the leg counts 2, 4, 5, 6 and 8."""
     try:
-        order = tuple(int(tok) for tok in raw.split(","))
+        order = tuple(int(token) for token in text.split(","))
     except ValueError:
-        raise ValueError(f"--encoding must be five comma-separated leg counts, got {raw!r}") from None
+        order = ()
+    if sorted(order) != sorted(DEFAULT_LEGS_ORDER):
+        raise argparse.ArgumentTypeError(f"must be a permutation of 2,4,5,6,8, got {text!r}")
     return order
 
 
@@ -133,7 +143,7 @@ def _load_dataset(args) -> Dataset:
             raise ValueError("--positive-label applies only to --format csv")
         path = args.input or bundled_zoo_path()
         records = load_zoo(path)
-        return encode_zoo(records, args.positive_type, _legs_order(args))
+        return encode_zoo(records, args.positive_type, args.encoding or DEFAULT_LEGS_ORDER)
     if args.input is None:
         raise ValueError("--input is required with --format csv")
     if args.positive_type is not None:
@@ -224,7 +234,7 @@ def cmd_mask(args) -> int:
         raise ValueError("--truth is required for trustworthy masking")
     if truth is not None:
         truth = _fit_width(truth, dataset.n)
-    plan = make_mask(dataset, args.mode, _parse_fraction(args.fraction), args.seed, truth)
+    plan = make_mask(dataset, args.mode, args.fraction, args.seed, truth)
     masked = apply_mask(dataset, plan)
     save_ternary_csv(masked, args.output)
     if args.json:
@@ -265,17 +275,13 @@ def cmd_eval(args) -> int:
 
 def cmd_experiment(args) -> int:
     records = load_zoo(args.dataset or bundled_zoo_path())
-    modes = [tok.strip() for tok in args.modes.split(",")]
-    for mode in modes:
-        if mode not in (RANDOM, TRUSTWORTHY):
-            raise ValueError(f"unknown mode {mode!r}")
     report = run_experiment(
         records,
         args.types,
         args.fractions,
-        modes,
+        args.modes,
         args.seeds,
-        legs_order=_legs_order(args),
+        legs_order=args.encoding,
     )
     report_path = Path(args.report)
     report_path.write_text(report.render_text(), encoding="utf-8")
@@ -363,6 +369,7 @@ def _add_dataset_arguments(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--encoding",
+        type=_encoding,
         help="leg-count order for x13..x17, e.g. 8,6,5,4,2 (zoo format)",
     )
 
@@ -381,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     mask_p = subparsers.add_parser("mask", help="blank cells of a dataset")
     _add_dataset_arguments(mask_p)
     mask_p.add_argument("--mode", choices=[RANDOM, TRUSTWORTHY], required=True)
-    mask_p.add_argument("--fraction", required=True, help="share of cells to blank, at most 1/2")
+    mask_p.add_argument("--fraction", type=_fraction, required=True, help="share of cells to blank, at most 1/2")
     mask_p.add_argument("--seed", type=_seed, required=True, help="integer in [0, 2^64)")
     mask_p.add_argument("--truth", help="reference formula (text or file); required for trustworthy mode")
     mask_p.add_argument("--output", required=True, help="masked dataset (ternary CSV)")
@@ -397,11 +404,11 @@ def build_parser() -> argparse.ArgumentParser:
     exp_p = subparsers.add_parser("experiment", help="run the masking sweep and write report tables")
     exp_p.add_argument("--dataset", help="animal data file (defaults to the bundled copy)")
     exp_p.add_argument("--types", type=_types, default="all", help="'all' or comma-separated class codes 1..7")
-    exp_p.add_argument("--fractions", type=_list_of(_parse_fraction), default="0,10,20,30,40,50")
-    exp_p.add_argument("--modes", default="random,trustworthy")
+    exp_p.add_argument("--fractions", type=_list_of(_fraction), default="0,10,20,30,40,50")
+    exp_p.add_argument("--modes", type=_list_of(_mode), default="random,trustworthy")
     exp_p.add_argument("--seeds", type=_list_of(_seed), default="1,2", help="integers in [0, 2^64)")
     exp_p.add_argument("--report", required=True, help="report text file (a CSV sibling is written too)")
-    exp_p.add_argument("--encoding", help="leg-count order for x13..x17")
+    exp_p.add_argument("--encoding", type=_encoding, default=DEFAULT_LEGS_ORDER, help="leg-count order for x13..x17")
     exp_p.add_argument("--json", action="store_true")
     exp_p.set_defaults(func=cmd_experiment)
 

@@ -134,7 +134,9 @@ class _TermEngine:
     every live v decides it false.  Rows need not be distinct.  A row's
     masks are made once per learn and kept per class under its
     ``(value_bits, known_bits)``; a row that reduction or a negative
-    update edits is a new key.
+    update edits is a new key.  When ``term`` returns, ``live_u`` holds
+    exactly the positives that admit every pick, which are the ones the
+    finished term may cover, and ``learn`` erases them by position.
 
     ``tiers`` maps each tier denominator to a packed word in which literal
     c owns the W-bit field at bit c*W: the full-grade indicators of the
@@ -334,20 +336,18 @@ def _exact(value: Fraction) -> str:
         sys.set_int_max_str_digits(limit)
 
 
-def _lowest_unknown_on(inst: Instance, term: Term) -> int | None:
-    """0-based coordinate of the lowest Unknown cell among the term's variables."""
-    mask = inst.unknowns & (term.pos_mask | term.neg_mask)
-    if not mask:
-        return None
-    return (mask & -mask).bit_length() - 1
-
-
 def learn(dataset: Dataset, config: LearnerConfig | None = None) -> LearnResult:
     """Learn a DNF formula consistent with the dataset.
 
     Raises ConsistencyAbort when the data is (or becomes, after negative
     updates) self-contradictory.  Every outer iteration erases at least one
     positive or aborts, so there are at most p of them.
+
+    The positives a finished term erases are the engine's last live u
+    rows, which are not tested again.  A negative is tested against the
+    term's literal mask ``picked`` (bit c for literal code c): the term
+    may hold on it unless a certain cell contradicts a literal, and then
+    its lowest Unknown on the term's variables is pinned to falsify it.
     """
     cfg = config or LearnerConfig()
     trace: list[str] | None = [] if cfg.trace else None
@@ -380,35 +380,35 @@ def learn(dataset: Dataset, config: LearnerConfig | None = None) -> LearnResult:
         positives = list(work.positives)
         negatives = list(work.negatives)
 
-        term = term_from_codes(n, engine.term(positives, negatives))
+        codes = engine.term(positives, negatives)
+        term = term_from_codes(n, codes)
         terms.append(term)
         if trace is not None:
             trace.append(f"TERM {term.render()}")
 
-        kept: list[Instance] = []
-        for inst in positives:
-            if term.possibly_satisfied_by(inst):
-                erased.append(inst)
-                if trace is not None:
-                    trace.append(f"POS_ERASED {inst.id}")
-            else:
-                kept.append(inst)
-        if len(kept) == len(positives):
+        if not engine.live_u:
             _abort(trace, "no-positive-erased", term=term.render())
-        positives = kept
+        cover = dict.fromkeys(u[3] - 1 for u in engine.live_u)  # in position order
+        erased += (positives[i] for i in cover)
+        if trace is not None:
+            trace.extend(f"POS_ERASED {positives[i].id}" for i in cover)
+        positives = [inst for i, inst in enumerate(positives) if i not in cover]
 
+        picked = sum(1 << c for c in codes)
+        on_term = picked | picked >> n
         for j, inst in enumerate(negatives):
-            if not term.possibly_satisfied_by(inst):
-                continue
-            k = _lowest_unknown_on(inst, term)
-            if k is None:
+            if picked & (inst.zeros | inst.ones << n):
+                continue  # a certain cell contradicts one of the term's literals
+            pins = inst.unknowns & on_term
+            if not pins:
                 # every cell on the term's variables is certain and
                 # agrees: the term is certainly true on a negative
                 _abort(
                     trace, "unfalsifiable-negative",
                     instance_id=inst.id, term=term.render(),
                 )
-            value = Trit.TRUE if (term.neg_mask >> k) & 1 else Trit.FALSE
+            k = (pins & -pins).bit_length() - 1
+            value = Trit.TRUE if picked >> n + k & 1 else Trit.FALSE
             v = inst.with_cell(k, value)
             negatives[j] = v
             if trace is not None:

@@ -258,8 +258,10 @@ def reference_learn(d: Dataset) -> LearnResult:
     with first-max ties, erasure and complement striking, positive erasure
     and negative updates.  Returns the same LearnResult, trace included,
     or raises the same ConsistencyAbort.  Shares no code with the learner
-    beyond the dedupe, the data and formula types, and the trace's number
-    formatting, so the two can check each other.
+    beyond the dedupe, the data and formula types, the codes-to-``Term``
+    converter, and the trace's number formatting, so the two can check each
+    other.  In particular it erases positives and picks the negatives to
+    update with ``Term.possibly_satisfied_by``, which ``learn`` never calls.
     """
     n = d.n
     lits = [Literal(False, k) for k in range(1, n + 1)] + [Literal(True, k) for k in range(1, n + 1)]

@@ -305,6 +305,7 @@ def delete_repetitions(d: Dataset) -> Dataset:
     Rows are duplicates when their full ternary vectors are equal.
     Duplicates across classes are never dropped here: a certain cross-class
     duplicate is a consistency violation and must stay visible to the check.
+    The data is returned as it is when no row repeats.
     """
 
     def dedupe(instances: tuple[Instance, ...]) -> tuple[Instance, ...]:
@@ -318,4 +319,7 @@ def delete_repetitions(d: Dataset) -> Dataset:
             kept.append(inst)
         return tuple(kept)
 
-    return Dataset(d.n, dedupe(d.positives), dedupe(d.negatives))
+    positives, negatives = dedupe(d.positives), dedupe(d.negatives)
+    if len(positives) + len(negatives) == d.p + d.q:
+        return d
+    return Dataset(d.n, positives, negatives)

@@ -55,9 +55,10 @@ def without_safeguards(d: Dataset) -> DnfFormula:
     engine = _TermEngine(d.n, d.p * d.q, None)
     while positives:
         terms.append(term_from_codes(d.n, engine.term(positives, list(d.negatives))))
-        kept = [u for u in positives if not terms[-1].possibly_satisfied_by(u)]
-        assert len(kept) < len(positives), terms[-1].render()
-        positives = kept
+        # as in learn, the term's cover is the engine's live positives
+        cover = {u[3] - 1 for u in engine.live_u}
+        assert cover, terms[-1].render()
+        positives = [u for i, u in enumerate(positives) if i not in cover]
     return DnfFormula(d.n, tuple(terms))
 
 

@@ -116,12 +116,12 @@ def test_mask_fraction_spellings_agree(tmp_path, capsys):
 def test_mask_fraction_refuses_exponent_notation(tmp_path, capsys):
     # Fraction would build 10^99999999 before the range check could run
     for token in ("1e-99999999", "3E-1"):
-        code, _, err = run(
+        code, err = refused(
             capsys, "mask", "--format", "zoo", "--positive-type", "1",
             "--mode", "random", "--fraction", token, "--seed", "7",
             "--output", str(tmp_path / "m.csv"),
         )
-        assert code == 1 and "cannot parse fraction" in err
+        assert code == 1 and "argument --fraction: cannot parse fraction" in err
 
 
 def test_mask_then_learn_then_verify(tmp_path, capsys):
@@ -241,7 +241,7 @@ def test_experiment_runs_a_repeated_seed_once(tmp_path, capsys):
 def test_usage_errors_exit_1(tmp_path, capsys):
     masked = tmp_path / "m.csv"
     # fraction above the permitted half
-    code, _, err = run(
+    code, err = refused(
         capsys, "mask", "--format", "zoo", "--positive-type", "1",
         "--mode", "random", "--fraction", "0.9", "--seed", "0",
         "--output", str(masked),
@@ -493,7 +493,18 @@ def test_verify_refuses_a_negative_literal_limit(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, value", [
     ("--types", "3,"), ("--seeds", "1,"), ("--fractions", "10,,20"), ("--types", "8"),
+    ("--fractions", "60"), ("--modes", "random,"), ("--encoding", "9,9"),
 ])
 def test_experiment_list_errors_name_the_flag(tmp_path, capsys, flag, value):
     code, err = refused(capsys, "experiment", flag, value, "--report", str(tmp_path / "r.txt"))
-    assert code == 1 and f"argument {flag}:" in err
+    assert code == 1 and f"argument {flag}:" in err and "Fraction(" not in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--fraction", "x"), ("--fraction", "0.9"), ("--encoding", "9,9"),
+])
+def test_mask_flag_errors_name_the_flag(tmp_path, capsys, flag, value):
+    argv = ["mask", "--format", "zoo", "--positive-type", "1", "--mode", "random",
+            "--fraction", "10%", "--seed", "1", "--output", str(tmp_path / "m.csv")]
+    code, err = refused(capsys, *argv, flag, value)
+    assert code == 1 and f"argument {flag}:" in err and "Fraction(" not in err

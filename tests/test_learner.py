@@ -442,6 +442,8 @@ def test_a_terms_live_sets_form_a_rectangle():
                 assert (err.value.reason, err.value.pairs) == ("empty-constraint-set", (empty[0],))
             else:
                 engine.apply(code)
+                # learn erases the live positives of a finished term
+                assert [u[3] - 1 for u in engine.live_u] == live_u, rows
         assert bool(engine.live_v) == bool(sets), rows
         ends.append("term" if not sets else "empty-constraint-set")
     assert len(ends) > 200 and "empty-constraint-set" in ends
@@ -488,18 +490,24 @@ def test_no_negatives_learn_the_empty_term():
 _ERASE_NOTHING = """
 import json
 from tridnf import ConsistencyAbort, Dataset, LearnerConfig, learn, reference_brain
-from tridnf import formula, oracle
+from tridnf import formula, learner, oracle
 
 out = {"debug": __debug__}
 d = Dataset.from_texts(["110", "011"], ["000", "101"])
 
-real = formula.Term.possibly_satisfied_by
-formula.Term.possibly_satisfied_by = lambda self, inst: False
+# the engine's live positives are the term's cover; emptying them after
+# the real term leaves the term covering no positive
+real = learner._TermEngine.term
+def term(self, positives, negatives):
+    codes = real(self, positives, negatives)
+    self.live_u = []
+    return codes
+learner._TermEngine.term = term
 try:
     learn(d, LearnerConfig(trace=True))
 except ConsistencyAbort as abort:
     out["learner"] = [abort.reason, abort.trace[-1]]
-formula.Term.possibly_satisfied_by = real
+learner._TermEngine.term = real
 
 # x1 together with ~x1 holds on no row, so no positive is erased
 convert = oracle.term_from_codes
@@ -532,11 +540,14 @@ def test_term_that_erases_no_positive_aborts_under_optimize():
 
 
 def test_term_certainly_true_on_a_negative_aborts(monkeypatch):
-    # a correct run never closes such a term; patching the converter to
-    # return the empty term (TRUE) reaches the guard in both learners
+    # a correct run never closes such a term; the empty term (TRUE)
+    # reaches the guard in both learners: in learn, the engine returns no
+    # codes after its real term, and in reference_learn the converter
+    # returns the empty term
     d = Dataset.from_texts(["110", "011"], ["000", "1?1"])
-    for module in (learner, oracle):
-        monkeypatch.setattr(module, "term_from_codes", lambda n, codes: Term(()))
+    real = _TermEngine.term
+    monkeypatch.setattr(_TermEngine, "term", lambda self, *rows: real(self, *rows)[:0])
+    monkeypatch.setattr(oracle, "term_from_codes", lambda n, codes: Term(()))
     for run in (_traced_learn, reference_learn):
         with pytest.raises(ConsistencyAbort) as err:
             run(d)
@@ -544,6 +555,18 @@ def test_term_certainly_true_on_a_negative_aborts(monkeypatch):
             "unfalsifiable-negative", "v1", "TRUE",
         )
         assert err.value.trace[-1] == "ABORT unfalsifiable-negative"
+
+
+def test_learn_does_not_ask_the_term_which_rows_it_covers(monkeypatch):
+    # reference_learn erases positives and updates negatives by asking
+    # Term; learn answers from the engine's rows and the term's literal
+    # mask, so a wrong Term rule moves only the reference.  The wrong rule
+    # forgets negated literals: ~x1 then seems to hold on both negatives
+    d = Dataset.from_texts(["00", "01"], ["10", "11"])
+    before = (_outcome(_traced_learn, d), _outcome(reference_learn, d))
+    monkeypatch.setattr(Term, "certainly_false", lambda self, inst: bool(self.pos_mask & inst.zeros))
+    assert _outcome(_traced_learn, d) == before[0]
+    assert _outcome(reference_learn, d) != before[1]
 
 
 def test_package_has_no_assert_statements():

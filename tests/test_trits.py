@@ -125,6 +125,12 @@ def test_delete_repetitions_keeps_first_per_class():
     assert [i.text for i in g.negatives] == ["10"]
 
 
+def test_delete_repetitions_returns_the_data_when_no_row_repeats():
+    # a row may repeat one of the other class, which is not a repetition
+    d = Dataset.from_texts(["10", "0?"], ["10", "??"])
+    assert delete_repetitions(d) is d
+
+
 def test_check_self_consistency_reports_one_based_pairs():
     d = Dataset.from_texts(["10", "11"], ["11", "10"])
     assert check_self_consistency(d) == ((1, 2), (2, 1))
