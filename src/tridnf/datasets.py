@@ -19,7 +19,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import CountWarning, ParseError
-from .trits import Dataset, Instance, Label, Trit
+from .trits import Dataset, Instance, Label
 
 # File-order attribute names.  "legs" sits between "fins" and "tail" and is
 # the only non-binary column.
@@ -154,17 +154,19 @@ def encode_zoo(
         raise ValueError(
             f"legs_order must be a permutation of (2, 4, 5, 6, 8), got {legs_order!r}"
         )
+    full = (1 << 20) - 1
+    shifts = tuple(range(12)) + (17, 18, 19)  # bit of each flag, legs skipped
+    leg_bit = {count: 1 << (12 + k) for k, count in enumerate(legs_order)}
     positives: list[Instance] = []
     negatives: list[Instance] = []
     for rec in records:
-        cells = list(rec.flags[:12])
-        cells.extend(1 if rec.legs == count else 0 for count in legs_order)
-        cells.extend(rec.flags[12:])
-        label = Label.POSITIVE if rec.kind == positive_type else Label.NEGATIVE
-        inst = Instance.from_cells(
-            [Trit.TRUE if c else Trit.FALSE for c in cells], label, id=rec.name
-        )
-        (positives if rec.kind == positive_type else negatives).append(inst)
+        bits = leg_bit.get(rec.legs, 0)
+        for flag, shift in zip(rec.flags, shifts):
+            bits |= flag << shift
+        if rec.kind == positive_type:
+            positives.append(Instance(20, bits, full, Label.POSITIVE, rec.name))
+        else:
+            negatives.append(Instance(20, bits, full, Label.NEGATIVE, rec.name))
     return Dataset(n=20, positives=tuple(positives), negatives=tuple(negatives))
 
 

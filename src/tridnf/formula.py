@@ -18,6 +18,15 @@ from .errors import ParseError
 from .trits import Instance
 
 
+def _any_holds(masks, bits: int) -> bool:
+    """Some term, given as its (pos_mask, neg_mask), is true under the
+    fully-certain assignment ``bits``."""
+    for pos, neg in masks:
+        if not (pos & ~bits or neg & bits):
+            return True
+    return False
+
+
 @dataclass(frozen=True, order=True)
 class Literal:
     """A variable or its negation; ``var`` is 1-based."""
@@ -60,7 +69,7 @@ class Term:
 
     def evaluate(self, bits: int) -> bool:
         """Truth under a fully-certain assignment packed as an int."""
-        return not (self.pos_mask & ~bits) and not (self.neg_mask & bits)
+        return _any_holds(((self.pos_mask, self.neg_mask),), bits)
 
     def certainly_false(self, inst: Instance) -> bool:
         """Some certain cell contradicts a literal."""
@@ -93,8 +102,12 @@ class DnfFormula:
                 if lit.var > self.n:
                     raise ValueError(f"literal {lit} exceeds variable count {self.n}")
 
+    @cached_property
+    def _masks(self) -> tuple[tuple[int, int], ...]:
+        return tuple((term.pos_mask, term.neg_mask) for term in self.terms)
+
     def evaluate(self, bits: int) -> bool:
-        return any(term.evaluate(bits) for term in self.terms)
+        return _any_holds(self._masks, bits)
 
     @property
     def vars_used(self) -> tuple[int, ...]:

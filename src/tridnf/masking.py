@@ -15,12 +15,18 @@ integer row * len(columns) + k for the k-th candidate column.
 A plan is applied a row at a time: its cells are checked in plan order,
 then gathered into one blank mask per row, and each touched row is copied
 once with those cells made Unknown.
+
+Step i of the shuffle writes only positions i and j >= i, so after k steps
+the first k candidates are final: the plan at any fraction is the sorted
+prefix of one shuffle run to the largest fraction.  ``mask_ladder`` uses
+that to mask one dataset at several fractions from a single shuffle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import CellOutOfRangeError, FractionOutOfRangeError
 from .formula import DnfFormula
@@ -78,6 +84,47 @@ def _coerce_fraction(fraction) -> Fraction:
     return value
 
 
+def _check_mode_and_seed(mode: str, seed: int) -> None:
+    if mode not in (RANDOM, TRUSTWORTHY):
+        raise ValueError(f"mode must be '{RANDOM}' or '{TRUSTWORTHY}', got {mode!r}")
+    if not 0 <= seed <= MASK64:
+        # SplitMix64 keeps the low 64 bits, so a wider seed would alias
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+
+
+def _candidate_columns(dataset: Dataset, mode: str, truth: DnfFormula | None) -> list[int]:
+    """The columns a plan draws from, ascending."""
+    if mode == RANDOM:
+        return list(range(dataset.n))
+    if truth is None:
+        raise ValueError("trustworthy masking requires a reference formula")
+    relevant = set(truth.vars_used)
+    return [col for col in range(dataset.n) if col + 1 not in relevant]
+
+
+def _shuffle(size: int, count: int, seed: int) -> list[int]:
+    """The first ``count`` of ``range(size)`` after ``count`` steps of a
+    partial Fisher-Yates shuffle; a shorter run gives a prefix of this."""
+    cells = list(range(size))
+    below = SplitMix64(seed).below
+    for i in range(count):
+        j = i + below(size - i)
+        cells[i], cells[j] = cells[j], cells[i]
+    return cells[:count]
+
+
+def _blank_rows(dataset: Dataset, rows: list[Instance], blank: dict[int, int]) -> Dataset:
+    """Replace each row ``r`` of ``blank`` in ``rows`` by a copy with the
+    cells of ``blank[r]`` made Unknown; return the rows as a dataset split
+    as ``dataset`` is."""
+    for row, bits in blank.items():
+        inst = rows[row]
+        rows[row] = Instance(
+            inst.n, inst.value_bits & ~bits, inst.known_bits & ~bits, inst.label, inst.id
+        )
+    return Dataset(dataset.n, tuple(rows[: dataset.p]), tuple(rows[dataset.p :]))
+
+
 def make_mask(
     dataset: Dataset,
     mode: str,
@@ -92,34 +139,17 @@ def make_mask(
     columns whose variable does not occur in ``truth``, capping at the
     available candidates.  Same arguments, same plan.
     """
-    if mode not in (RANDOM, TRUSTWORTHY):
-        raise ValueError(f"mode must be '{RANDOM}' or '{TRUSTWORTHY}', got {mode!r}")
-    if not 0 <= seed <= MASK64:
-        # SplitMix64 keeps the low 64 bits, so a wider seed would alias
-        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+    _check_mode_and_seed(mode, seed)
     value = _coerce_fraction(fraction)
     rows = dataset.p + dataset.q
-    total = rows * dataset.n
-    requested = round(value * total)
-
-    if mode == TRUSTWORTHY:
-        if truth is None:
-            raise ValueError("trustworthy masking requires a reference formula")
-        relevant = set(truth.vars_used)
-        columns = [col for col in range(dataset.n) if col + 1 not in relevant]
-    else:
-        columns = list(range(dataset.n))
+    requested = round(value * rows * dataset.n)
+    columns = _candidate_columns(dataset, mode, truth)
     width = len(columns)
-    candidates = list(range(rows * width))
-
-    count = min(requested, len(candidates))
-    rng = SplitMix64(seed)
-    for i in range(count):
-        j = i + rng.below(len(candidates) - i)
-        candidates[i], candidates[j] = candidates[j], candidates[i]
+    count = min(requested, rows * width)
     # columns ascend, so the indices sort as their (row, col) cells do
     chosen = tuple(
-        (cell // width, columns[cell % width]) for cell in sorted(candidates[:count])
+        (cell // width, columns[cell % width])
+        for cell in sorted(_shuffle(rows * width, count, seed))
     )
     return MaskPlan(
         mode=mode,
@@ -141,11 +171,39 @@ def apply_mask(dataset: Dataset, plan: MaskPlan) -> Dataset:
         if not 0 <= col < dataset.n:
             raise CellOutOfRangeError(f"column {col} outside 0..{dataset.n - 1}")
         blank[row] = blank.get(row, 0) | 1 << col
-    for row, bits in blank.items():
-        inst = rows[row]
-        rows[row] = Instance(
-            inst.n, inst.value_bits & ~bits, inst.known_bits & ~bits, inst.label, inst.id
-        )
-    positives = tuple(rows[: dataset.p])
-    negatives = tuple(rows[dataset.p :])
-    return Dataset(n=dataset.n, positives=positives, negatives=negatives)
+    return _blank_rows(dataset, rows, blank)
+
+
+def mask_ladder(
+    dataset: Dataset,
+    mode: str,
+    fractions: Sequence,
+    seed: int,
+    truth: DnfFormula | None = None,
+) -> list[Dataset]:
+    """``apply_mask(dataset, make_mask(dataset, mode, f, seed, truth))`` for
+    each ``f`` of ``fractions``, in their order, from one shuffle.
+
+    The shuffle runs to the largest cell count.  Going up in count, each
+    step blanks only the cells it adds and copies only the rows they touch;
+    fractions of equal count share one dataset.  Raises as ``make_mask``
+    does, checking every fraction before the reference formula.
+    """
+    _check_mode_and_seed(mode, seed)
+    values = [_coerce_fraction(fraction) for fraction in fractions]
+    columns = _candidate_columns(dataset, mode, truth)
+    rows = dataset.p + dataset.q
+    width = len(columns)
+    counts = [min(round(value * rows * dataset.n), rows * width) for value in values]
+    cells = _shuffle(rows * width, max(counts, default=0), seed)
+    current = list(dataset.instances())
+    masked: dict[int, Dataset] = {}  # cell count -> dataset
+    done = 0
+    for count in sorted(set(counts)):
+        blank: dict[int, int] = {}
+        for cell in cells[done:count]:
+            row, k = divmod(cell, width)
+            blank[row] = blank.get(row, 0) | 1 << columns[k]
+        masked[count] = _blank_rows(dataset, current, blank)
+        done = count
+    return [masked[count] for count in counts]

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from tridnf import (
     CountWarning,
     Dataset,
+    Instance,
     Label,
     ParseError,
     bundled_zoo_path,
@@ -19,6 +20,7 @@ from tridnf import (
     load_ternary_csv,
     load_zoo,
     save_ternary_csv,
+    Trit,
 )
 from tridnf.datasets import DEFAULT_LEGS_ORDER, EXPECTED_RECORD_COUNT, VALID_LEGS
 
@@ -69,6 +71,27 @@ def test_encode_zoo_legs_order(zoo_records):
     assert DEFAULT_LEGS_ORDER == (8, 6, 5, 4, 2)
     with pytest.raises(ValueError):
         encode_zoo(zoo_records, 1, legs_order=(8, 6, 5, 4, 4))
+
+
+def encode_by_cells(records, positive_type, legs_order):
+    """One Trit per cell through Instance.from_cells."""
+    positives, negatives = [], []
+    for rec in records:
+        cells = list(rec.flags[:12])
+        cells.extend(1 if rec.legs == count else 0 for count in legs_order)
+        cells.extend(rec.flags[12:])
+        label = Label.POSITIVE if rec.kind == positive_type else Label.NEGATIVE
+        inst = Instance.from_cells([Trit.TRUE if c else Trit.FALSE for c in cells], label, rec.name)
+        (positives if label is Label.POSITIVE else negatives).append(inst)
+    return Dataset(20, tuple(positives), tuple(negatives))
+
+
+@pytest.mark.parametrize("legs_order", [DEFAULT_LEGS_ORDER, (5, 2, 8, 4, 6)])
+def test_encode_zoo_equals_the_cell_by_cell_encoding(zoo_records, legs_order):
+    for kind in range(1, 8):
+        assert encode_zoo(zoo_records, kind, legs_order) == encode_by_cells(
+            zoo_records, kind, legs_order
+        )
 
 
 def test_encode_zoo_rejects_unknown_type(zoo_records):

@@ -6,7 +6,18 @@ from itertools import count
 
 import pytest
 
-from tridnf import Dataset, evaluate, experiments, parse_formula, run_experiment
+from tridnf import (
+    ConsistencyAbort,
+    Dataset,
+    apply_mask,
+    encode_zoo,
+    evaluate,
+    experiments,
+    learn,
+    make_mask,
+    parse_formula,
+    run_experiment,
+)
 from tridnf.masking import RANDOM, TRUSTWORTHY
 
 
@@ -132,3 +143,31 @@ def test_run_experiment_runs_a_repeated_seed_once(zoo_records):
     assert report.summary()[0].runs == 2
     once = run_experiment(zoo_records, seeds=(2, 1), **kw)
     assert report.render_text() == once.render_text()
+
+
+def test_run_experiment_masks_each_cell_as_make_mask_does(zoo_records):
+    # every cell must learn from its own (mode, fraction, seed) mask; a
+    # fraction or seed swapped between the shared shuffles shows here
+    fractions = (Fraction(3, 10), Fraction(1, 10), Fraction(3, 10))
+    report = run_experiment(
+        zoo_records, types=(4, 1), fractions=fractions, modes=(TRUSTWORTHY, RANDOM), seeds=(2, 1)
+    )
+    cells = [
+        (kind, mode, fraction, seed)
+        for kind in (1, 4)
+        for mode in (TRUSTWORTHY, RANDOM)
+        for fraction in (Fraction(1, 10), Fraction(3, 10))
+        for seed in (2, 1)
+    ]
+    assert [(r.positive_type, r.mode, r.fraction, r.seed) for r in report.runs] == cells
+    for run in report.runs:
+        complete = encode_zoo(zoo_records, run.positive_type)
+        truth = report.reference_for(run.positive_type) if run.mode == TRUSTWORTHY else None
+        plan = make_mask(complete, run.mode, run.fraction, run.seed, truth)
+        try:
+            formula = learn(apply_mask(complete, plan)).formula
+        except ConsistencyAbort as abort:
+            assert (run.formula, run.errors, run.abort_reason) == (None, None, abort.reason)
+        else:
+            assert run.formula == formula
+            assert run.errors == evaluate(formula, complete).errors

@@ -21,7 +21,7 @@ from tridnf import (
     parse_formula,
 )
 from tridnf.formula import term_from_codes
-from tridnf.masking import RANDOM, TRUSTWORTHY
+from tridnf.masking import RANDOM, TRUSTWORTHY, mask_ladder
 
 
 def test_generator_matches_published_vectors():
@@ -218,3 +218,74 @@ def test_masking_matches_the_cell_by_cell_definition(case, stray):
         assert str(got.value) == str(err)
     else:
         assert apply_mask(d, loose) == expected
+
+
+# --- the ladder: one shuffle for several fractions ---
+
+
+def per_fraction(d, mode, fractions, seed, truth):
+    return [apply_mask(d, make_mask(d, mode, f, seed, truth)) for f in fractions]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=masking_cases(), data=st.data())
+def test_ladder_equals_one_plan_per_fraction(case, data):
+    d, mode, fraction, seed, truth = case
+    # a small pool, so fractions repeat and round to equal counts
+    pool = data.draw(st.lists(st.fractions(0, Fraction(1, 2), max_denominator=40), max_size=3))
+    fractions = data.draw(st.lists(st.sampled_from([fraction, *pool]), max_size=6))
+    assert mask_ladder(d, mode, fractions, seed, truth) == per_fraction(
+        d, mode, fractions, seed, truth
+    )
+
+
+def test_ladder_handles_shortfalls_and_equal_counts():
+    # 16 cells, only x4 free: 1/4, 3/8 and 1/2 all cap at its 4 cells;
+    # 1/20 and 1/16 both round to one cell
+    d = Dataset.from_texts(["1010", "0101"], ["1100", "0011"])
+    truth = parse_formula("x1 x2 x3", n=4)
+    fractions = [Fraction(1, 2), Fraction(1, 4), Fraction(3, 8), 0, Fraction(1, 20), Fraction(1, 16)]
+    for seed in range(8):
+        ladder = mask_ladder(d, TRUSTWORTHY, fractions, seed, truth)
+        assert ladder == per_fraction(d, TRUSTWORTHY, fractions, seed, truth)
+        assert ladder[0].unknown_count == 4
+        assert ladder[3] == d
+    assert mask_ladder(d, RANDOM, [], 0) == []
+
+
+def test_ladder_shares_the_rows_it_does_not_blank():
+    d = Dataset.from_texts(["1010", "0101", "1111"], ["1100", "0011", "0000"])
+    low, high = mask_ladder(d, RANDOM, [Fraction(1, 12), Fraction(1, 6)], seed=4)
+    rows = list(d.instances())
+    for before, after in zip(rows, low.instances()):
+        assert (after is before) == (after == before)
+    for before, after in zip(low.instances(), high.instances()):
+        assert (after is before) == (after == before)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=masking_cases(),
+    mode=st.sampled_from([RANDOM, TRUSTWORTHY, "adversarial"]),
+    seed=st.sampled_from([0, -1, 2**64 - 1, 2**64]),
+    extra=st.lists(st.fractions(Fraction(-1, 4), Fraction(3, 4), max_denominator=8), max_size=3),
+    drop_truth=st.booleans(),
+)
+def test_ladder_raises_as_make_mask_does(case, mode, seed, extra, drop_truth):
+    d, _, fraction, _, _ = case
+    truth = None if drop_truth else parse_formula("x1", n=d.n)
+    fractions = [fraction, *extra]
+    # make_mask checks mode, seed, then its fraction, then the truth, so
+    # the first bad fraction, or any fraction when none is bad, shows the
+    # error the ladder must raise
+    bad = [f for f in fractions if not 0 <= f <= Fraction(1, 2)]
+    try:
+        make_mask(d, mode, (bad or fractions)[0], seed, truth)
+    except ValueError as err:
+        with pytest.raises(type(err)) as got:
+            mask_ladder(d, mode, fractions, seed, truth)
+        assert str(got.value) == str(err)
+    else:
+        assert mask_ladder(d, mode, fractions, seed, truth) == per_fraction(
+            d, mode, fractions, seed, truth
+        )
