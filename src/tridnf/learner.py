@@ -168,6 +168,7 @@ class _TermEngine:
     def _live(self, instances, negative: bool) -> list[tuple[int, int, int, int]]:
         """The rows a term opens on, in the shape of ``live_u`` or ``live_v``."""
         cache, n = self.masks[negative], self.n
+        full = (1 << n) - 1
         live = []
         for k, inst in enumerate(instances, 1):
             key = (inst.value_bits, inst.known_bits)
@@ -177,10 +178,12 @@ class _TermEngine:
                 # positive decides the literals its certain cells make
                 # true, a negative those they make false, and an Unknown
                 # cell leaves both signs of its variable open
-                decided = inst.zeros | inst.ones << n if negative else inst.ones | inst.zeros << n
+                ones, known = key
+                zeros, unknowns = known ^ ones, full ^ known
+                decided = zeros | ones << n if negative else ones | zeros << n
                 dilated = _dilate(decided, self.width)
                 dilated = dilated | self.sentinel if negative else dilated * self.field
-                masks = cache[key] = (decided, inst.unknowns | inst.unknowns << n, dilated)
+                masks = cache[key] = (decided, unknowns | unknowns << n, dilated)
             live.append((*masks, k))
         return live
 
@@ -204,6 +207,8 @@ class _TermEngine:
         its slot, so a nonzero slot 0 means u has sets with nf = 0, and
         only those are graded in full.
         """
+        if not live_v:
+            return {}  # the term is closed: nothing left to select
         w, slots, tiers = self.width, self.n + 1, {}
         offs = [(v[0], v[2]) for v in live_v]
         for on, op, wide, i in live_u:
@@ -397,9 +402,11 @@ def learn(dataset: Dataset, config: LearnerConfig | None = None) -> LearnResult:
         picked = sum(1 << c for c in codes)
         on_term = picked | picked >> n
         for j, inst in enumerate(negatives):
-            if picked & (inst.zeros | inst.ones << n):
+            value, known = inst.value_bits, inst.known_bits
+            if picked & ((known ^ value) | value << n):
                 continue  # a certain cell contradicts one of the term's literals
-            pins = inst.unknowns & on_term
+            # on_term holds picked's negated half above bit n: keep the row's cells
+            pins = full & ~known & on_term
             if not pins:
                 # every cell on the term's variables is certain and
                 # agrees: the term is certainly true on a negative

@@ -19,7 +19,13 @@ once with those cells made Unknown.
 Step i of the shuffle writes only positions i and j >= i, so after k steps
 the first k candidates are final: the plan at any fraction is the sorted
 prefix of one shuffle run to the largest fraction.  ``mask_ladder`` uses
-that to mask one dataset at several fractions from a single shuffle.
+that to mask one dataset at several fractions from a single shuffle, and
+returns the dataset itself for a fraction that blanks no cell.
+
+The draws that drive a shuffle depend on the seed alone; only their
+reduction modulo ``size - i`` depends on the dataset and mode.  So the
+experiment runner draws each seed's stream once, to the largest cell
+count, and every ladder of that seed reduces the same draws.
 """
 
 from __future__ import annotations
@@ -102,13 +108,26 @@ def _candidate_columns(dataset: Dataset, mode: str, truth: DnfFormula | None) ->
     return [col for col in range(dataset.n) if col + 1 not in relevant]
 
 
-def _shuffle(size: int, count: int, seed: int) -> list[int]:
+def _draws(streams: dict, seed: int, count: int) -> list[int]:
+    """At least the first ``count`` SplitMix64 outputs of ``seed``.
+
+    ``streams`` maps a seed to its generator and the outputs drawn so far,
+    which grow in place, so callers that share it draw each output once.
+    """
+    if seed not in streams:
+        streams[seed] = (SplitMix64(seed).next_u64, [])
+    next_u64, drawn = streams[seed]
+    drawn.extend(next_u64() for _ in range(count - len(drawn)))
+    return drawn
+
+
+def _shuffle(size: int, count: int, draws: list[int]) -> list[int]:
     """The first ``count`` of ``range(size)`` after ``count`` steps of a
-    partial Fisher-Yates shuffle; a shorter run gives a prefix of this."""
+    partial Fisher-Yates shuffle, step i reducing ``draws[i]`` modulo
+    ``size - i``; a shorter run gives a prefix of this."""
     cells = list(range(size))
-    below = SplitMix64(seed).below
-    for i in range(count):
-        j = i + below(size - i)
+    for i, draw in zip(range(count), draws):
+        j = i + draw % (size - i)
         cells[i], cells[j] = cells[j], cells[i]
     return cells[:count]
 
@@ -149,7 +168,7 @@ def make_mask(
     # columns ascend, so the indices sort as their (row, col) cells do
     chosen = tuple(
         (cell // width, columns[cell % width])
-        for cell in sorted(_shuffle(rows * width, count, seed))
+        for cell in sorted(_shuffle(rows * width, count, _draws({}, seed, count)))
     )
     return MaskPlan(
         mode=mode,
@@ -186,20 +205,34 @@ def mask_ladder(
 
     The shuffle runs to the largest cell count.  Going up in count, each
     step blanks only the cells it adds and copies only the rows they touch;
-    fractions of equal count share one dataset.  Raises as ``make_mask``
-    does, checking every fraction before the reference formula.
+    fractions of equal count share one dataset, and a count of 0 gets
+    ``dataset`` itself.  Raises as ``make_mask`` does, checking every
+    fraction before the reference formula.
     """
+    return _ladder(dataset, mode, fractions, seed, truth, {})
+
+
+def _ladder(
+    dataset: Dataset,
+    mode: str,
+    fractions: Sequence,
+    seed: int,
+    truth: DnfFormula | None,
+    streams: dict,
+) -> list[Dataset]:
+    """``mask_ladder``, drawing its shuffle from ``streams`` (see ``_draws``)."""
     _check_mode_and_seed(mode, seed)
     values = [_coerce_fraction(fraction) for fraction in fractions]
     columns = _candidate_columns(dataset, mode, truth)
     rows = dataset.p + dataset.q
     width = len(columns)
     counts = [min(round(value * rows * dataset.n), rows * width) for value in values]
-    cells = _shuffle(rows * width, max(counts, default=0), seed)
+    top = max(counts, default=0)
+    cells = _shuffle(rows * width, top, _draws(streams, seed, top))
     current = list(dataset.instances())
-    masked: dict[int, Dataset] = {}  # cell count -> dataset
+    masked = {0: dataset}  # cell count -> dataset
     done = 0
-    for count in sorted(set(counts)):
+    for count in sorted(set(counts) - {0}):
         blank: dict[int, int] = {}
         for cell in cells[done:count]:
             row, k = divmod(cell, width)

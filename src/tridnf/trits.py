@@ -60,7 +60,7 @@ class Label(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Instance:
     """One training row of ``n`` ternary cells plus a class label.
 
@@ -68,6 +68,10 @@ class Instance:
     bit k is set iff cell k is certain.  Canonical form requires
     ``value_bits & ~known_bits == 0``.  ``id`` is an opaque source tag
     (animal name, CSV row, ...); duplicates are allowed.
+
+    The constructor is written out because rows are built by the
+    thousand: after the canonical-form checks it stores all five fields
+    at once, past the frozen ``__setattr__``.
     """
 
     n: int
@@ -76,12 +80,14 @@ class Instance:
     label: Label
     id: str = ""
 
-    def __post_init__(self):
-        full = (1 << self.n) - 1
-        if self.value_bits & ~self.known_bits:
+    def __init__(self, n: int, value_bits: int, known_bits: int, label: Label, id: str = ""):
+        if value_bits & ~known_bits:
             raise ValueError("unknown cell carries a value bit")
-        if (self.value_bits | self.known_bits) & ~full:
+        if (value_bits | known_bits) & ~((1 << n) - 1):
             raise ValueError("mask bits beyond instance width")
+        self.__dict__.update(
+            n=n, value_bits=value_bits, known_bits=known_bits, label=label, id=id
+        )
 
     @classmethod
     def from_cells(cls, cells: Iterable, label: Label, id: str = "") -> "Instance":

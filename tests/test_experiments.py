@@ -9,6 +9,7 @@ import pytest
 from tridnf import (
     ConsistencyAbort,
     Dataset,
+    SplitMix64,
     apply_mask,
     encode_zoo,
     evaluate,
@@ -145,29 +146,75 @@ def test_run_experiment_runs_a_repeated_seed_once(zoo_records):
     assert report.render_text() == once.render_text()
 
 
-def test_run_experiment_masks_each_cell_as_make_mask_does(zoo_records):
+def counting(monkeypatch, module, name):
+    """Patch ``module.name`` to record the first argument of each call."""
+    real, seen = getattr(module, name), []
+
+    def recorded(first, *args, **kwargs):
+        seen.append(first)
+        return real(first, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, recorded)
+    return seen
+
+
+def test_run_experiment_masks_each_cell_as_make_mask_does(zoo_records, monkeypatch):
     # every cell must learn from its own (mode, fraction, seed) mask; a
-    # fraction or seed swapped between the shared shuffles shows here
-    fractions = (Fraction(3, 10), Fraction(1, 10), Fraction(3, 10))
+    # fraction or seed swapped between the shared shuffles shows here.
+    # Without the trustworthy reference, the first fraction-0 cell learns
+    # the unmasked data and the other fraction-0 cells reuse it.
+    fractions = (Fraction(3, 10), 0, Fraction(1, 10), Fraction(3, 10))
+    for modes in ((TRUSTWORTHY, RANDOM), (RANDOM,)):
+        learned = counting(monkeypatch, experiments, "learn")
+        report = run_experiment(
+            zoo_records, types=(4, 1), fractions=fractions, modes=modes, seeds=(2, 1)
+        )
+        cells = [
+            (kind, mode, fraction, seed)
+            for kind in (1, 4)
+            for mode in modes
+            for fraction in (0, Fraction(1, 10), Fraction(3, 10))
+            for seed in (2, 1)
+        ]
+        assert [(r.positive_type, r.mode, r.fraction, r.seed) for r in report.runs] == cells
+        for kind in (1, 4):
+            complete = encode_zoo(zoo_records, kind)
+            assert sum(data == complete for data in learned) == 1, (modes, kind)
+        assert len(learned) == 2 * (1 + len(modes) * 2 * 2)
+        monkeypatch.undo()
+        for run in report.runs:
+            complete = encode_zoo(zoo_records, run.positive_type)
+            truth = report.reference_for(run.positive_type) if run.mode == TRUSTWORTHY else None
+            plan = make_mask(complete, run.mode, run.fraction, run.seed, truth)
+            try:
+                formula = learn(apply_mask(complete, plan)).formula
+            except ConsistencyAbort as abort:
+                assert (run.formula, run.errors, run.abort_reason) == (None, None, abort.reason)
+            else:
+                assert run.formula == formula
+                assert run.errors == evaluate(formula, complete).errors
+
+
+def test_default_sweep_learns_the_unmasked_data_and_draws_each_seed_once(
+    zoo_records, monkeypatch
+):
+    # the grid of ``tridnf experiment``: 7 types x 2 modes x 6 fractions x
+    # 2 seeds.  The 7 reference learns serve the 28 fraction-0 cells, and
+    # each seed's draws reach the largest count, half of 101 x 20 cells,
+    # once for all 14 ladders of that seed.
+    learned = counting(monkeypatch, experiments, "learn")
+    drawn = counting(monkeypatch, SplitMix64, "next_u64")
     report = run_experiment(
-        zoo_records, types=(4, 1), fractions=fractions, modes=(TRUSTWORTHY, RANDOM), seeds=(2, 1)
+        zoo_records,
+        types=range(1, 8),
+        fractions=[Fraction(k, 10) for k in range(6)],
+        modes=(RANDOM, TRUSTWORTHY),
+        seeds=(1, 2),
     )
-    cells = [
-        (kind, mode, fraction, seed)
-        for kind in (1, 4)
-        for mode in (TRUSTWORTHY, RANDOM)
-        for fraction in (Fraction(1, 10), Fraction(3, 10))
-        for seed in (2, 1)
-    ]
-    assert [(r.positive_type, r.mode, r.fraction, r.seed) for r in report.runs] == cells
-    for run in report.runs:
-        complete = encode_zoo(zoo_records, run.positive_type)
-        truth = report.reference_for(run.positive_type) if run.mode == TRUSTWORTHY else None
-        plan = make_mask(complete, run.mode, run.fraction, run.seed, truth)
-        try:
-            formula = learn(apply_mask(complete, plan)).formula
-        except ConsistencyAbort as abort:
-            assert (run.formula, run.errors, run.abort_reason) == (None, None, abort.reason)
-        else:
-            assert run.formula == formula
-            assert run.errors == evaluate(formula, complete).errors
+    assert len(report.runs) == 168
+    assert len(learned) == 7 + 7 * 2 * 5 * 2 == 147
+    assert len(drawn) == 2 * 1010
+    zero = [run for run in report.runs if run.fraction == 0]
+    assert len(zero) == 28
+    for run in zero:
+        assert run.formula == report.reference_for(run.positive_type), run

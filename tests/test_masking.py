@@ -237,6 +237,9 @@ def test_ladder_equals_one_plan_per_fraction(case, data):
     assert mask_ladder(d, mode, fractions, seed, truth) == per_fraction(
         d, mode, fractions, seed, truth
     )
+    # a fraction that blanks nothing gets the input itself, so a caller
+    # can tell the unmasked data by identity
+    assert mask_ladder(d, mode, [0, fraction], seed, truth)[0] is d
 
 
 def test_ladder_handles_shortfalls_and_equal_counts():
@@ -249,7 +252,7 @@ def test_ladder_handles_shortfalls_and_equal_counts():
         ladder = mask_ladder(d, TRUSTWORTHY, fractions, seed, truth)
         assert ladder == per_fraction(d, TRUSTWORTHY, fractions, seed, truth)
         assert ladder[0].unknown_count == 4
-        assert ladder[3] == d
+        assert ladder[3] is d
     assert mask_ladder(d, RANDOM, [], 0) == []
 
 

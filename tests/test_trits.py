@@ -1,5 +1,8 @@
 """Ternary cells, instances, datasets, and the preprocessing passes."""
 
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -53,6 +56,38 @@ def test_instance_bit_views():
     assert inst.known_bits == 0b101
     assert not inst.is_certain
     assert inst.unknown_count == 1
+
+
+def test_instance_constructor_checks_canonical_form():
+    with pytest.raises(ValueError, match="^unknown cell carries a value bit$"):
+        Instance(3, 0b011, 0b001, Label.POSITIVE)
+    with pytest.raises(ValueError, match="^mask bits beyond instance width$"):
+        Instance(3, 0, 0b1000, Label.POSITIVE)
+    with pytest.raises(ValueError, match="^mask bits beyond instance width$"):
+        Instance(3, 0b1000, 0b1000, Label.POSITIVE)
+    inst = Instance(3, 0b001, 0b101, Label.NEGATIVE, id="v1")
+    assert (inst.n, inst.value_bits, inst.known_bits, inst.label, inst.id) == (
+        3, 0b001, 0b101, Label.NEGATIVE, "v1"
+    )
+    assert Instance(3, 0b001, 0b101, Label.NEGATIVE).id == ""
+
+
+def test_instance_is_a_frozen_value():
+    inst = Instance.from_text("1?0", Label.NEGATIVE, "v1")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        inst.value_bits = 0
+    assert inst.value_bits == 0b001
+    renamed = dataclasses.replace(inst, id="v9")
+    assert (renamed.text, renamed.id, inst.id) == ("1?0", "v9", "v1")
+    with pytest.raises(ValueError, match="unknown cell carries a value bit"):
+        dataclasses.replace(inst, known_bits=0)
+    for twin in (copy.copy(inst), pickle.loads(pickle.dumps(inst))):
+        assert twin == inst and twin is not inst
+        assert hash(twin) == hash(inst)
+    same = Instance(3, 0b001, 0b101, Label.NEGATIVE, "v1")
+    assert same == inst and hash(same) == hash(inst)
+    assert len({inst, same, renamed}) == 2
+    assert inst != dataclasses.replace(inst, label=Label.POSITIVE)
 
 
 def test_with_cell_replaces_one_coordinate():
