@@ -11,6 +11,7 @@ timing written to a file.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from dataclasses import replace
@@ -43,6 +44,21 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INCONSISTENT = 3
+
+# the exit code of an error is that of the first class it belongs to
+_EXIT_CODES = {
+    ParseError: EXIT_DATA,
+    ConsistencyAbort: EXIT_INCONSISTENT,
+    ValueError: EXIT_USAGE,
+    BudgetExceededError: EXIT_USAGE,
+    TridnfError: EXIT_DATA,
+    OSError: EXIT_DATA,
+}
+
+# the flag each --format requires, then the dataset flags only one format
+# takes, in the order they are checked
+_REQUIRED = {"zoo": "--positive-type", "csv": "--input"}
+_FORMAT_ONLY = {"--positive-type": "zoo", "--encoding": "zoo", "--positive-label": "csv"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -135,21 +151,20 @@ def _encoding(text: str) -> tuple[int, ...]:
     return order
 
 
+def _flag(args, flag: str):
+    return getattr(args, flag[2:].replace("-", "_"))
+
+
 def _load_dataset(args) -> Dataset:
+    required = _REQUIRED[args.format]
+    if _flag(args, required) is None:
+        raise ValueError(f"{required} is required with --format {args.format}")
+    for flag, owner in _FORMAT_ONLY.items():
+        if owner != args.format and _flag(args, flag) is not None:
+            raise ValueError(f"{flag} applies only to --format {owner}")
     if args.format == "zoo":
-        if args.positive_type is None:
-            raise ValueError("--positive-type is required with --format zoo")
-        if args.positive_label is not None:
-            raise ValueError("--positive-label applies only to --format csv")
-        path = args.input or bundled_zoo_path()
-        records = load_zoo(path)
+        records = load_zoo(args.input or bundled_zoo_path())
         return encode_zoo(records, args.positive_type, args.encoding or DEFAULT_LEGS_ORDER)
-    if args.input is None:
-        raise ValueError("--input is required with --format csv")
-    if args.positive_type is not None:
-        raise ValueError("--positive-type applies only to --format zoo")
-    if args.encoding is not None:
-        raise ValueError("--encoding applies only to --format zoo")
     dataset = load_ternary_csv(args.input)
     if args.positive_label == "-":
         dataset = Dataset(
@@ -190,7 +205,13 @@ def _fit_width(formula: DnfFormula, n: int) -> DnfFormula:
 def _formula_paths(out: Path) -> tuple[Path, Path]:
     if out.suffix == ".json":
         return out.with_suffix(".txt"), out
-    return out, out.with_suffix(out.suffix + ".json" if out.suffix == "" else ".json")
+    return out, out.with_suffix(".json")
+
+
+def _report(args, payload: dict, lines: list[str]) -> None:
+    """Print a command's report: ``payload`` as one JSON object under
+    --json, otherwise ``lines``."""
+    print(json.dumps(payload) if args.json else "\n".join(lines))
 
 
 def cmd_learn(args) -> int:
@@ -206,24 +227,19 @@ def cmd_learn(args) -> int:
         body = "\n".join(result.trace)
         Path(args.trace).write_text(body + "\n" if body else "", encoding="utf-8")
     text_path, json_path = _formula_paths(Path(args.output))
-    text_path.write_text(result.formula.render() + "\n", encoding="utf-8")
+    formula = result.formula.render()
+    text_path.write_text(formula + "\n", encoding="utf-8")
     json_path.write_text(result.formula.to_json() + "\n", encoding="utf-8")
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "formula": result.formula.render(),
-                    "terms": len(result.formula.terms),
-                    "literals": result.formula.literal_count,
-                    "iterations": result.iterations,
-                    "text_path": str(text_path),
-                    "json_path": str(json_path),
-                }
-            )
-        )
-    else:
-        print(f"f* = {result.formula.render()}")
-        print(f"terms={len(result.formula.terms)} literals={result.formula.literal_count}")
+    terms, literals = len(result.formula.terms), result.formula.literal_count
+    payload = {
+        "formula": formula,
+        "terms": terms,
+        "literals": literals,
+        "iterations": result.iterations,
+        "text_path": str(text_path),
+        "json_path": str(json_path),
+    }
+    _report(args, payload, [f"f* = {formula}", f"terms={terms} literals={literals}"])
     return EXIT_OK
 
 
@@ -237,20 +253,14 @@ def cmd_mask(args) -> int:
     plan = make_mask(dataset, args.mode, args.fraction, args.seed, truth)
     masked = apply_mask(dataset, plan)
     save_ternary_csv(masked, args.output)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "cells": len(plan.cells),
-                    "requested": plan.requested,
-                    "shortfall": plan.shortfall,
-                    "output": str(args.output),
-                }
-            )
-        )
-    else:
-        note = f" (shortfall {plan.shortfall})" if plan.shortfall else ""
-        print(f"masked {len(plan.cells)} cells -> {args.output}{note}")
+    payload = {
+        "cells": len(plan.cells),
+        "requested": plan.requested,
+        "shortfall": plan.shortfall,
+        "output": str(args.output),
+    }
+    note = f" (shortfall {plan.shortfall})" if plan.shortfall else ""
+    _report(args, payload, [f"masked {len(plan.cells)} cells -> {args.output}{note}"])
     return EXIT_OK
 
 
@@ -258,18 +268,8 @@ def cmd_eval(args) -> int:
     dataset = _load_dataset(args)
     formula = _fit_width(_read_formula_file(args.formula), dataset.n)
     report = evaluate(formula, dataset)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "errors": report.errors,
-                    "size": report.size,
-                    "rate": float(report.rate),
-                }
-            )
-        )
-    else:
-        print(f"E={report.errors} R={float(report.rate):.3f}")
+    payload = {"errors": report.errors, "size": report.size, "rate": float(report.rate)}
+    _report(args, payload, [f"E={report.errors} R={float(report.rate):.3f}"])
     return EXIT_OK
 
 
@@ -288,35 +288,26 @@ def cmd_experiment(args) -> int:
     csv_path = report_path.with_suffix(".csv")
     if csv_path == report_path:
         csv_path = report_path.with_suffix(".runs.csv")
-    import csv as _csv
-
     with open(csv_path, "w", encoding="utf-8", newline="") as handle:
-        _csv.writer(handle).writerows(report.csv_rows())
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "report": str(report_path),
-                    "csv": str(csv_path),
-                    "summary": [
-                        {
-                            "mode": row.mode,
-                            "fraction": str(row.fraction),
-                            "runs": row.runs,
-                            "aborted": row.aborted,
-                            "aen": None if row.aen is None else float(row.aen),
-                            "rate": None if row.rate is None else float(row.rate),
-                        }
-                        for row in report.summary()
-                    ],
-                }
-            )
-        )
-    else:
-        print(report.render_summary())
-        print(f"learning time {sum(run.seconds for run in report.runs):.2f}s")
-        print(f"report: {report_path}")
-        print(f"runs csv: {csv_path}")
+        csv.writer(handle).writerows(report.csv_rows())
+    summary = [
+        {
+            "mode": row.mode,
+            "fraction": str(row.fraction),
+            "runs": row.runs,
+            "aborted": row.aborted,
+            "aen": None if row.aen is None else float(row.aen),
+            "rate": None if row.rate is None else float(row.rate),
+        }
+        for row in report.summary()
+    ]
+    lines = [
+        report.render_summary(),
+        f"learning time {sum(run.seconds for run in report.runs):.2f}s",
+        f"report: {report_path}",
+        f"runs csv: {csv_path}",
+    ]
+    _report(args, {"report": str(report_path), "csv": str(csv_path), "summary": summary}, lines)
     return EXIT_OK
 
 
@@ -328,33 +319,25 @@ def cmd_verify(args) -> int:
     minimal = None
     if args.exhaustive_min:
         minimal = minimal_dnf_exhaustive(dataset, max_literals=args.max_literals)
-    if args.json:
-        payload = {
-            "certificates": [
-                {
-                    "id": c.instance_id,
-                    "verdict": c.verdict.value,
-                    "witness": None if c.witness is None else "".join(map(str, c.witness)),
-                }
-                for c in certificates
-            ],
-            "violations": violations,
+    rows = [
+        {
+            "id": c.instance_id,
+            "verdict": c.verdict.value,
+            "witness": None if c.witness is None else "".join(map(str, c.witness)),
         }
-        if minimal is not None:
-            payload["minimal"] = {
-                "formula": minimal.render(),
-                "literals": minimal.literal_count,
-            }
-        print(json.dumps(payload))
-    else:
-        for c in certificates:
-            line = f"{c.instance_id} {c.verdict.value}"
-            if c.witness is not None:
-                line += f" witness={''.join(map(str, c.witness))}"
-            print(line)
-        print(f"violations={violations} of {len(certificates)}")
-        if minimal is not None:
-            print(f"minimal: {minimal.render()} ({minimal.literal_count} literals)")
+        for c in certificates
+    ]
+    payload = {"certificates": rows, "violations": violations}
+    lines = [
+        f"{row['id']} {row['verdict']}"
+        + ("" if row["witness"] is None else f" witness={row['witness']}")
+        for row in rows
+    ]
+    lines.append(f"violations={violations} of {len(certificates)}")
+    if minimal is not None:
+        payload["minimal"] = {"formula": minimal.render(), "literals": minimal.literal_count}
+        lines.append(f"minimal: {minimal.render()} ({minimal.literal_count} literals)")
+    _report(args, payload, lines)
     return EXIT_INCONSISTENT if violations else EXIT_OK
 
 
@@ -426,25 +409,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ConsistencyAbort as exc:
-        print(f"inconsistent: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
-    except (ValueError, BudgetExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except TridnfError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    except tuple(_EXIT_CODES) as exc:
+        code = next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+        print(f"{'inconsistent' if code == EXIT_INCONSISTENT else 'error'}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

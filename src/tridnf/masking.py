@@ -81,23 +81,6 @@ class MaskPlan:
     shortfall: int = 0
 
 
-def _coerce_fraction(fraction) -> Fraction:
-    value = Fraction(fraction)
-    if not 0 <= value <= Fraction(1, 2):
-        raise FractionOutOfRangeError(
-            f"mask fraction must be in [0, 1/2], got {fraction!r}"
-        )
-    return value
-
-
-def _check_mode_and_seed(mode: str, seed: int) -> None:
-    if mode not in (RANDOM, TRUSTWORTHY):
-        raise ValueError(f"mode must be '{RANDOM}' or '{TRUSTWORTHY}', got {mode!r}")
-    if not 0 <= seed <= MASK64:
-        # SplitMix64 keeps the low 64 bits, so a wider seed would alias
-        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
-
-
 def _candidate_columns(dataset: Dataset, mode: str, truth: DnfFormula | None) -> list[int]:
     """The columns a plan draws from, ascending."""
     if mode == RANDOM:
@@ -132,10 +115,53 @@ def _shuffle(size: int, count: int, draws: list[int]) -> list[int]:
     return cells[:count]
 
 
-def _blank_rows(dataset: Dataset, rows: list[Instance], blank: dict[int, int]) -> Dataset:
-    """Replace each row ``r`` of ``blank`` in ``rows`` by a copy with the
-    cells of ``blank[r]`` made Unknown; return the rows as a dataset split
-    as ``dataset`` is."""
+def _plan(
+    dataset: Dataset,
+    mode: str,
+    fractions: Sequence,
+    seed: int,
+    truth: DnfFormula | None,
+    streams: dict,
+) -> tuple[list[tuple[Fraction, int, int]], list[int], list[int]]:
+    """Check the arguments and shuffle the candidate cells, for
+    ``make_mask`` and ``mask_ladder`` alike.
+
+    Returns the fraction, requested cell count and capped cell count of
+    each of ``fractions``, the candidate columns, and the shuffle run to
+    the largest capped count.
+    """
+    if mode not in (RANDOM, TRUSTWORTHY):
+        raise ValueError(f"mode must be '{RANDOM}' or '{TRUSTWORTHY}', got {mode!r}")
+    if not 0 <= seed <= MASK64:
+        # SplitMix64 keeps the low 64 bits, so a wider seed would alias
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+    rows = dataset.p + dataset.q
+    requested = []  # (fraction, requested cell count) of each
+    for fraction in fractions:
+        value = Fraction(fraction)
+        if not 0 <= value <= Fraction(1, 2):
+            raise FractionOutOfRangeError(f"mask fraction must be in [0, 1/2], got {fraction!r}")
+        requested.append((value, round(value * rows * dataset.n)))
+    columns = _candidate_columns(dataset, mode, truth)
+    size = rows * len(columns)
+    budgets = [(value, want, min(want, size)) for value, want in requested]
+    top = max((count for _, _, count in budgets), default=0)
+    return budgets, columns, _shuffle(size, top, _draws(streams, seed, top))
+
+
+def _cells(indices: list[int], columns: list[int]) -> list[tuple[int, int]]:
+    """The (row, column) cells of shuffle indices over ``columns``."""
+    width = len(columns)
+    return [(index // width, columns[index % width]) for index in indices]
+
+
+def _blank_rows(dataset: Dataset, rows: list[Instance], cells) -> Dataset:
+    """Replace each row of ``rows`` that the (row, column) ``cells`` name
+    by one copy with those cells made Unknown; return the rows as a
+    dataset split as ``dataset`` is."""
+    blank: dict[int, int] = {}  # row -> bits of its cells to blank
+    for row, col in cells:
+        blank[row] = blank.get(row, 0) | 1 << col
     for row, bits in blank.items():
         inst = rows[row]
         rows[row] = Instance(
@@ -158,23 +184,15 @@ def make_mask(
     columns whose variable does not occur in ``truth``, capping at the
     available candidates.  Same arguments, same plan.
     """
-    _check_mode_and_seed(mode, seed)
-    value = _coerce_fraction(fraction)
-    rows = dataset.p + dataset.q
-    requested = round(value * rows * dataset.n)
-    columns = _candidate_columns(dataset, mode, truth)
-    width = len(columns)
-    count = min(requested, rows * width)
-    # columns ascend, so the indices sort as their (row, col) cells do
-    chosen = tuple(
-        (cell // width, columns[cell % width])
-        for cell in sorted(_shuffle(rows * width, count, _draws({}, seed, count)))
+    [(value, requested, count)], columns, shuffled = _plan(
+        dataset, mode, [fraction], seed, truth, {}
     )
     return MaskPlan(
         mode=mode,
         fraction=value,
         seed=seed,
-        cells=chosen,
+        # columns ascend, so the indices sort as their cells do
+        cells=tuple(_cells(sorted(shuffled), columns)),
         requested=requested,
         shortfall=requested - count,
     )
@@ -183,14 +201,12 @@ def make_mask(
 def apply_mask(dataset: Dataset, plan: MaskPlan) -> Dataset:
     """Blank the plan's cells.  Idempotent; everything else is untouched."""
     rows: list[Instance] = list(dataset.instances())
-    blank: dict[int, int] = {}  # row -> bits of its cells to blank
     for row, col in plan.cells:
         if not 0 <= row < len(rows):
             raise CellOutOfRangeError(f"row {row} outside 0..{len(rows) - 1}")
         if not 0 <= col < dataset.n:
             raise CellOutOfRangeError(f"column {col} outside 0..{dataset.n - 1}")
-        blank[row] = blank.get(row, 0) | 1 << col
-    return _blank_rows(dataset, rows, blank)
+    return _blank_rows(dataset, rows, plan.cells)
 
 
 def mask_ladder(
@@ -221,22 +237,12 @@ def _ladder(
     streams: dict,
 ) -> list[Dataset]:
     """``mask_ladder``, drawing its shuffle from ``streams`` (see ``_draws``)."""
-    _check_mode_and_seed(mode, seed)
-    values = [_coerce_fraction(fraction) for fraction in fractions]
-    columns = _candidate_columns(dataset, mode, truth)
-    rows = dataset.p + dataset.q
-    width = len(columns)
-    counts = [min(round(value * rows * dataset.n), rows * width) for value in values]
-    top = max(counts, default=0)
-    cells = _shuffle(rows * width, top, _draws(streams, seed, top))
+    budgets, columns, shuffled = _plan(dataset, mode, fractions, seed, truth, streams)
+    counts = [count for _, _, count in budgets]
     current = list(dataset.instances())
     masked = {0: dataset}  # cell count -> dataset
     done = 0
     for count in sorted(set(counts) - {0}):
-        blank: dict[int, int] = {}
-        for cell in cells[done:count]:
-            row, k = divmod(cell, width)
-            blank[row] = blank.get(row, 0) | 1 << columns[k]
-        masked[count] = _blank_rows(dataset, current, blank)
+        masked[count] = _blank_rows(dataset, current, _cells(shuffled[done:count], columns))
         done = count
     return [masked[count] for count in counts]

@@ -60,7 +60,7 @@ class Label(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, slots=True)
 class Instance:
     """One training row of ``n`` ternary cells plus a class label.
 
@@ -68,10 +68,6 @@ class Instance:
     bit k is set iff cell k is certain.  Canonical form requires
     ``value_bits & ~known_bits == 0``.  ``id`` is an opaque source tag
     (animal name, CSV row, ...); duplicates are allowed.
-
-    The constructor is written out because rows are built by the
-    thousand: after the canonical-form checks it stores all five fields
-    at once, past the frozen ``__setattr__``.
     """
 
     n: int
@@ -80,14 +76,11 @@ class Instance:
     label: Label
     id: str = ""
 
-    def __init__(self, n: int, value_bits: int, known_bits: int, label: Label, id: str = ""):
-        if value_bits & ~known_bits:
+    def __post_init__(self):
+        if self.value_bits & ~self.known_bits:
             raise ValueError("unknown cell carries a value bit")
-        if (value_bits | known_bits) & ~((1 << n) - 1):
+        if (self.value_bits | self.known_bits) & ~((1 << self.n) - 1):
             raise ValueError("mask bits beyond instance width")
-        self.__dict__.update(
-            n=n, value_bits=value_bits, known_bits=known_bits, label=label, id=id
-        )
 
     @classmethod
     def from_cells(cls, cells: Iterable, label: Label, id: str = "") -> "Instance":
@@ -171,16 +164,17 @@ class Dataset:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("dataset width must be at least 1")
-        for inst in self.positives:
-            if inst.n != self.n:
-                raise LengthMismatchError(f"instance {inst.id!r} has width {inst.n}, expected {self.n}")
-            if inst.label is not Label.POSITIVE:
-                raise ValueError(f"instance {inst.id!r} in positives carries label {inst.label}")
-        for inst in self.negatives:
-            if inst.n != self.n:
-                raise LengthMismatchError(f"instance {inst.id!r} has width {inst.n}, expected {self.n}")
-            if inst.label is not Label.NEGATIVE:
-                raise ValueError(f"instance {inst.id!r} in negatives carries label {inst.label}")
+        for side, rows, label in (
+            ("positives", self.positives, Label.POSITIVE),
+            ("negatives", self.negatives, Label.NEGATIVE),
+        ):
+            for inst in rows:
+                if inst.n != self.n:
+                    raise LengthMismatchError(
+                        f"instance {inst.id!r} has width {inst.n}, expected {self.n}"
+                    )
+                if inst.label is not label:
+                    raise ValueError(f"instance {inst.id!r} in {side} carries label {inst.label}")
 
     @classmethod
     def from_texts(

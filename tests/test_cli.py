@@ -4,8 +4,15 @@ import json
 
 import pytest
 
-from tridnf import Dataset, load_ternary_csv, save_ternary_csv
+from tridnf import Dataset, cli, load_ternary_csv, parse_formula, save_ternary_csv
 from tridnf.cli import main
+from tridnf.errors import (
+    BudgetExceededError,
+    ConsistencyAbort,
+    LengthMismatchError,
+    ParseError,
+    TridnfError,
+)
 
 
 def run(capsys, *argv):
@@ -438,11 +445,11 @@ def test_dataset_flags_of_the_other_format_are_refused(tmp_path, capsys, command
     )
     code, err = refused(capsys, *argv)
     assert code == 1 and "--positive-label" in err
+    # a valid permutation, so the format rule refuses it and not the parser
     argv = _dataset_command(
-        command, tmp_path, "--format", "csv", "--input", str(data), "--encoding", "9,9"
+        command, tmp_path, "--format", "csv", "--input", str(data), "--encoding", "8,6,5,4,2"
     )
-    code, err = refused(capsys, *argv)
-    assert code == 1 and "--encoding" in err
+    assert run(capsys, *argv) == (1, "", "error: --encoding applies only to --format zoo\n")
 
 
 def test_seeds_outside_64_bits_are_refused(tmp_path, capsys):
@@ -501,10 +508,154 @@ def test_experiment_list_errors_name_the_flag(tmp_path, capsys, flag, value):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--fraction", "x"), ("--fraction", "0.9"), ("--encoding", "9,9"),
+    ("--fraction", "x"), ("--fraction", "0.9"), ("--encoding", "9,9"), ("--encoding", "8,6,x,4,2"),
 ])
 def test_mask_flag_errors_name_the_flag(tmp_path, capsys, flag, value):
     argv = ["mask", "--format", "zoo", "--positive-type", "1", "--mode", "random",
             "--fraction", "10%", "--seed", "1", "--output", str(tmp_path / "m.csv")]
     code, err = refused(capsys, *argv, flag, value)
     assert code == 1 and f"argument {flag}:" in err and "Fraction(" not in err
+
+
+@pytest.mark.parametrize("command", ["learn", "mask", "eval", "verify"])
+def test_csv_format_rules_and_their_precedence(tmp_path, capsys, command):
+    data = tmp_path / "rows.csv"
+    save_ternary_csv(Dataset.from_texts(["11"], ["00"]), data)
+    for flags, message in (
+        (("--format", "csv"), "--input is required with --format csv"),
+        # the required input is checked before the flags of the other format
+        (("--format", "csv", "--positive-type", "1", "--encoding", "8,6,5,4,2"),
+         "--input is required with --format csv"),
+        (("--format", "csv", "--input", str(data), "--positive-type", "1"),
+         "--positive-type applies only to --format zoo"),
+        (("--format", "csv", "--input", str(data), "--positive-type", "1",
+          "--encoding", "8,6,5,4,2"),
+         "--positive-type applies only to --format zoo"),
+        (("--format", "zoo", "--positive-label", "+"), "--positive-type is required with --format zoo"),
+    ):
+        argv = _dataset_command(command, tmp_path, *flags)
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+def test_verify_json_reports_witnesses(tmp_path, capsys):
+    data = tmp_path / "rows.csv"
+    save_ternary_csv(Dataset.from_texts(["1?", "11"], ["00"]), data)
+    f = tmp_path / "f.txt"
+    f.write_text("x1 x2\n", encoding="utf-8")
+    code, stdout, err = run(
+        capsys, "verify", "--formula", str(f), "--format", "csv", "--input", str(data), "--json",
+    )
+    assert (code, err) == (0, "")
+    assert stdout == (
+        '{"certificates": [{"id": "r1", "verdict": "completion-witness", "witness": "11"}, '
+        '{"id": "r2", "verdict": "exact", "witness": null}, '
+        '{"id": "r3", "verdict": "exact", "witness": null}], "violations": 0}\n'
+    )
+    code, stdout, err = run(
+        capsys, "verify", "--formula", str(f), "--format", "csv", "--input", str(data),
+    )
+    assert (code, err) == (0, "")
+    assert stdout.splitlines() == [
+        "r1 completion-witness witness=11", "r2 exact", "r3 exact", "violations=0 of 3",
+    ]
+
+
+def test_verify_json_reports_the_minimal_formula(tmp_path, capsys):
+    data = tmp_path / "rows.csv"
+    save_ternary_csv(Dataset.from_texts(["11"], ["01", "10", "00"]), data)
+    f = tmp_path / "f.txt"
+    f.write_text("x1 x2\n", encoding="utf-8")
+    code, stdout, err = run(
+        capsys, "verify", "--formula", str(f), "--format", "csv", "--input", str(data),
+        "--exhaustive-min", "--json",
+    )
+    assert (code, err) == (0, "")
+    exact = ", ".join(f'{{"id": "r{k}", "verdict": "exact", "witness": null}}' for k in range(1, 5))
+    assert stdout == (
+        f'{{"certificates": [{exact}], "violations": 0, '
+        '"minimal": {"formula": "x1 x2", "literals": 2}}\n'
+    )
+
+
+def test_learn_json_output_writes_a_text_sibling(tmp_path, capsys):
+    out = tmp_path / "g.json"
+    code, stdout, err = run(
+        capsys, "learn", "--format", "zoo", "--positive-type", "1", "--output", str(out), "--json",
+    )
+    assert (code, err) == (0, "")
+    text = tmp_path / "g.txt"
+    assert json.loads(stdout) == {
+        "formula": "x4", "terms": 1, "literals": 1, "iterations": 1,
+        "text_path": str(text), "json_path": str(out),
+    }
+    assert text.read_text(encoding="utf-8") == "x4\n"
+    assert out.read_text(encoding="utf-8") == '{"n": 20, "terms": [[{"var": 4, "neg": false}]]}\n'
+
+
+def test_experiment_csv_report_writes_runs_beside_it(tmp_path, capsys):
+    report = tmp_path / "r.csv"
+    code, stdout, err = run(
+        capsys, "experiment", "--types", "1", "--modes", "random", "--fractions", "10",
+        "--seeds", "1", "--report", str(report),
+    )
+    assert (code, err) == (0, "")
+    runs = tmp_path / "r.runs.csv"
+    lines = stdout.splitlines()
+    assert lines[:4] == [
+        "Summary per mode and fraction over all types and seeds",
+        "(AEN = mean error count, R = mean error rate; aborted runs excluded):",
+        "  mode          missing  runs  aborts     AEN       R",
+        "  random            10%     1       0    0.00   0.000",
+    ]
+    assert lines[4].startswith("learning time ") and lines[4].endswith("s")
+    assert lines[5:] == [f"report: {report}", f"runs csv: {runs}"]
+    assert report.read_text(encoding="utf-8").startswith("Masked-data learning report\n")
+    header, row = runs.read_text(encoding="utf-8").splitlines()
+    assert header == "type,mode,fraction,seed,errors,rate,abort,seconds,formula"
+    assert row.startswith("1,random,1/10,1,0,0,,")
+
+
+def test_mask_truth_that_does_not_parse_exits_2(tmp_path, capsys):
+    out = tmp_path / "m.csv"
+    code, stdout, err = run(
+        capsys, "mask", "--format", "zoo", "--positive-type", "1", "--mode", "trustworthy",
+        "--fraction", "10%", "--seed", "1", "--truth", "x1 |", "--output", str(out),
+    )
+    assert (code, stdout, err) == (2, "", "error: empty term at end of formula (at 4)\n")
+    assert not out.exists()
+
+
+def test_eval_formula_wider_than_the_data_exits_1(tmp_path, capsys):
+    data = tmp_path / "rows.csv"
+    save_ternary_csv(Dataset.from_texts(["11"], ["00"]), data)
+    f = tmp_path / "f.txt"
+    f.write_text("x5\n", encoding="utf-8")
+    code, stdout, err = run(
+        capsys, "eval", "--formula", str(f), "--format", "csv", "--input", str(data),
+    )
+    assert (code, stdout) == (1, "")
+    assert err == "error: formula names x5 but the data has only 2 variables\n"
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (ParseError("bad"), 2, "error"),
+    (ConsistencyAbort("bad"), 3, "inconsistent"),
+    (LengthMismatchError("bad"), 1, "error"),
+    (ValueError("bad"), 1, "error"),
+    (BudgetExceededError("bad"), 1, "error"),
+    (TridnfError("bad"), 2, "error"),
+    (FileNotFoundError("bad"), 2, "error"),
+])
+def test_each_error_class_has_one_exit_code(monkeypatch, capsys, error, code, prefix):
+    def fail(*_):
+        raise error
+
+    # the formula is given inline and its evaluation raises the error
+    monkeypatch.setattr(cli, "_read_formula_file", parse_formula)
+    monkeypatch.setattr(cli, "evaluate", fail)
+    argv = ["eval", "--formula", "x1", "--format", "zoo", "--positive-type", "1"]
+    assert run(capsys, *argv) == (code, "", f"{prefix}: bad\n")
+    # anything else is a fault of the program, not of its input
+    monkeypatch.setattr(cli, "evaluate", lambda *_: {}[0])
+    with pytest.raises(KeyError):
+        main(argv)

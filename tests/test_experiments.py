@@ -19,7 +19,7 @@ from tridnf import (
     parse_formula,
     run_experiment,
 )
-from tridnf.masking import RANDOM, TRUSTWORTHY
+from tridnf.masking import RANDOM, TRUSTWORTHY, mask_ladder
 
 
 def test_evaluate_counts_both_error_kinds():
@@ -72,6 +72,9 @@ def test_run_experiment_grid_and_summary(zoo_records):
     # reference formulas are cached per type for the trustworthy runs
     assert report.reference_for(1).render() == "x4"
     assert report.reference_for(4).render() == "x12 x3"
+    text = report.render_text()
+    assert "\nType 1 (reference formula: x4)\n" in text
+    assert "\nType 4 (reference formula: x12 x3)\n" in text
 
 
 def test_run_experiment_rows_are_deterministic(zoo_records, monkeypatch):
@@ -218,3 +221,43 @@ def test_default_sweep_learns_the_unmasked_data_and_draws_each_seed_once(
     assert len(zero) == 28
     for run in zero:
         assert run.formula == report.reference_for(run.positive_type), run
+
+
+def test_an_aborted_cell_is_reported_and_left_out_of_the_means(zoo_records, monkeypatch):
+    # one masked dataset of type 2 aborts; type 1 and the unmasked data do not
+    target = mask_ladder(encode_zoo(zoo_records, 2), RANDOM, [Fraction(1, 10)], 1)[0]
+    real = experiments.learn
+
+    def learn_or_abort(data, *args):
+        if data == target:
+            raise ConsistencyAbort("forced-abort", instance_id="v1")
+        return real(data, *args)
+
+    monkeypatch.setattr(experiments, "learn", learn_or_abort)
+    report = run_experiment(
+        zoo_records, types=(1, 2), fractions=(0, Fraction(1, 10)), modes=(RANDOM,), seeds=(1,)
+    )
+    aborted = [run for run in report.runs if not run.ok]
+    assert [(run.positive_type, run.fraction) for run in aborted] == [(2, Fraction(1, 10))]
+    (run,) = aborted
+    assert (run.formula, run.errors, run.rate, run.abort_reason) == (None, None, None, "forced-abort")
+    kept = next(r for r in report.runs if r.positive_type == 1 and r.fraction == run.fraction)
+    assert kept.ok and kept.rate == Fraction(kept.errors, kept.size)
+
+    text = report.render_text()
+    assert "runs 4, aborted 1" in text
+    type_1, type_2 = text.split("\nType 1\n")[1].split("\nType 2\n")
+    assert "ABORT" not in type_1
+    assert "  random            10%      1 ABORT  forced-abort" in type_2.splitlines()
+
+    rows = report.csv_rows()
+    (row,) = [row for row in rows[1:] if row[6]]
+    assert row[:7] == ["2", "random", "1/10", "1", "", "", "forced-abort"]
+    assert row[8] == ""
+
+    by_fraction = {row.fraction: row for row in report.summary()}
+    ten = by_fraction[Fraction(1, 10)]
+    assert (ten.runs, ten.aborted) == (2, 1)
+    assert (ten.aen, ten.rate) == (kept.errors, kept.rate)
+    assert by_fraction[0].aborted == 0
+    assert "aborts" in report.render_summary()

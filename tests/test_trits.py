@@ -119,6 +119,26 @@ def test_dataset_rejects_mislabeled_instance():
         Dataset(2, (neg,), ())
 
 
+def test_dataset_checks_each_class_in_order():
+    pos = Instance.from_text("10", Label.POSITIVE, "u1")
+    neg = Instance.from_text("01", Label.NEGATIVE, "v1")
+    with pytest.raises(ValueError, match="^dataset width must be at least 1$"):
+        Dataset(0, (), ())
+    wide_pos = Instance.from_text("101", Label.POSITIVE, "u2")
+    wide_neg = Instance.from_text("011", Label.NEGATIVE, "v2")
+    with pytest.raises(LengthMismatchError, match="^instance 'u2' has width 3, expected 2$"):
+        Dataset(2, (pos, wide_pos), (neg,))
+    with pytest.raises(LengthMismatchError, match="^instance 'v2' has width 3, expected 2$"):
+        Dataset(2, (pos,), (neg, wide_neg))
+    with pytest.raises(ValueError, match=r"^instance 'u1' in negatives carries label \+$"):
+        Dataset(2, (pos,), (neg, pos))
+    # the positives are checked before the negatives, width before label
+    with pytest.raises(ValueError, match=r"^instance 'v1' in positives carries label -$"):
+        Dataset(2, (neg,), (wide_neg,))
+    with pytest.raises(LengthMismatchError, match="^instance 'v2' has width 3"):
+        Dataset(2, (wide_neg,), (pos,))
+
+
 def test_reduce_uncertainty_worked_example():
     d = Dataset.from_texts(["1?00"], ["1100", "100?"])
     g = reduce_uncertainty(d)
