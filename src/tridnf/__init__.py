@@ -35,15 +35,7 @@ from .experiments import (
 from .formula import DnfFormula, Literal, Term, parse_formula
 from .learner import LearnerConfig, LearnResult, learn
 from .masking import MaskPlan, SplitMix64, apply_mask, make_mask
-from .oracle import (
-    ConsistencyCertificate,
-    Verdict,
-    membership,
-    minimal_dnf_exhaustive,
-    reference_brain,
-    reference_learn,
-    verify_consistency,
-)
+from .oracle import ConsistencyCertificate, Verdict, verify_consistency
 from .trits import (
     Dataset,
     Instance,
@@ -93,12 +85,8 @@ __all__ = [
     "load_ternary_csv",
     "load_zoo",
     "make_mask",
-    "membership",
-    "minimal_dnf_exhaustive",
     "parse_formula",
     "reduce_uncertainty",
-    "reference_brain",
-    "reference_learn",
     "run_experiment",
     "save_ternary_csv",
     "verify_consistency",

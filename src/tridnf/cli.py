@@ -266,8 +266,7 @@ def cmd_mask(args) -> int:
 
 def cmd_eval(args) -> int:
     dataset = _load_dataset(args)
-    formula = _fit_width(_read_formula_file(args.formula), dataset.n)
-    report = evaluate(formula, dataset)
+    report = evaluate(_read_formula_file(args.formula), dataset)
     payload = {"errors": report.errors, "size": report.size, "rate": float(report.rate)}
     _report(args, payload, [f"E={report.errors} R={float(report.rate):.3f}"])
     return EXIT_OK

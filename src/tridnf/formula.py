@@ -71,12 +71,9 @@ class Term:
         """Truth under a fully-certain assignment packed as an int."""
         return _any_holds(((self.pos_mask, self.neg_mask),), bits)
 
-    def certainly_false(self, inst: Instance) -> bool:
-        """Some certain cell contradicts a literal."""
-        return bool((self.pos_mask & inst.zeros) | (self.neg_mask & inst.ones))
-
     def possibly_satisfied_by(self, inst: Instance) -> bool:
-        return not self.certainly_false(inst)
+        """No certain cell contradicts a literal."""
+        return not (self.pos_mask & inst.zeros or self.neg_mask & inst.ones)
 
     def render(self) -> str:
         if not self.literals:

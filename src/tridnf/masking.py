@@ -59,10 +59,6 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
         return z ^ (z >> 31)
 
-    def below(self, bound: int) -> int:
-        """Uniform-ish value in [0, bound) by simple reduction."""
-        return self.next_u64() % bound
-
 
 @dataclass(frozen=True)
 class MaskPlan:

@@ -23,14 +23,13 @@ from tridnf import (
     Literal,
     Verdict,
     learn,
-    membership,
     reduce_uncertainty,
-    reference_brain,
     run_experiment,
     verify_consistency,
 )
 from tridnf.learner import _TermEngine
 from tridnf.masking import RANDOM, TRUSTWORTHY
+from tridnf.oracle import membership, reference_learn
 
 H = Fraction(1, 2)
 
@@ -102,7 +101,7 @@ def test_criterion_2_crisp_equivalence_with_reference():
             ),
         )
         got = learn(d).formula
-        want = reference_brain(d)
+        want = reference_learn(d).formula
         assert got == want, f"trial {trial}: {got.render()} != {want.render()}"
         certs = verify_consistency(got, d)
         assert all(c.verdict is Verdict.EXACT for c in certs), f"trial {trial}"

@@ -12,9 +12,8 @@ from tridnf import (
     LearnerConfig,
     Literal,
     learn,
-    membership,
-    reference_learn,
 )
+from tridnf.oracle import membership, reference_learn
 
 H = Fraction(1, 2)
 

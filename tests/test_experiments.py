@@ -9,6 +9,7 @@ import pytest
 from tridnf import (
     ConsistencyAbort,
     Dataset,
+    EvalReport,
     SplitMix64,
     apply_mask,
     encode_zoo,
@@ -44,6 +45,21 @@ def test_evaluate_requires_certain_data():
     f = parse_formula("x1", n=2)
     with pytest.raises(ValueError):
         evaluate(f, Dataset.from_texts(["1?"], ["00"]))
+
+
+def test_evaluate_refuses_a_formula_wider_than_its_data():
+    d = Dataset.from_texts(["11"], ["00"])
+    with pytest.raises(ValueError, match="^formula names x5 but the data has only 2 variables$"):
+        evaluate(parse_formula("x1 x5"), d)
+    # a narrower formula reads the first variables only
+    assert evaluate(parse_formula("~x1"), d) == EvalReport(errors=2, size=2)
+
+
+def test_learned_terms_keep_a_term_a_later_term_absorbs(zoo_records):
+    # learn returns its terms in the order it learns them and drops none,
+    # though x4 alone has this formula's truth table
+    (run,) = run_experiment(zoo_records, [1], [Fraction(1, 10)], [RANDOM], [1]).runs
+    assert (run.formula.render(), run.errors) == ("~x3 x4 | x4", 0)
 
 
 def test_run_experiment_grid_and_summary(zoo_records):

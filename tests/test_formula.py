@@ -40,12 +40,11 @@ def test_term_against_uncertain_instance():
     sure = Instance.from_text("1?0", Label.POSITIVE)
     open_ = Instance.from_text("1??", Label.POSITIVE)
     blocked = Instance.from_text("1?1", Label.POSITIVE)
+    blocked_pos = Instance.from_text("0?0", Label.POSITIVE)
     assert term.possibly_satisfied_by(sure)
-    assert not term.certainly_false(sure)
     assert term.possibly_satisfied_by(open_)
-    assert not term.certainly_false(open_)
-    assert term.certainly_false(blocked)
     assert not term.possibly_satisfied_by(blocked)
+    assert not term.possibly_satisfied_by(blocked_pos)
 
 
 def test_parse_canonical_round_trip():

@@ -27,9 +27,9 @@ from tridnf import (
     apply_mask,
     learn,
     make_mask,
-    reference_learn,
 )
 from tridnf import learner, oracle
+from tridnf.oracle import reference_learn
 from tridnf.learner import _TermEngine
 
 TRACED = LearnerConfig(trace=True)
@@ -489,7 +489,7 @@ def test_no_negatives_learn_the_empty_term():
 
 _ERASE_NOTHING = """
 import json
-from tridnf import ConsistencyAbort, Dataset, LearnerConfig, learn, reference_brain
+from tridnf import ConsistencyAbort, Dataset, LearnerConfig, learn
 from tridnf import formula, learner, oracle
 
 out = {"debug": __debug__}
@@ -515,7 +515,7 @@ oracle.term_from_codes = lambda n, codes: formula.Term(
     convert(n, codes).literals + convert(n, (0, n)).literals
 )
 try:
-    reference_brain(d)
+    oracle.reference_learn(d)
 except ConsistencyAbort as abort:
     out["oracle"] = abort.reason
 print(json.dumps(out))
@@ -564,7 +564,7 @@ def test_learn_does_not_ask_the_term_which_rows_it_covers(monkeypatch):
     # forgets negated literals: ~x1 then seems to hold on both negatives
     d = Dataset.from_texts(["00", "01"], ["10", "11"])
     before = (_outcome(_traced_learn, d), _outcome(reference_learn, d))
-    monkeypatch.setattr(Term, "certainly_false", lambda self, inst: bool(self.pos_mask & inst.zeros))
+    monkeypatch.setattr(Term, "possibly_satisfied_by", lambda self, inst: not self.pos_mask & inst.zeros)
     assert _outcome(_traced_learn, d) == before[0]
     assert _outcome(reference_learn, d) != before[1]
 

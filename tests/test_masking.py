@@ -35,7 +35,7 @@ def test_generator_matches_published_vectors():
 
 def test_generator_below_is_in_range():
     rng = SplitMix64(12345)
-    draws = [rng.below(7) for _ in range(200)]
+    draws = [rng.next_u64() % 7 for _ in range(200)]
     assert all(0 <= d < 7 for d in draws)
     assert len(set(draws)) == 7
 
@@ -162,7 +162,7 @@ def plan_by_cells(dataset, mode, fraction, seed, truth=None) -> MaskPlan:
     count = min(requested, len(candidates))
     rng = SplitMix64(seed)
     for i in range(count):
-        j = i + rng.below(len(candidates) - i)
+        j = i + rng.next_u64() % (len(candidates) - i)
         candidates[i], candidates[j] = candidates[j], candidates[i]
     return MaskPlan(mode, fraction, seed, tuple(sorted(candidates[:count])),
                     requested, requested - count)
