@@ -192,16 +192,6 @@ def _parse_truth(token: str) -> DnfFormula:
         raise
 
 
-def _fit_width(formula: DnfFormula, n: int) -> DnfFormula:
-    if formula.n == n:
-        return formula
-    if formula.n < n:
-        return DnfFormula(n=n, terms=formula.terms)
-    raise ValueError(
-        f"formula names x{formula.n} but the data has only {n} variables"
-    )
-
-
 def _formula_paths(out: Path) -> tuple[Path, Path]:
     if out.suffix == ".json":
         return out.with_suffix(".txt"), out
@@ -248,8 +238,6 @@ def cmd_mask(args) -> int:
     truth = _parse_truth(args.truth) if args.truth else None
     if args.mode == TRUSTWORTHY and truth is None:
         raise ValueError("--truth is required for trustworthy masking")
-    if truth is not None:
-        truth = _fit_width(truth, dataset.n)
     plan = make_mask(dataset, args.mode, args.fraction, args.seed, truth)
     masked = apply_mask(dataset, plan)
     save_ternary_csv(masked, args.output)
@@ -312,7 +300,7 @@ def cmd_experiment(args) -> int:
 
 def cmd_verify(args) -> int:
     dataset = _load_dataset(args)
-    formula = _fit_width(_read_formula_file(args.formula), dataset.n)
+    formula = _read_formula_file(args.formula)
     certificates = verify_consistency(formula, dataset, budget=args.budget)
     violations = sum(1 for c in certificates if c.verdict is Verdict.VIOLATED)
     minimal = None

@@ -3,12 +3,11 @@
 Each run is one (positive type, mode, fraction, seed) cell: the full data is
 encoded one-vs-rest, masked, a formula is learned from the masked data, and
 its errors are counted against the unmasked data.  The masked datasets of
-one (type, mode, seed) come from one shuffle (``masking._ladder``, the
-form of ``mask_ladder`` that takes shared draw streams), and every shuffle
-of one seed reduces the same SplitMix64 draws, made once per call.  With
-no cell blanked, U-BRAIN is BRAIN: the fraction-0 cells of a type share
-one learn of its unmasked encoding, the one that gives the trustworthy
-reference formula when that mode runs.
+one (type, mode, seed) come from one shuffle (``masking._ladder``), and
+every shuffle of one seed reduces the same SplitMix64 draws, made once per
+call.  With no cell blanked, U-BRAIN is BRAIN: the fraction-0 cells of a
+type share one learn of its unmasked encoding, the one that gives the
+trustworthy reference formula when that mode runs.
 Aborted runs stay in the table marked ABORT and are excluded from the mean
 error statistics.
 """
@@ -22,7 +21,7 @@ from typing import Sequence
 
 from .datasets import DEFAULT_LEGS_ORDER, ZooRecord, encode_zoo
 from .errors import ConsistencyAbort
-from .formula import DnfFormula
+from .formula import DnfFormula, _check_width
 from .learner import learn
 from .masking import TRUSTWORTHY, _ladder
 # the bench's traced run wraps these two names here, so they stay importable
@@ -46,10 +45,10 @@ def evaluate(formula: DnfFormula, complete: Dataset) -> EvalReport:
     """Count instances whose label the formula gets wrong.
 
     ``complete`` must have no Unknown cells, so evaluation is plain
-    two-valued.  A formula over fewer variables reads only the first ones.
+    two-valued.  The formula may name no variable the data lacks; one
+    that names fewer reads only those.
     """
-    if formula.n > complete.n:
-        raise ValueError(f"formula names x{formula.n} but the data has only {complete.n} variables")
+    _check_width(formula, complete.n)
     full = (1 << complete.n) - 1
     if any(inst.known_bits != full for inst in complete.instances()):
         raise ValueError("evaluation requires a complete dataset")

@@ -73,7 +73,7 @@ class Term:
 
     def possibly_satisfied_by(self, inst: Instance) -> bool:
         """No certain cell contradicts a literal."""
-        return not (self.pos_mask & inst.zeros or self.neg_mask & inst.ones)
+        return not (self.pos_mask & inst.zeros or self.neg_mask & inst.value_bits)
 
     def render(self) -> str:
         if not self.literals:
@@ -174,6 +174,15 @@ class DnfFormula:
         except RecursionError:
             raise ParseError("JSON nested too deeply") from None
         return cls.from_json_dict(data)
+
+
+def _check_width(formula: DnfFormula, n: int) -> None:
+    """The one width rule of every check against data over ``n``
+    variables: the formula may name no variable past ``xn``.  Its declared
+    ``n`` is not read, so a narrower or a declared-wider formula passes."""
+    widest = max(formula.vars_used, default=0)
+    if widest > n:
+        raise ValueError(f"formula names x{widest} but the data has only {n} variables")
 
 
 def _integer(digits: str, token: str, where: int | None = None) -> int:

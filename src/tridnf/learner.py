@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 import struct
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -49,6 +49,7 @@ from .trits import (
     Dataset,
     Instance,
     Trit,
+    _named,
     check_self_consistency,
     delete_repetitions,
     reduce_uncertainty,
@@ -361,14 +362,8 @@ def learn(dataset: Dataset, config: LearnerConfig | None = None) -> LearnResult:
     full = (1 << n) - 1
     # default ids come from input position and then travel with the row
     # through reductions, dedupes, and updates
-    positives = [
-        inst if inst.id else replace(inst, id=f"u{k}")
-        for k, inst in enumerate(dataset.positives, start=1)
-    ]
-    negatives = [
-        inst if inst.id else replace(inst, id=f"v{k}")
-        for k, inst in enumerate(dataset.negatives, start=1)
-    ]
+    positives = _named(dataset.positives, "u")
+    negatives = _named(dataset.negatives, "v")
 
     terms: list[Term] = []
     erased: list[Instance] = []

@@ -18,7 +18,7 @@ once with those cells made Unknown.
 
 Step i of the shuffle writes only positions i and j >= i, so after k steps
 the first k candidates are final: the plan at any fraction is the sorted
-prefix of one shuffle run to the largest fraction.  ``mask_ladder`` uses
+prefix of one shuffle run to the largest fraction.  ``_ladder`` uses
 that to mask one dataset at several fractions from a single shuffle, and
 returns the dataset itself for a fraction that blanks no cell.
 
@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import CellOutOfRangeError, FractionOutOfRangeError
-from .formula import DnfFormula
+from .formula import DnfFormula, _check_width
 from .trits import Dataset, Instance
 
 MASK64 = (1 << 64) - 1
@@ -120,7 +120,8 @@ def _plan(
     streams: dict,
 ) -> tuple[list[tuple[Fraction, int, int]], list[int], list[int]]:
     """Check the arguments and shuffle the candidate cells, for
-    ``make_mask`` and ``mask_ladder`` alike.
+    ``make_mask`` and ``_ladder`` alike.  A given ``truth`` may name no
+    variable the data lacks, in either mode.
 
     Returns the fraction, requested cell count and capped cell count of
     each of ``fractions``, the candidate columns, and the shuffle run to
@@ -138,6 +139,8 @@ def _plan(
         if not 0 <= value <= Fraction(1, 2):
             raise FractionOutOfRangeError(f"mask fraction must be in [0, 1/2], got {fraction!r}")
         requested.append((value, round(value * rows * dataset.n)))
+    if truth is not None:
+        _check_width(truth, dataset.n)
     columns = _candidate_columns(dataset, mode, truth)
     size = rows * len(columns)
     budgets = [(value, want, min(want, size)) for value, want in requested]
@@ -205,25 +208,6 @@ def apply_mask(dataset: Dataset, plan: MaskPlan) -> Dataset:
     return _blank_rows(dataset, rows, plan.cells)
 
 
-def mask_ladder(
-    dataset: Dataset,
-    mode: str,
-    fractions: Sequence,
-    seed: int,
-    truth: DnfFormula | None = None,
-) -> list[Dataset]:
-    """``apply_mask(dataset, make_mask(dataset, mode, f, seed, truth))`` for
-    each ``f`` of ``fractions``, in their order, from one shuffle.
-
-    The shuffle runs to the largest cell count.  Going up in count, each
-    step blanks only the cells it adds and copies only the rows they touch;
-    fractions of equal count share one dataset, and a count of 0 gets
-    ``dataset`` itself.  Raises as ``make_mask`` does, checking every
-    fraction before the reference formula.
-    """
-    return _ladder(dataset, mode, fractions, seed, truth, {})
-
-
 def _ladder(
     dataset: Dataset,
     mode: str,
@@ -232,7 +216,16 @@ def _ladder(
     truth: DnfFormula | None,
     streams: dict,
 ) -> list[Dataset]:
-    """``mask_ladder``, drawing its shuffle from ``streams`` (see ``_draws``)."""
+    """``apply_mask(dataset, make_mask(dataset, mode, f, seed, truth))`` for
+    each ``f`` of ``fractions``, in their order, from one shuffle drawn
+    from ``streams`` (see ``_draws``; a fresh ``{}`` draws anew).
+
+    The shuffle runs to the largest cell count.  Going up in count, each
+    step blanks only the cells it adds and copies only the rows they touch;
+    fractions of equal count share one dataset, and a count of 0 gets
+    ``dataset`` itself.  Raises as ``make_mask`` does, checking every
+    fraction before the reference formula.
+    """
     budgets, columns, shuffled = _plan(dataset, mode, fractions, seed, truth, streams)
     counts = [count for _, _, count in budgets]
     current = list(dataset.instances())

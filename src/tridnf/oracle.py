@@ -9,14 +9,14 @@ learner; the CLI exposes the verifiers through the verify command.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .errors import BudgetExceededError, ConsistencyAbort
-from .formula import DnfFormula, Literal, Term, term_from_codes
+from .formula import DnfFormula, Literal, Term, _check_width, term_from_codes
 from .learner import LearnResult, _exact
-from .trits import Dataset, Instance, Trit, delete_repetitions
+from .trits import Dataset, Instance, Trit, _named, delete_repetitions
 
 
 class Verdict(Enum):
@@ -48,37 +48,35 @@ def verify_consistency(
     Certain instances are evaluated directly.  Uncertain ones are checked
     by enumerating completions of the Unknown cells on the formula's own
     variables only (the others cannot change the formula's value, and the
-    reported witness fixes them to 0).
+    reported witness fixes them to 0).  The formula may name no variable
+    the data lacks, and may name fewer.
     """
-    if d.n != f.n:
-        raise ValueError(f"formula over {f.n} variables, data over {d.n}")
+    _check_width(f, d.n)
     var_mask = 0
     for var in f.vars_used:
         var_mask |= 1 << (var - 1)
-
-    out: list[ConsistencyCertificate] = []
-    for want, instances, prefix in ((True, d.positives, "u"), (False, d.negatives, "v")):
-        for idx, inst in enumerate(instances, start=1):
-            out.append(_certify(f, inst, want, inst.id or f"{prefix}{idx}", var_mask, budget))
-    return out
+    return [
+        _certify(f, inst, want, var_mask, budget)
+        for want, rows, prefix in ((True, d.positives, "u"), (False, d.negatives, "v"))
+        for inst in _named(rows, prefix)
+    ]
 
 
 def _certify(
     f: DnfFormula,
     inst: Instance,
     want: bool,
-    instance_id: str,
     var_mask: int,
     budget: int,
 ) -> ConsistencyCertificate:
     if inst.is_certain:
         verdict = Verdict.EXACT if f.evaluate(inst.value_bits) == want else Verdict.VIOLATED
-        return ConsistencyCertificate(instance_id, verdict)
+        return ConsistencyCertificate(inst.id, verdict)
 
     free = inst.unknowns & var_mask
     if 1 << free.bit_count() > budget:
         raise BudgetExceededError(
-            f"instance {instance_id!r} needs 2^{free.bit_count()} completions, budget {budget}"
+            f"instance {inst.id!r} needs 2^{free.bit_count()} completions, budget {budget}"
         )
     # every Unknown cell starts at 0; the submasks of ``free`` ascend as a
     # counter whose bit i sits on the i-th lowest free cell
@@ -87,10 +85,10 @@ def _certify(
         bits = inst.value_bits | ones
         if f.evaluate(bits) == want:
             witness = tuple((bits >> k) & 1 for k in range(inst.n))
-            return ConsistencyCertificate(instance_id, Verdict.COMPLETION_WITNESS, witness)
+            return ConsistencyCertificate(inst.id, Verdict.COMPLETION_WITNESS, witness)
         ones = (ones - free) & free
         if not ones:
-            return ConsistencyCertificate(instance_id, Verdict.VIOLATED)
+            return ConsistencyCertificate(inst.id, Verdict.VIOLATED)
 
 
 def minimal_dnf_exhaustive(d: Dataset, max_literals: int = 12) -> DnfFormula:
@@ -246,10 +244,11 @@ def reference_learn(d: Dataset) -> LearnResult:
     with first-max ties, erasure and complement striking, positive erasure
     and negative updates.  Returns the same LearnResult, trace included,
     or raises the same ConsistencyAbort.  Shares no code with the learner
-    beyond the dedupe, the data and formula types, the codes-to-``Term``
-    converter, and the trace's number formatting, so the two can check each
-    other.  In particular it erases positives and picks the negatives to
-    update with ``Term.possibly_satisfied_by``, which ``learn`` never calls.
+    beyond the dedupe, the data and formula types, the rule that names rows
+    without an id (``trits._named``), the codes-to-``Term`` converter, and
+    the trace's number formatting, so the two can check each other.  In
+    particular it erases positives and picks the negatives to update with
+    ``Term.possibly_satisfied_by``, which ``learn`` never calls.
     """
     n = d.n
     trace: list[str] = []
@@ -258,8 +257,8 @@ def reference_learn(d: Dataset) -> LearnResult:
         trace.append(f"ABORT {reason}")
         raise ConsistencyAbort(reason, trace=tuple(trace), **details)
 
-    positives = [u if u.id else replace(u, id=f"u{k}") for k, u in enumerate(d.positives, start=1)]
-    negatives = [v if v.id else replace(v, id=f"v{k}") for k, v in enumerate(d.negatives, start=1)]
+    positives = _named(d.positives, "u")
+    negatives = _named(d.negatives, "v")
     terms: list[Term] = []
     erased: list[Instance] = []
     iterations = 0

@@ -8,7 +8,7 @@ comparisons reduce to a handful of word-parallel integer operations.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
 
 from .errors import LengthMismatchError
@@ -117,10 +117,6 @@ class Instance:
         return "".join(str(c) for c in self.cells)
 
     @property
-    def ones(self) -> int:
-        return self.value_bits
-
-    @property
     def zeros(self) -> int:
         return self.known_bits & ~self.value_bits
 
@@ -153,6 +149,14 @@ class Instance:
         return f"{self.text}{self.label}"
 
 
+def _named(rows: Iterable[Instance], prefix: str) -> list[Instance]:
+    """The one name rule: ``rows``, each row without an id named
+    ``<prefix><k>`` by its 1-based position k in its class (``u`` for
+    positives, ``v`` for negatives), as traces, aborts and certificates
+    show it."""
+    return [inst if inst.id else replace(inst, id=f"{prefix}{k}") for k, inst in enumerate(rows, start=1)]
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable bundle of positive and negative instances of equal width."""
@@ -177,22 +181,11 @@ class Dataset:
                     raise ValueError(f"instance {inst.id!r} in {side} carries label {inst.label}")
 
     @classmethod
-    def from_texts(
-        cls,
-        positives: Sequence[str],
-        negatives: Sequence[str],
-        pos_ids: Sequence[str] | None = None,
-        neg_ids: Sequence[str] | None = None,
-    ) -> "Dataset":
-        """Build from compact rows like ``["1?0", "110"]``."""
-        pos = tuple(
-            Instance.from_text(t, Label.POSITIVE, pos_ids[i] if pos_ids else f"u{i + 1}")
-            for i, t in enumerate(positives)
-        )
-        neg = tuple(
-            Instance.from_text(t, Label.NEGATIVE, neg_ids[i] if neg_ids else f"v{i + 1}")
-            for i, t in enumerate(negatives)
-        )
+    def from_texts(cls, positives: Sequence[str], negatives: Sequence[str]) -> "Dataset":
+        """Build from compact rows like ``["1?0", "110"]``, named u1, u2, ...
+        and v1, v2, ... as ``_named`` names them."""
+        pos = tuple(_named((Instance.from_text(t, Label.POSITIVE) for t in positives), "u"))
+        neg = tuple(_named((Instance.from_text(t, Label.NEGATIVE) for t in negatives), "v"))
         widths = {inst.n for inst in pos + neg}
         if len(widths) != 1:
             raise LengthMismatchError("rows of unequal width")

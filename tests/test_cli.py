@@ -637,6 +637,62 @@ def test_eval_formula_wider_than_the_data_exits_1(tmp_path, capsys):
     assert err == "error: formula names x5 but the data has only 2 variables\n"
 
 
+def _two_rows(tmp_path):
+    data = tmp_path / "rows.csv"
+    save_ternary_csv(Dataset.from_texts(["11"], ["00"]), data)
+    return data
+
+
+@pytest.mark.parametrize("command", ["verify", "mask"])
+def test_formula_naming_a_variable_the_data_lacks_exits_1(tmp_path, capsys, command):
+    data, out = _two_rows(tmp_path), tmp_path / "m.csv"
+    f = tmp_path / "f.txt"
+    f.write_text("x5\n", encoding="utf-8")
+    args = {
+        "verify": ["verify", "--formula", str(f)],
+        "mask": ["mask", "--mode", "random", "--fraction", "25%", "--seed", "1",
+                 "--truth", "x5", "--output", str(out)],
+    }[command]
+    code, stdout, err = run(capsys, *args, "--format", "csv", "--input", str(data))
+    assert (code, stdout) == (1, "")
+    assert err == "error: formula names x5 but the data has only 2 variables\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "verify", "mask"])
+def test_formula_declaring_more_variables_than_it_names_is_accepted(tmp_path, capsys, command):
+    # the formula names x1 only, so it runs as the text formula x1 does
+    data, out = _two_rows(tmp_path), tmp_path / "m.csv"
+    wide, narrow = tmp_path / "wide.json", tmp_path / "x1.txt"
+    wide.write_text('{"n": 5, "terms": [[{"var": 1, "neg": false}]]}', encoding="utf-8")
+    narrow.write_text("x1\n", encoding="utf-8")
+    outcomes = []
+    for formula in (str(wide), str(narrow)):
+        args = {
+            "eval": ["eval", "--formula", formula],
+            "verify": ["verify", "--formula", formula],
+            "mask": ["mask", "--mode", "trustworthy", "--fraction", "25%", "--seed", "1",
+                     "--truth", formula, "--output", str(out)],
+        }[command]
+        code, stdout, err = run(capsys, *args, "--format", "csv", "--input", str(data))
+        outcomes.append((code, stdout, err, out.read_text(encoding="utf-8") if out.exists() else ""))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == 0 and outcomes[0][2] == ""
+
+
+@pytest.mark.parametrize("terms, message", [
+    ('[{"var": 1, "neg": false}]', "each term must be a list of literals"),
+    ("[[1]]", "each literal must be an object"),
+])
+def test_formula_json_with_malformed_terms_exits_2(tmp_path, capsys, terms, message):
+    f = tmp_path / "bad.json"
+    f.write_text('{"n": 2, "terms": %s}' % terms, encoding="utf-8")
+    code, stdout, err = run(
+        capsys, "eval", "--formula", str(f), "--format", "csv", "--input", str(_two_rows(tmp_path)),
+    )
+    assert (code, stdout, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("error, code, prefix", [
     (ParseError("bad"), 2, "error"),
     (ConsistencyAbort("bad"), 3, "inconsistent"),

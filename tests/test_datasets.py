@@ -21,6 +21,7 @@ from tridnf import (
     load_zoo,
     save_ternary_csv,
     Trit,
+    ZooRecord,
 )
 from tridnf.datasets import DEFAULT_LEGS_ORDER, EXPECTED_RECORD_COUNT, VALID_LEGS
 
@@ -160,6 +161,18 @@ def test_load_zoo_warns_on_wrong_count(tmp_path):
     empty.write_text("", encoding="utf-8")
     with pytest.raises(ParseError):
         load_zoo(empty)
+
+
+@pytest.mark.parametrize("flags, legs, kind, message", [
+    ((0,) * 14, 4, 1, "flags must be fifteen 0/1 values"),
+    ((0,) * 14 + (2,), 4, 1, "flags must be fifteen 0/1 values"),
+    ((0,) * 15, 3, 1, "leg count must be one of (0, 2, 4, 5, 6, 8), got 3"),
+    ((0,) * 15, 4, 8, "class code must be 1..7, got 8"),
+])
+def test_zoo_record_checks_its_fields(flags, legs, kind, message):
+    with pytest.raises(ValueError) as err:
+        ZooRecord("aardvark", flags, legs, kind)
+    assert str(err.value) == message
 
 
 def test_valid_legs_values():

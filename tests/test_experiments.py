@@ -20,7 +20,7 @@ from tridnf import (
     parse_formula,
     run_experiment,
 )
-from tridnf.masking import RANDOM, TRUSTWORTHY, mask_ladder
+from tridnf.masking import RANDOM, TRUSTWORTHY, _ladder
 
 
 def test_evaluate_counts_both_error_kinds():
@@ -241,7 +241,7 @@ def test_default_sweep_learns_the_unmasked_data_and_draws_each_seed_once(
 
 def test_an_aborted_cell_is_reported_and_left_out_of_the_means(zoo_records, monkeypatch):
     # one masked dataset of type 2 aborts; type 1 and the unmasked data do not
-    target = mask_ladder(encode_zoo(zoo_records, 2), RANDOM, [Fraction(1, 10)], 1)[0]
+    target = _ladder(encode_zoo(zoo_records, 2), RANDOM, [Fraction(1, 10)], 1, None, {})[0]
     real = experiments.learn
 
     def learn_or_abort(data, *args):

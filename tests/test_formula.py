@@ -7,15 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tridnf import (
+    Dataset,
     DnfFormula,
     Instance,
     Label,
     Literal,
     ParseError,
     Term,
+    evaluate,
+    make_mask,
     parse_formula,
+    verify_consistency,
 )
 from tridnf.formula import term_from_codes
+from tridnf.masking import RANDOM, TRUSTWORTHY, _ladder
 
 
 def test_literal_render():
@@ -102,6 +107,16 @@ def test_json_rejects_malformed_documents(doc):
         DnfFormula.from_json(doc)
 
 
+@pytest.mark.parametrize("doc, message", [
+    ('{"n": 2, "terms": [{"var": 1, "neg": false}]}', "each term must be a list of literals"),
+    ('{"n": 2, "terms": [[1]]}', "each literal must be an object"),
+])
+def test_json_names_the_malformed_part(doc, message):
+    with pytest.raises(ParseError) as err:
+        DnfFormula.from_json(doc)
+    assert str(err.value) == message
+
+
 def test_json_nesting_depth_is_a_parse_error():
     with pytest.raises(ParseError, match="nested too deeply"):
         DnfFormula.from_json('{"n": ' + "[" * 200_000 + "]" * 200_000 + "}")
@@ -118,6 +133,33 @@ def test_formula_width_validation():
         parse_formula("x9", n=3)
     with pytest.raises(ValueError):
         DnfFormula(2, (Term((Literal(False, 5),)),))
+    with pytest.raises(ValueError, match="^variable count cannot be negative$"):
+        DnfFormula(-1, ())
+
+
+# every check of a formula against data, each called as (formula, data)
+_CHECKS = {
+    "evaluate": evaluate,
+    "verify_consistency": verify_consistency,
+    "make_mask-random": lambda f, d: make_mask(d, RANDOM, 0.25, 1, f),
+    "make_mask-trustworthy": lambda f, d: make_mask(d, TRUSTWORTHY, 0.25, 1, f),
+    "ladder-random": lambda f, d: _ladder(d, RANDOM, [0.25, 0.5], 1, f, {}),
+    "ladder-trustworthy": lambda f, d: _ladder(d, TRUSTWORTHY, [0.25, 0.5], 1, f, {}),
+}
+
+
+@pytest.mark.parametrize("check", list(_CHECKS))
+def test_every_check_reads_the_variables_a_formula_names(check):
+    run = _CHECKS[check]
+    d = Dataset.from_texts(["11"], ["00"])
+    with pytest.raises(ValueError) as err:
+        run(parse_formula("x1 x5"), d)
+    assert str(err.value) == "formula names x5 but the data has only 2 variables"
+    # a formula may name fewer variables than the data has, whatever
+    # width it declares
+    run(parse_formula("~x1"), d)
+    declared = DnfFormula.from_json('{"n": 5, "terms": [[{"var": 1, "neg": false}]]}')
+    assert run(declared, d) == run(parse_formula("x1"), d)
 
 
 _GRAMMAR = st.text(alphabet="x~|0123456789 TRUEFALS\t\n", max_size=40)

@@ -19,6 +19,9 @@ import tridnf
 from tridnf import (
     ConsistencyAbort,
     Dataset,
+    DnfFormula,
+    Instance,
+    Label,
     LearnerConfig,
     LearnResult,
     Literal,
@@ -27,8 +30,10 @@ from tridnf import (
     apply_mask,
     learn,
     make_mask,
+    verify_consistency,
 )
 from tridnf import learner, oracle
+from tridnf.formula import term_from_codes
 from tridnf.oracle import reference_learn
 from tridnf.learner import _TermEngine
 
@@ -124,10 +129,61 @@ def test_erased_positives_keep_erasure_order():
 
 
 def test_instance_ids_survive_into_the_trace():
-    d = Dataset.from_texts(["1?0"], ["?00"], pos_ids=["ada"], neg_ids=["bob"])
+    d = Dataset(
+        3,
+        (Instance.from_text("1?0", Label.POSITIVE, "ada"),),
+        (Instance.from_text("?00", Label.NEGATIVE, "bob"),),
+    )
     result = learn(d, TRACED)
     assert "POS_ERASED ada" in result.trace
     assert "NEG_UPDATE bob 1 0" in result.trace
+
+
+def test_rows_without_an_id_are_named_by_their_position_in_their_class():
+    # the k-th row of a class with no id is u<k> or v<k> in traces, aborts,
+    # final datasets and certificates; so naming those rows so beforehand
+    # changes nothing, and named rows keep their ids, even ids such as u1
+    # that a later default name repeats
+    rng = random.Random(23)
+    outcomes = set()
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        texts = [
+            ["".join(rng.choice("01??") for _ in range(n)) for _ in range(rng.randint(low, 5))]
+            for low in (1, 0)
+        ]
+        sides = [
+            tuple(Instance.from_text(t, label, rng.choice(("", "", "ada", "u1", "v2"))) for t in rows)
+            for rows, label in zip(texts, (Label.POSITIVE, Label.NEGATIVE))
+        ]
+        d = Dataset(n, *sides)
+        spelled = Dataset(n, *(
+            tuple(replace(inst, id=inst.id or f"{prefix}{k}") for k, inst in enumerate(rows, start=1))
+            for rows, prefix in zip(sides, "uv")
+        ))
+        names = [inst.id for inst in spelled.instances()]
+        for run in (_traced_learn, learn, reference_learn):
+            got = _outcome(run, d)
+            assert got == _outcome(run, spelled), texts
+        if isinstance(got, LearnResult):
+            formula = got.formula
+            assert {inst.id for inst in got.dataset.instances()} <= set(names)
+            assert [line.split()[1] for line in got.trace if line.startswith("POS_ERASED")] == [
+                inst.id for inst in got.dataset.positives
+            ]
+            outcomes.add("learned")
+        else:
+            formula = DnfFormula(n, (term_from_codes(n, rng.sample(range(2 * n), rng.randint(0, n))),))
+            assert got[2] in ("", *names)
+            outcomes.add(got[0])
+        certificates = verify_consistency(formula, d)
+        assert certificates == verify_consistency(formula, spelled)
+        assert [c.instance_id for c in certificates] == names
+        plain = Dataset.from_texts(*texts)
+        assert [inst.id for inst in plain.instances()] == [
+            f"{prefix}{k}" for rows, prefix in zip(texts, "uv") for k in range(1, len(rows) + 1)
+        ]
+    assert {"learned", "inconsistent-data"} <= outcomes, outcomes
 
 
 def test_duplicate_positives_collapse_before_selection():

@@ -21,7 +21,7 @@ from tridnf import (
     parse_formula,
 )
 from tridnf.formula import term_from_codes
-from tridnf.masking import RANDOM, TRUSTWORTHY, mask_ladder
+from tridnf.masking import RANDOM, TRUSTWORTHY, _ladder
 
 
 def test_generator_matches_published_vectors():
@@ -234,12 +234,12 @@ def test_ladder_equals_one_plan_per_fraction(case, data):
     # a small pool, so fractions repeat and round to equal counts
     pool = data.draw(st.lists(st.fractions(0, Fraction(1, 2), max_denominator=40), max_size=3))
     fractions = data.draw(st.lists(st.sampled_from([fraction, *pool]), max_size=6))
-    assert mask_ladder(d, mode, fractions, seed, truth) == per_fraction(
+    assert _ladder(d, mode, fractions, seed, truth, {}) == per_fraction(
         d, mode, fractions, seed, truth
     )
     # a fraction that blanks nothing gets the input itself, so a caller
     # can tell the unmasked data by identity
-    assert mask_ladder(d, mode, [0, fraction], seed, truth)[0] is d
+    assert _ladder(d, mode, [0, fraction], seed, truth, {})[0] is d
 
 
 def test_ladder_handles_shortfalls_and_equal_counts():
@@ -249,16 +249,16 @@ def test_ladder_handles_shortfalls_and_equal_counts():
     truth = parse_formula("x1 x2 x3", n=4)
     fractions = [Fraction(1, 2), Fraction(1, 4), Fraction(3, 8), 0, Fraction(1, 20), Fraction(1, 16)]
     for seed in range(8):
-        ladder = mask_ladder(d, TRUSTWORTHY, fractions, seed, truth)
+        ladder = _ladder(d, TRUSTWORTHY, fractions, seed, truth, {})
         assert ladder == per_fraction(d, TRUSTWORTHY, fractions, seed, truth)
         assert ladder[0].unknown_count == 4
         assert ladder[3] is d
-    assert mask_ladder(d, RANDOM, [], 0) == []
+    assert _ladder(d, RANDOM, [], 0, None, {}) == []
 
 
 def test_ladder_shares_the_rows_it_does_not_blank():
     d = Dataset.from_texts(["1010", "0101", "1111"], ["1100", "0011", "0000"])
-    low, high = mask_ladder(d, RANDOM, [Fraction(1, 12), Fraction(1, 6)], seed=4)
+    low, high = _ladder(d, RANDOM, [Fraction(1, 12), Fraction(1, 6)], 4, None, {})
     rows = list(d.instances())
     for before, after in zip(rows, low.instances()):
         assert (after is before) == (after == before)
@@ -286,9 +286,9 @@ def test_ladder_raises_as_make_mask_does(case, mode, seed, extra, drop_truth):
         make_mask(d, mode, (bad or fractions)[0], seed, truth)
     except ValueError as err:
         with pytest.raises(type(err)) as got:
-            mask_ladder(d, mode, fractions, seed, truth)
+            _ladder(d, mode, fractions, seed, truth, {})
         assert str(got.value) == str(err)
     else:
-        assert mask_ladder(d, mode, fractions, seed, truth) == per_fraction(
+        assert _ladder(d, mode, fractions, seed, truth, {}) == per_fraction(
             d, mode, fractions, seed, truth
         )

@@ -50,7 +50,7 @@ def test_instance_text_round_trip():
 def test_instance_bit_views():
     inst = Instance.from_text("1?0", Label.NEGATIVE)
     # coordinate k maps to bit k
-    assert inst.ones == 0b001
+    assert inst.value_bits == 0b001
     assert inst.zeros == 0b100
     assert inst.unknowns == 0b010
     assert inst.known_bits == 0b101
@@ -164,7 +164,11 @@ def test_reduce_uncertainty_skips_pairs_with_certain_disagreement():
 
 
 def test_reduce_uncertainty_preserves_ids():
-    d = Dataset.from_texts(["1?00"], ["1100", "100?"], pos_ids=["a"], neg_ids=["b", "c"])
+    d = Dataset(
+        4,
+        (Instance.from_text("1?00", Label.POSITIVE, "a"),),
+        (Instance.from_text("1100", Label.NEGATIVE, "b"), Instance.from_text("100?", Label.NEGATIVE, "c")),
+    )
     g = reduce_uncertainty(d)
     assert [i.id for i in g.positives] == ["a"]
     assert [i.id for i in g.negatives] == ["b", "c"]
