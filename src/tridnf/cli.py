@@ -234,6 +234,8 @@ def cmd_learn(args) -> int:
 
 
 def cmd_mask(args) -> int:
+    if args.truth and args.mode != TRUSTWORTHY:
+        raise ValueError("--truth applies only to --mode trustworthy")
     dataset = _load_dataset(args)
     truth = _parse_truth(args.truth) if args.truth else None
     if args.mode == TRUSTWORTHY and truth is None:

@@ -7,7 +7,8 @@ one (type, mode, seed) come from one shuffle (``masking._ladder``), and
 every shuffle of one seed reduces the same SplitMix64 draws, made once per
 call.  With no cell blanked, U-BRAIN is BRAIN: the fraction-0 cells of a
 type share one learn of its unmasked encoding, the one that gives the
-trustworthy reference formula when that mode runs.
+trustworthy reference formula when that mode runs.  That learn may abort
+like any other: then the type's fraction-0 and trustworthy cells are ABORT.
 Aborted runs stay in the table marked ABORT and are excluded from the mean
 error statistics.
 """
@@ -218,12 +219,17 @@ def run_experiment(
     fractions in ascending order, modes and seeds in order of first
     appearance.
 
-    Trustworthy masking needs a reference formula per type; it is learned
-    once from the unmasked encoding and reported alongside the table.
-    The unmasked encoding is learned at most once per type: the reference
-    learn, or else the first fraction-0 cell, serves every fraction-0
-    cell, whose ``seconds`` is then the time of that lookup.  Each seed's
-    SplitMix64 draws are made once per call and shared by all its ladders.
+    Trustworthy masking needs a reference formula per type: the formula
+    learned from the unmasked encoding, reported alongside the table.
+    The unmasked encoding is learned at most once per type, by
+    ``_outcome`` as every cell is: untimed before the modes when
+    trustworthy mode runs, or else by the first fraction-0 cell.  That
+    outcome serves every fraction-0 cell, whose ``seconds`` is then the
+    time of that lookup.  When that learn aborts, the type gets no
+    reference and no trustworthy ladder: its trustworthy cells, and its
+    fraction-0 cells in every mode, report the abort's reason, and the
+    run goes on to the next type.  Each seed's SplitMix64 draws are made
+    once per call and shared by all its ladders.
     """
     kinds = sorted(set(types))
     fracs = sorted({Fraction(f) for f in fractions})
@@ -234,16 +240,21 @@ def run_experiment(
     streams: dict = {}  # seed -> its SplitMix64 draws, shared by all ladders
     for kind in kinds:
         complete = encode_zoo(records, kind, legs_order)
-        truth: DnfFormula | None = None
-        if TRUSTWORTHY in mode_list:
-            truth = learn(complete).formula
-            references.append((kind, truth))
         unmasked = None  # (formula, errors, abort reason) of learning complete
+        if TRUSTWORTHY in mode_list:
+            unmasked = _outcome(complete, complete)
+            if unmasked[0] is not None:
+                references.append((kind, unmasked[0]))
         for mode in mode_list:
-            given = truth if mode == TRUSTWORTHY else None
-            ladders = {
-                seed: _ladder(complete, mode, fracs, seed, given, streams) for seed in seed_list
-            }
+            given = unmasked[0] if mode == TRUSTWORTHY else None
+            if mode == TRUSTWORTHY and given is None:
+                # an aborted reference leaves nothing to mask against, so
+                # every cell is the unmasked learn and reports its abort
+                ladders = dict.fromkeys(seed_list, [complete] * len(fracs))
+            else:
+                ladders = {
+                    seed: _ladder(complete, mode, fracs, seed, given, streams) for seed in seed_list
+                }
             for index, fraction in enumerate(fracs):
                 for seed in seed_list:
                     masked = ladders[seed][index]
@@ -252,7 +263,7 @@ def run_experiment(
                     # no cell, and that data is learned once per class
                     if masked is complete:
                         if unmasked is None:
-                            unmasked = _outcome(complete, complete, truth)
+                            unmasked = _outcome(complete, complete)
                         formula, errors, reason = unmasked
                     else:
                         formula, errors, reason = _outcome(masked, complete)
@@ -272,14 +283,12 @@ def run_experiment(
     return ExperimentReport(runs=tuple(runs), references=tuple(references))
 
 
-def _outcome(
-    masked: Dataset, complete: Dataset, formula: DnfFormula | None = None
-) -> tuple[DnfFormula | None, int | None, str]:
+def _outcome(masked: Dataset, complete: Dataset) -> tuple[DnfFormula | None, int | None, str]:
     """Formula, error count on ``complete`` and abort reason of learning
-    from ``masked``; ``formula``, when given, was already learned from it."""
+    from ``masked``: the one learn of a cell, or of a class's unmasked
+    data, where a ConsistencyAbort is an outcome like any other."""
     try:
-        if formula is None:
-            formula = learn(masked).formula
+        formula = learn(masked).formula
         return formula, evaluate(formula, complete).errors, ""
     except ConsistencyAbort as abort:
         return None, None, abort.reason

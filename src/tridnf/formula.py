@@ -201,8 +201,9 @@ _TOKEN = re.compile(r"[^\s|]+|\|")
 _LITERAL = re.compile(r"(~?)x([0-9]+)\Z")
 
 
-def parse_formula(text: str, n: int | None = None) -> DnfFormula:
-    """Parse the text grammar; infer ``n`` from the largest variable if absent."""
+def parse_formula(text: str) -> DnfFormula:
+    """Parse the text grammar.  The formula's ``n`` is the largest
+    variable it names, 0 for TRUE and FALSE."""
     tokens = [(m.group(), m.start()) for m in _TOKEN.finditer(text)]
     if not tokens:
         raise ParseError("empty formula", where=0)
@@ -211,10 +212,7 @@ def parse_formula(text: str, n: int | None = None) -> DnfFormula:
         if len(tokens) != 1:
             tok, pos = next(t for t in tokens if t[0] in ("TRUE", "FALSE"))
             raise ParseError(f"{tok} must stand alone", where=pos)
-        tok = tokens[0][0]
-        width = n if n is not None else 0
-        terms = (Term(()),) if tok == "TRUE" else ()
-        return DnfFormula(width, terms)
+        return DnfFormula(0, (Term(()),) if tokens[0][0] == "TRUE" else ())
 
     groups: list[list[tuple[str, int]]] = [[]]
     for tok, pos in tokens:
@@ -233,16 +231,14 @@ def parse_formula(text: str, n: int | None = None) -> DnfFormula:
         lits = []
         for tok, pos in group:
             m = _LITERAL.match(tok)
-            if not m or tok in ("x0", "~x0") or m.group(2).startswith("0"):
+            if not m or m.group(2).startswith("0"):
                 raise ParseError(f"not a literal: {tok!r}", where=pos)
             var = _integer(m.group(2), tok, pos)
-            if n is not None and var > n:
-                raise ParseError(f"variable x{var} exceeds declared width {n}", where=pos)
             max_var = max(max_var, var)
             lits.append(Literal(bool(m.group(1)), var))
         terms.append(Term(tuple(lits)))
 
-    return DnfFormula(n if n is not None else max_var, tuple(terms))
+    return DnfFormula(max_var, tuple(terms))
 
 
 def term_from_codes(n: int, codes: Iterable[int]) -> Term:

@@ -183,13 +183,13 @@ class Dataset:
     @classmethod
     def from_texts(cls, positives: Sequence[str], negatives: Sequence[str]) -> "Dataset":
         """Build from compact rows like ``["1?0", "110"]``, named u1, u2, ...
-        and v1, v2, ... as ``_named`` names them."""
+        and v1, v2, ... as ``_named`` names them.  The width is the first
+        row's; the dataset check names any row of another width."""
         pos = tuple(_named((Instance.from_text(t, Label.POSITIVE) for t in positives), "u"))
         neg = tuple(_named((Instance.from_text(t, Label.NEGATIVE) for t in negatives), "v"))
-        widths = {inst.n for inst in pos + neg}
-        if len(widths) != 1:
-            raise LengthMismatchError("rows of unequal width")
-        return cls(widths.pop(), pos, neg)
+        if not pos + neg:
+            raise ValueError("no row to take the dataset width from")
+        return cls((pos + neg)[0].n, pos, neg)
 
     @property
     def p(self) -> int:

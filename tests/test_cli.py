@@ -4,7 +4,16 @@ import json
 
 import pytest
 
-from tridnf import Dataset, cli, load_ternary_csv, parse_formula, save_ternary_csv
+from tridnf import (
+    CountWarning,
+    Dataset,
+    bundled_zoo_path,
+    cli,
+    load_ternary_csv,
+    load_zoo,
+    parse_formula,
+    save_ternary_csv,
+)
 from tridnf.cli import main
 from tridnf.errors import (
     BudgetExceededError,
@@ -615,6 +624,52 @@ def test_experiment_csv_report_writes_runs_beside_it(tmp_path, capsys):
     assert row.startswith("1,random,1/10,1,0,0,,")
 
 
+_AARDVARK = "aardvark,1,0,0,1,0,0,1,1,1,1,0,0,4,0,0,1,1"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("aardvark,2,0,0,1,0,0,1,1,1,1,0,0,4,0,0,1,1", "field 'hair' must be 0 or 1, got '2'"),
+    ("aardvark,1,0,0,1,0,0,1,1,1,1,0,0,4,0,0,x,1", "field 'catsize' must be 0 or 1, got 'x'"),
+    (" ,1,0,0,1,0,0,1,1,1,1,0,0,4,0,0,1,1", "empty animal name"),
+    ("aardvark,1,0,0,1,0,0,1,1,1,1,0,0,4,0,0,1,8", "class code must be 1..7, got 8"),
+    ("aardvark,1,0,0,1,0,0,1,1,1,1,0,0,4,0,0,1,0", "class code must be 1..7, got 0"),
+], ids=["flag-2", "flag-x", "empty-name", "class-8", "class-0"])
+def test_zoo_row_refusals_name_their_line_and_exit_2(tmp_path, capsys, line, message):
+    data = tmp_path / "zoo.data"
+    data.write_text(f"{_AARDVARK}\n{line}\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_zoo(data)
+    assert str(err.value) == f"{message} (at line 2)"
+    code, stdout, stderr = run(
+        capsys, "learn", "--format", "zoo", "--positive-type", "1", "--input", str(data),
+        "--output", str(tmp_path / "f.txt"),
+    )
+    assert (code, stdout, stderr) == (2, "", f"error: {message} (at line 2)\n")
+    assert not (tmp_path / "f.txt").exists()
+
+
+def test_experiment_reports_a_class_whose_unmasked_data_aborts(tmp_path, capsys):
+    # a type-2 clone of aardvark makes type 1's complete data inconsistent:
+    # its rows report the abort, and the run still writes both files
+    data, report = tmp_path / "bad.data", tmp_path / "bad.txt"
+    zoo = bundled_zoo_path().read_text(encoding="utf-8")
+    data.write_text(zoo + "aardclone,1,0,0,1,0,0,1,1,1,1,0,0,4,0,0,1,2\n", encoding="utf-8")
+    with pytest.warns(CountWarning):
+        code, stdout, err = run(
+            capsys, "experiment", "--dataset", str(data), "--types", "1", "--fractions", "0,10",
+            "--seeds", "1", "--report", str(report),
+        )
+    assert (code, err) == (0, "")
+    assert "  trustworthy        0%     1       1       -       -" in stdout.splitlines()
+    text = report.read_text(encoding="utf-8")
+    assert "Type 1\n" in text and "reference formula" not in text
+    assert "  trustworthy        0%      1 ABORT  inconsistent-data" in text.splitlines()
+    assert "  trustworthy       10%      1 ABORT  inconsistent-data" in text.splitlines()
+    assert "  random             0%      1 ABORT  inconsistent-data" in text.splitlines()
+    rows = (tmp_path / "bad.csv").read_text(encoding="utf-8").splitlines()
+    assert rows[1].startswith("1,random,0,1,,,inconsistent-data,")
+
+
 def test_mask_truth_that_does_not_parse_exits_2(tmp_path, capsys):
     out = tmp_path / "m.csv"
     code, stdout, err = run(
@@ -650,12 +705,25 @@ def test_formula_naming_a_variable_the_data_lacks_exits_1(tmp_path, capsys, comm
     f.write_text("x5\n", encoding="utf-8")
     args = {
         "verify": ["verify", "--formula", str(f)],
-        "mask": ["mask", "--mode", "random", "--fraction", "25%", "--seed", "1",
+        "mask": ["mask", "--mode", "trustworthy", "--fraction", "25%", "--seed", "1",
                  "--truth", "x5", "--output", str(out)],
     }[command]
     code, stdout, err = run(capsys, *args, "--format", "csv", "--input", str(data))
     assert (code, stdout) == (1, "")
     assert err == "error: formula names x5 but the data has only 2 variables\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("truth", ["x1", "x1 |", "x5"])
+def test_mask_refuses_truth_in_random_mode(tmp_path, capsys, truth):
+    # random masking reads no formula, so the flag is refused before the
+    # formula is parsed or width-checked, and nothing is written
+    data, out = _two_rows(tmp_path), tmp_path / "m.csv"
+    code, stdout, err = run(
+        capsys, "mask", "--format", "csv", "--input", str(data), "--mode", "random",
+        "--fraction", "25%", "--seed", "1", "--truth", truth, "--output", str(out),
+    )
+    assert (code, stdout, err) == (1, "", "error: --truth applies only to --mode trustworthy\n")
     assert not out.exists()
 
 

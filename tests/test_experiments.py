@@ -24,7 +24,7 @@ from tridnf.masking import RANDOM, TRUSTWORTHY, _ladder
 
 
 def test_evaluate_counts_both_error_kinds():
-    f = parse_formula("x1", n=2)
+    f = parse_formula("x1")
     d = Dataset.from_texts(["10", "01"], ["11", "00"])
     report = evaluate(f, d)
     # '01' fails the formula, '11' passes it
@@ -35,14 +35,14 @@ def test_evaluate_counts_both_error_kinds():
 
 def test_evaluate_published_spot_checks(zoo_datasets):
     d1 = zoo_datasets[1]
-    report = evaluate(parse_formula("~x3 ~x11 | x16 x19", n=20), d1)
+    report = evaluate(parse_formula("~x3 ~x11 | x16 x19"), d1)
     assert report.errors == 1
-    assert evaluate(parse_formula("FALSE", n=20), d1).errors == d1.p
-    assert evaluate(parse_formula("TRUE", n=20), d1).errors == d1.q
+    assert evaluate(parse_formula("FALSE"), d1).errors == d1.p
+    assert evaluate(parse_formula("TRUE"), d1).errors == d1.q
 
 
 def test_evaluate_requires_certain_data():
-    f = parse_formula("x1", n=2)
+    f = parse_formula("x1")
     with pytest.raises(ValueError):
         evaluate(f, Dataset.from_texts(["1?"], ["00"]))
 
@@ -277,3 +277,33 @@ def test_an_aborted_cell_is_reported_and_left_out_of_the_means(zoo_records, monk
     assert (ten.aen, ten.rate) == (kept.errors, kept.rate)
     assert by_fraction[0].aborted == 0
     assert "aborts" in report.render_summary()
+
+
+@pytest.mark.parametrize("modes", [(RANDOM, TRUSTWORTHY), (TRUSTWORTHY, RANDOM)])
+def test_a_class_whose_unmasked_data_aborts_is_reported_and_the_run_goes_on(zoo_records, modes):
+    # a type-2 clone of aardvark makes type 1's unmasked data inconsistent,
+    # so type 1 gets no reference and no trustworthy ladder; type 3, and
+    # type 1's random cells that blank something, run as they do alone
+    records = zoo_records + [replace(zoo_records[0], name="aardclone", kind=2)]
+    grid = dict(fractions=(0, Fraction(1, 10)), seeds=(1, 2))
+    report = run_experiment(records, types=(1, 3), modes=modes, **grid)
+    assert [kind for kind, _ in report.references] == [3]
+    aborted = [
+        run for run in report.runs
+        if run.positive_type == 1 and (run.mode == TRUSTWORTHY or run.fraction == 0)
+    ]
+    assert len(aborted) == 6
+    for run in aborted:
+        assert (run.formula, run.errors, run.abort_reason) == (None, None, "inconsistent-data")
+
+    def timeless(runs):
+        return [replace(run, seconds=0.0) for run in runs]
+
+    alone = run_experiment(records, types=(3,), modes=modes, **grid)
+    assert report.references == alone.references
+    assert timeless(r for r in report.runs if r.positive_type == 3) == timeless(alone.runs)
+    masked = run_experiment(
+        records, types=(1,), modes=(RANDOM,), fractions=(Fraction(1, 10),), seeds=(1, 2)
+    )
+    kept = [r for r in report.runs if r.positive_type == 1 and r.mode == RANDOM and r.fraction]
+    assert timeless(kept) == timeless(masked.runs)

@@ -54,37 +54,41 @@ def test_term_against_uncertain_instance():
 
 def test_parse_canonical_round_trip():
     text = "x4 ~x1 | x2"
-    f = parse_formula(text, n=5)
+    f = parse_formula(text)
     assert f.render() == text
-    assert f.n == 5
+    assert f.n == 4
     assert f.vars_used == (1, 2, 4)
     assert f.literal_count == 3
 
 
 def test_parse_infers_width_from_largest_variable():
     assert parse_formula("x3 | ~x7").n == 7
+    # a text formula declares no width of its own
+    with pytest.raises(TypeError):
+        parse_formula("x3", n=9)
 
 
 def test_parse_true_false_stand_alone():
-    assert parse_formula("FALSE", n=4).render() == "FALSE"
-    assert parse_formula("TRUE", n=4).render() == "TRUE"
-    assert parse_formula("TRUE", n=4).evaluate(0)
-    assert not parse_formula("FALSE", n=4).evaluate(0b1111)
+    assert parse_formula("FALSE").render() == "FALSE"
+    assert parse_formula("TRUE").render() == "TRUE"
+    assert parse_formula("TRUE").evaluate(0)
+    assert not parse_formula("FALSE").evaluate(0b1111)
+    assert parse_formula("TRUE").n == parse_formula("FALSE").n == 0
     with pytest.raises(ParseError):
         parse_formula("x1 | FALSE")
 
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "x0", "~x0", "x01", "y2", "x1 |", "| x1", "x1 || x2", "x9", "x2~"],
+    ["", "x0", "~x0", "x01", "y2", "x1 |", "| x1", "x1 || x2", "~~x1", "x2~"],
 )
 def test_parse_rejects_malformed_text(bad):
     with pytest.raises(ParseError):
-        parse_formula(bad, n=8)
+        parse_formula(bad)
 
 
 def test_json_round_trip():
-    f = parse_formula("x4 ~x1 | x2", n=20)
+    f = parse_formula("x4 ~x1 | x2")
     again = DnfFormula.from_json(f.to_json())
     assert again == f
     assert again.render() == "x4 ~x1 | x2"
@@ -129,8 +133,6 @@ def test_formula_from_codes_uses_internal_codes():
 
 
 def test_formula_width_validation():
-    with pytest.raises(ParseError):
-        parse_formula("x9", n=3)
     with pytest.raises(ValueError):
         DnfFormula(2, (Term((Literal(False, 5),)),))
     with pytest.raises(ValueError, match="^variable count cannot be negative$"):

@@ -110,7 +110,7 @@ def test_apply_mask_rejects_out_of_range_cells():
 
 def test_trustworthy_mode_never_touches_formula_columns():
     d = Dataset.from_texts(["1010", "0101", "1111"], ["1100", "0011"])
-    truth = parse_formula("x2 ~x4", n=4)
+    truth = parse_formula("x2 ~x4")
     plan = make_mask(d, TRUSTWORTHY, Fraction(1, 2), seed=6, truth=truth)
     banned = {v - 1 for v in truth.vars_used}
     assert all(c not in banned for _, c in plan.cells)
@@ -125,7 +125,7 @@ def test_trustworthy_mode_requires_truth():
 def test_trustworthy_shortfall_is_reported():
     # only x4 is free: 4 candidate cells, but 50% of 16 wants 8
     d = Dataset.from_texts(["1010", "0101"], ["1100", "0011"])
-    truth = parse_formula("x1 x2 x3", n=4)
+    truth = parse_formula("x1 x2 x3")
     plan = make_mask(d, TRUSTWORTHY, Fraction(1, 2), seed=0, truth=truth)
     assert plan.requested == 8
     assert len(plan.cells) == 4
@@ -246,7 +246,7 @@ def test_ladder_handles_shortfalls_and_equal_counts():
     # 16 cells, only x4 free: 1/4, 3/8 and 1/2 all cap at its 4 cells;
     # 1/20 and 1/16 both round to one cell
     d = Dataset.from_texts(["1010", "0101"], ["1100", "0011"])
-    truth = parse_formula("x1 x2 x3", n=4)
+    truth = parse_formula("x1 x2 x3")
     fractions = [Fraction(1, 2), Fraction(1, 4), Fraction(3, 8), 0, Fraction(1, 20), Fraction(1, 16)]
     for seed in range(8):
         ladder = _ladder(d, TRUSTWORTHY, fractions, seed, truth, {})
@@ -276,7 +276,7 @@ def test_ladder_shares_the_rows_it_does_not_blank():
 )
 def test_ladder_raises_as_make_mask_does(case, mode, seed, extra, drop_truth):
     d, _, fraction, _, _ = case
-    truth = None if drop_truth else parse_formula("x1", n=d.n)
+    truth = None if drop_truth else parse_formula("x1")
     fractions = [fraction, *extra]
     # make_mask checks mode, seed, then its fraction, then the truth, so
     # the first bad fraction, or any fraction when none is bad, shows the

@@ -23,8 +23,7 @@ from tridnf.oracle import minimal_dnf_exhaustive, reference_learn
 
 
 def certify(formula_text, pos, neg):
-    width = len((pos + neg)[0])
-    f = parse_formula(formula_text, n=width)
+    f = parse_formula(formula_text)
     d = Dataset.from_texts(pos, neg)
     return verify_consistency(f, d)
 
@@ -63,7 +62,7 @@ def test_unknowns_off_formula_variables_are_not_enumerated():
     assert cert.verdict is Verdict.COMPLETION_WITNESS
     assert cert.witness == (1, 0)
 
-    f = parse_formula("x1", n=31)
+    f = parse_formula("x1")
     d = Dataset.from_texts(["1" + "?" * 30], [])
     (wide,) = verify_consistency(f, d)
     assert wide.verdict is Verdict.COMPLETION_WITNESS
@@ -76,7 +75,7 @@ def test_unsatisfiable_uncertain_negative_is_violated():
 
 
 def test_completion_budget_is_enforced():
-    f = parse_formula(" ".join(f"x{k}" for k in range(1, 26)), n=25)
+    f = parse_formula(" ".join(f"x{k}" for k in range(1, 26)))
     d = Dataset.from_texts(["?" * 25], [])
     with pytest.raises(BudgetExceededError):
         verify_consistency(f, d)
@@ -156,7 +155,7 @@ def test_verify_consistency_matches_its_definition():
 
 def test_verdicts_are_mutually_exclusive():
     rng = random.Random(5)
-    f = parse_formula("x1 x2 | ~x3", n=4)
+    f = parse_formula("x1 x2 | ~x3")
     for _ in range(50):
         text = "".join(rng.choice("01?") for _ in range(4))
         label = rng.choice([Label.POSITIVE, Label.NEGATIVE])

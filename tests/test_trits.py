@@ -99,6 +99,9 @@ def test_with_cell_replaces_one_coordinate():
     assert inst.text == "1?0"
     with pytest.raises(IndexError):
         inst.with_cell(3, Trit.TRUE)
+    for k in (-1, 3):
+        with pytest.raises(IndexError):
+            inst.cell(k)
 
 
 def test_dataset_from_texts_assigns_fallback_ids():
@@ -109,8 +112,16 @@ def test_dataset_from_texts_assigns_fallback_ids():
 
 
 def test_dataset_rejects_unequal_widths():
-    with pytest.raises(LengthMismatchError):
+    # from_texts takes the first row's width, and the dataset check names
+    # the row of another width
+    with pytest.raises(LengthMismatchError, match="^instance 'v1' has width 3, expected 2$"):
         Dataset.from_texts(["10"], ["110"])
+
+
+def test_from_texts_takes_the_width_of_its_first_row():
+    assert Dataset.from_texts([], ["110", "011"]).n == 3
+    with pytest.raises(ValueError, match="^no row to take the dataset width from$"):
+        Dataset.from_texts([], [])
 
 
 def test_dataset_rejects_mislabeled_instance():
