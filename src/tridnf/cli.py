@@ -1,11 +1,11 @@
 """Command-line interface.
 
 Subcommands: learn, mask, eval, experiment, verify.  Reports go to stdout,
-diagnostics to stderr.  Exit codes: 0 success, 1 usage error, 2 data error,
-3 consistency failure.  Every command takes --json for machine-readable
-output, and every run is fully determined by its arguments and input files,
-except for timings: the ``seconds`` column of the experiment CSV is the only
-timing written to a file.
+diagnostics (warnings included) to stderr.  Exit codes: 0 success, 1 usage
+error, 2 data error, 3 consistency failure.  Every command takes --json for
+machine-readable output, and every run is fully determined by its arguments
+and input files, except for timings: the ``seconds`` column of the
+experiment CSV is the only timing written to a file.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import sys
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -30,6 +31,7 @@ from .datasets import (
 from .errors import (
     BudgetExceededError,
     ConsistencyAbort,
+    CountWarning,
     ParseError,
     TridnfError,
 )
@@ -397,14 +399,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, *_) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except tuple(_EXIT_CODES) as exc:
-        code = next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
-        print(f"{'inconsistent' if code == EXIT_INCONSISTENT else 'error'}: {exc}", file=sys.stderr)
-        return code
+    with warnings.catch_warnings():
+        # a record-count warning is a diagnostic line, whatever the
+        # interpreter's warning filters say
+        warnings.simplefilter("always", CountWarning)
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except tuple(_EXIT_CODES) as exc:
+            code = next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+            print(f"{'inconsistent' if code == EXIT_INCONSISTENT else 'error'}: {exc}", file=sys.stderr)
+            return code
 
 
 if __name__ == "__main__":

@@ -113,19 +113,13 @@ def load_zoo(path: str | Path) -> list[ZooRecord]:
         for field, token in zip(ZOO_FIELDS, parts[1:17]):
             if field == "legs":
                 legs = _parse_natural(token, "leg count", line_no)
-                if legs not in VALID_LEGS:
-                    raise ParseError(
-                        f"leg count must be one of {VALID_LEGS}, got {legs}",
-                        where=f"line {line_no}",
-                    )
             else:
                 flags.append(_parse_binary(token, field, line_no))
         kind = _parse_natural(parts[17], "class code", line_no)
-        if not 1 <= kind <= 7:
-            raise ParseError(
-                f"class code must be 1..7, got {kind}", where=f"line {line_no}"
-            )
-        records.append(ZooRecord(name=name, flags=tuple(flags), legs=legs, kind=kind))
+        try:
+            records.append(ZooRecord(name=name, flags=tuple(flags), legs=legs, kind=kind))
+        except ValueError as exc:  # the record's leg-count and class-code ranges
+            raise ParseError(str(exc), where=f"line {line_no}") from None
     if not records:
         raise ParseError("no records found", where=str(path))
     if len(records) != EXPECTED_RECORD_COUNT:
@@ -150,7 +144,7 @@ def encode_zoo(
     """
     if not 1 <= positive_type <= 7:
         raise ValueError(f"positive_type must be 1..7, got {positive_type}")
-    if sorted(legs_order) != [2, 4, 5, 6, 8]:
+    if sorted(legs_order) != sorted(DEFAULT_LEGS_ORDER):
         raise ValueError(
             f"legs_order must be a permutation of (2, 4, 5, 6, 8), got {legs_order!r}"
         )

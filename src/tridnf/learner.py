@@ -73,7 +73,8 @@ class LearnResult:
 
     ``dataset`` holds the erased positives (in erasure order) and the
     negatives in their final, possibly updated, state.  ``trace`` is empty
-    unless the config asked for one.
+    unless the config asked for one.  ``iterations`` counts the outer
+    iterations, each of which learned one of the formula's terms.
     """
 
     formula: DnfFormula
@@ -148,9 +149,7 @@ class _TermEngine:
     2*pairs, a whole number of bytes, so ``select`` reads a word's fields
     with one ``memoryview.cast``.  ``learn`` passes the input's p*q as
     ``pairs``: later iterations only erase, dedupe or fill rows, so no
-    term's p*q is larger.  A v row's dilated off word also carries a
-    sentinel bit above all 2n fields, so that ``_sum`` sees every v with
-    nf = 0, even one whose cells are all Unknown and whose off mask is 0.
+    term's p*q is larger.
     """
 
     def __init__(self, n: int, pairs: int, trace: list[str] | None):
@@ -162,7 +161,6 @@ class _TermEngine:
         self.n, self.trace = n, trace
         self.width, self.format = w, _FIELD_FORMATS[w]
         self.field = (1 << w) - 1
-        self.sentinel = 1 << 2 * n * w
         # per class, positives first: (value_bits, known_bits) -> masks
         self.masks: tuple[dict, dict] = ({}, {})
 
@@ -182,8 +180,7 @@ class _TermEngine:
                 ones, known = key
                 zeros, unknowns = known ^ ones, full ^ known
                 decided = zeros | ones << n if negative else ones | zeros << n
-                dilated = _dilate(decided, self.width)
-                dilated = dilated | self.sentinel if negative else dilated * self.field
+                dilated = _dilate(decided, self.width) * (1 if negative else self.field)
                 masks = cache[key] = (decided, unknowns | unknowns << n, dilated)
             live.append((*masks, k))
         return live
@@ -203,20 +200,21 @@ class _TermEngine:
 
         Per u, the dilated off words of the v rows are added up in a slot
         per nf; ANDing a slot with u's widened on mask keeps the fields of
-        u's full grades, which hold at most q, so nothing carries, and
-        drops the sentinel bits.  A v row always leaves its sentinel in
-        its slot, so a nonzero slot 0 means u has sets with nf = 0, and
-        only those are graded in full.
+        u's full grades, which hold at most q, so nothing carries.  u has
+        sets with nf = 0, and only those are graded in full, when slot 0
+        is nonzero or some live v has off mask 0: such a v decides no
+        literal, so its dilated off word adds nothing to slot 0.
         """
         if not live_v:
             return {}  # the term is closed: nothing left to select
         w, slots, tiers = self.width, self.n + 1, {}
         offs = [(v[0], v[2]) for v in live_v]
+        blank = any(not off for off, _ in offs)
         for on, op, wide, i in live_u:
             groups = [0] * slots  # nf -> sum of the dilated off words
             for off, d_off in offs:
                 groups[(on & off).bit_count()] += d_off
-            if groups[0]:
+            if groups[0] or blank:
                 for off, v_op, _, j in live_v:
                     if on & off:
                         continue
@@ -367,11 +365,9 @@ def learn(dataset: Dataset, config: LearnerConfig | None = None) -> LearnResult:
 
     terms: list[Term] = []
     erased: list[Instance] = []
-    iterations = 0
     engine = _TermEngine(n, len(positives) * len(negatives), trace)
 
     while positives:
-        iterations += 1
         work = Dataset(n, tuple(positives), tuple(negatives))
         work = delete_repetitions(reduce_uncertainty(work))
         clashes = check_self_consistency(work)
@@ -428,4 +424,4 @@ def learn(dataset: Dataset, config: LearnerConfig | None = None) -> LearnResult:
 
     formula = DnfFormula(n, tuple(terms))
     final = Dataset(n, tuple(erased), tuple(negatives))
-    return LearnResult(formula, final, tuple(trace) if trace is not None else (), iterations)
+    return LearnResult(formula, final, tuple(trace) if trace is not None else (), len(terms))

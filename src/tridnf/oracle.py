@@ -261,9 +261,7 @@ def reference_learn(d: Dataset) -> LearnResult:
     negatives = _named(d.negatives, "v")
     terms: list[Term] = []
     erased: list[Instance] = []
-    iterations = 0
     while positives:
-        iterations += 1
         work = delete_repetitions(_reduce_uncertainty(Dataset(n, tuple(positives), tuple(negatives))))
         clashes = _check_self_consistency(work)
         if clashes:
@@ -340,7 +338,7 @@ def reference_learn(d: Dataset) -> LearnResult:
 
     return LearnResult(
         DnfFormula(n, tuple(terms)), Dataset(n, tuple(erased), tuple(negatives)),
-        tuple(trace), iterations,
+        tuple(trace), len(terms),
     )
 
 

@@ -17,8 +17,8 @@ from .errors import LengthMismatchError
 class Trit(enum.IntEnum):
     """One cell: certain false, unknown, certain true.
 
-    The member values encode the ordering FALSE < UNKNOWN < TRUE used by the
-    membership rules; they are ranks, not cell values.
+    The member values index the cell's character in ``"0?1"``; they are
+    not cell values, and no rule compares them.
     """
 
     FALSE = 0

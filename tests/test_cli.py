@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, file products, exit codes."""
 
 import json
+import warnings
 
 import pytest
 
@@ -633,7 +634,10 @@ _AARDVARK = "aardvark,1,0,0,1,0,0,1,1,1,1,0,0,4,0,0,1,1"
     (" ,1,0,0,1,0,0,1,1,1,1,0,0,4,0,0,1,1", "empty animal name"),
     ("aardvark,1,0,0,1,0,0,1,1,1,1,0,0,4,0,0,1,8", "class code must be 1..7, got 8"),
     ("aardvark,1,0,0,1,0,0,1,1,1,1,0,0,4,0,0,1,0", "class code must be 1..7, got 0"),
-], ids=["flag-2", "flag-x", "empty-name", "class-8", "class-0"])
+    ("aardvark,1,0,0,1,0,0,1,1,1,1,0,0,3,0,0,1,1", "leg count must be one of (0, 2, 4, 5, 6, 8), got 3"),
+    # the record checks the leg-count range once every field has parsed
+    ("aardvark,1,0,0,1,0,0,1,1,1,1,0,0,3,0,0,x,1", "field 'catsize' must be 0 or 1, got 'x'"),
+], ids=["flag-2", "flag-x", "empty-name", "class-8", "class-0", "legs-3", "legs-3-flag-x"])
 def test_zoo_row_refusals_name_their_line_and_exit_2(tmp_path, capsys, line, message):
     data = tmp_path / "zoo.data"
     data.write_text(f"{_AARDVARK}\n{line}\n", encoding="utf-8")
@@ -654,12 +658,11 @@ def test_experiment_reports_a_class_whose_unmasked_data_aborts(tmp_path, capsys)
     data, report = tmp_path / "bad.data", tmp_path / "bad.txt"
     zoo = bundled_zoo_path().read_text(encoding="utf-8")
     data.write_text(zoo + "aardclone,1,0,0,1,0,0,1,1,1,1,0,0,4,0,0,1,2\n", encoding="utf-8")
-    with pytest.warns(CountWarning):
-        code, stdout, err = run(
-            capsys, "experiment", "--dataset", str(data), "--types", "1", "--fractions", "0,10",
-            "--seeds", "1", "--report", str(report),
-        )
-    assert (code, err) == (0, "")
+    code, stdout, err = run(
+        capsys, "experiment", "--dataset", str(data), "--types", "1", "--fractions", "0,10",
+        "--seeds", "1", "--report", str(report),
+    )
+    assert (code, err) == (0, "warning: expected 101 records, found 102\n")
     assert "  trustworthy        0%     1       1       -       -" in stdout.splitlines()
     text = report.read_text(encoding="utf-8")
     assert "Type 1\n" in text and "reference formula" not in text
@@ -668,6 +671,26 @@ def test_experiment_reports_a_class_whose_unmasked_data_aborts(tmp_path, capsys)
     assert "  random             0%      1 ABORT  inconsistent-data" in text.splitlines()
     rows = (tmp_path / "bad.csv").read_text(encoding="utf-8").splitlines()
     assert rows[1].startswith("1,random,0,1,,,inconsistent-data,")
+
+
+def test_record_count_warning_is_one_stderr_line_under_any_filter(tmp_path, capsys):
+    # an interpreter told to turn warnings into errors still gets the line
+    # and the formula, not a traceback
+    data, out = tmp_path / "bad.data", tmp_path / "f.txt"
+    zoo = bundled_zoo_path().read_text(encoding="utf-8")
+    data.write_text(zoo + "aardclone,1,0,0,1,0,0,1,1,1,1,0,0,4,0,0,1,2\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run(
+            capsys, "learn", "--format", "zoo", "--input", str(data), "--positive-type", "3",
+            "--output", str(out),
+        )
+    assert (code, err) == (0, "warning: expected 101 records, found 102\n")
+    formula = "~x6 ~x1 x8 | x11 ~x3 x6 | x16 ~x8 ~x6"
+    assert stdout.splitlines()[0] == f"f* = {formula}"
+    assert out.read_text(encoding="utf-8") == formula + "\n"
+    with pytest.warns(CountWarning):
+        load_zoo(data)  # the library still warns
 
 
 def test_mask_truth_that_does_not_parse_exits_2(tmp_path, capsys):

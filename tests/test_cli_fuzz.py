@@ -112,7 +112,6 @@ def _main(argv):
     return code, err.getvalue()
 
 
-@pytest.mark.filterwarnings("ignore:expected 101 records")
 @pytest.mark.parametrize("command", list(FLAGS))
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())

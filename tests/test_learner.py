@@ -320,6 +320,7 @@ def test_learner_equals_reference_on_random_ternary_data():
         if isinstance(got, LearnResult):
             # untraced selection may skip the exact rescoring; same outcome
             assert learn(d) == replace(got, trace=())
+            assert got.iterations == len(got.formula.terms)
             outcomes.add("learned")
         else:
             outcomes.add(got[0])
@@ -441,8 +442,9 @@ def test_a_terms_live_sets_form_a_rectangle():
     # each kept positive's open mask, which is sound only if these hold
     rng = random.Random(5)
     cases = [
-        # an all-? negative decides no literal, so its dilated off word is
-        # zero and only its sentinel bit shows the kernel a set with nf = 0
+        # an all-? negative decides no literal: it has nf = 0 against
+        # every positive, though its off mask, and so its dilated off
+        # word, is 0
         (["10", "0?"], ["01", "??"]),
     ]
     for _ in range(300):
