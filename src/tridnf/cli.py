@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import warnings
 from dataclasses import replace
@@ -36,7 +37,7 @@ from .errors import (
     TridnfError,
 )
 from .experiments import evaluate, run_experiment
-from .formula import DnfFormula, parse_formula
+from .formula import DnfFormula, _clip, _integer, parse_formula
 from .learner import LearnerConfig, learn
 from .masking import MASK64, RANDOM, TRUSTWORTHY, apply_mask, make_mask
 from .oracle import Verdict, minimal_dnf_exhaustive, verify_consistency
@@ -81,31 +82,34 @@ def _fraction(token: str) -> Fraction:
     if percent:
         text = text[:-1].strip()
     if "e" in text or "E" in text:
-        raise argparse.ArgumentTypeError(f"cannot parse fraction {token!r}")
+        raise argparse.ArgumentTypeError(f"cannot parse fraction {_clip(token)!r}")
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"cannot parse fraction {token!r}") from None
+        raise argparse.ArgumentTypeError(f"cannot parse fraction {_clip(token)!r}") from None
     if percent or value > 1:
         value /= 100
     if not 0 <= value <= Fraction(1, 2):
-        raise argparse.ArgumentTypeError(f"must be in [0, 1/2], got {token!r}")
+        raise argparse.ArgumentTypeError(f"must be in [0, 1/2], got {_clip(token)!r}")
     return value
 
 
 def _int_in(low: int, high: int | None = None, span: str = ""):
     """An argparse type: a decimal integer in [low, high), described by
     span, or at least low when high is None.  argparse names the flag in
-    the error (exit 1)."""
+    the error (exit 1).  A token of decimal digits alone that int refuses
+    is past its digit limit."""
     span = span or f"at least {low}"
 
     def parse(token: str) -> int:
         try:
-            value = int(token)
+            value = _integer(token, token) if token.isdecimal() else int(token)
+        except ParseError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {token!r}") from None
+            raise argparse.ArgumentTypeError(f"expected an integer, got {_clip(token)!r}") from None
         if value < low or high is not None and value >= high:
-            raise argparse.ArgumentTypeError(f"must be {span}, got {value}")
+            raise argparse.ArgumentTypeError(f"must be {span}, got {_clip(str(value))}")
         return value
 
     return parse
@@ -120,7 +124,7 @@ def _list_of(parse_entry):
             try:
                 entries.append(parse_entry(token))
             except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise argparse.ArgumentTypeError(f"entry {k} of {text!r}: {exc}") from None
+                raise argparse.ArgumentTypeError(f"entry {k} of {_clip(text)!r}: {exc}") from None
         return entries
 
     return parse
@@ -138,7 +142,7 @@ def _types(text: str) -> list[int]:
 def _mode(token: str) -> str:
     mode = token.strip()
     if mode not in (RANDOM, TRUSTWORTHY):
-        raise ValueError(f"unknown mode {token!r}")
+        raise ValueError(f"unknown mode {_clip(token)!r}")
     return mode
 
 
@@ -149,7 +153,7 @@ def _encoding(text: str) -> tuple[int, ...]:
     except ValueError:
         order = ()
     if sorted(order) != sorted(DEFAULT_LEGS_ORDER):
-        raise argparse.ArgumentTypeError(f"must be a permutation of 2,4,5,6,8, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be a permutation of 2,4,5,6,8, got {_clip(text)!r}")
     return order
 
 
@@ -185,11 +189,13 @@ def _read_formula_file(path: str) -> DnfFormula:
 
 
 def _parse_truth(token: str) -> DnfFormula:
-    """--truth accepts inline formula text or a path to a formula file."""
+    """--truth accepts inline formula text or a path to a formula file.
+    ``os.path.exists`` is False for a token no file can be named by (too
+    long, say), so such a token reports its parse error."""
     try:
         return parse_formula(token)
     except ParseError:
-        if Path(token).exists():
+        if os.path.exists(token):
             return _read_formula_file(token)
         raise
 
@@ -212,12 +218,11 @@ def cmd_learn(args) -> int:
     try:
         result = learn(dataset, config)
     except ConsistencyAbort as abort:
-        if args.trace is not None and abort.trace:
-            Path(args.trace).write_text("\n".join(abort.trace) + "\n", encoding="utf-8")
-        raise
+        result = abort  # the trace is written as for a result, then the abort raised
     if args.trace is not None:
-        body = "\n".join(result.trace)
-        Path(args.trace).write_text(body + "\n" if body else "", encoding="utf-8")
+        Path(args.trace).write_text("".join(f"{line}\n" for line in result.trace), encoding="utf-8")
+    if isinstance(result, ConsistencyAbort):
+        raise result
     text_path, json_path = _formula_paths(Path(args.output))
     formula = result.formula.render()
     text_path.write_text(formula + "\n", encoding="utf-8")
@@ -356,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_arguments(learn_p)
     learn_p.add_argument("--trace", help="write the per-step trace to this file")
     learn_p.add_argument("--output", required=True, help="formula file (text; a .json sibling is written too)")
-    learn_p.add_argument("--json", action="store_true")
     learn_p.set_defaults(func=cmd_learn)
 
     mask_p = subparsers.add_parser("mask", help="blank cells of a dataset")
@@ -366,13 +370,11 @@ def build_parser() -> argparse.ArgumentParser:
     mask_p.add_argument("--seed", type=_seed, required=True, help="integer in [0, 2^64)")
     mask_p.add_argument("--truth", help="reference formula (text or file); required for trustworthy mode")
     mask_p.add_argument("--output", required=True, help="masked dataset (ternary CSV)")
-    mask_p.add_argument("--json", action="store_true")
     mask_p.set_defaults(func=cmd_mask)
 
     eval_p = subparsers.add_parser("eval", help="count a formula's errors on complete data")
     eval_p.add_argument("--formula", required=True, help="formula file (text or JSON)")
     _add_dataset_arguments(eval_p)
-    eval_p.add_argument("--json", action="store_true")
     eval_p.set_defaults(func=cmd_eval)
 
     exp_p = subparsers.add_parser("experiment", help="run the masking sweep and write report tables")
@@ -383,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp_p.add_argument("--seeds", type=_list_of(_seed), default="1,2", help="integers in [0, 2^64)")
     exp_p.add_argument("--report", required=True, help="report text file (a CSV sibling is written too)")
     exp_p.add_argument("--encoding", type=_encoding, default=DEFAULT_LEGS_ORDER, help="leg-count order for x13..x17")
-    exp_p.add_argument("--json", action="store_true")
     exp_p.set_defaults(func=cmd_experiment)
 
     verify_p = subparsers.add_parser("verify", help="check a formula against data, instance by instance")
@@ -394,8 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument(
         "--budget", type=_int_in(1), default=1 << 24, help="completion-enumeration cap per instance, at least 1"
     )
-    verify_p.add_argument("--json", action="store_true")
     verify_p.set_defaults(func=cmd_verify)
+    for sub in subparsers.choices.values():
+        sub.add_argument("--json", action="store_true")  # last, where usage text lists it
     return parser
 
 

@@ -122,20 +122,18 @@ class DnfFormula:
     def __str__(self) -> str:
         return self.render()
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "terms": [
-                [{"var": lit.var, "neg": lit.neg} for lit in term.literals]
-                for term in self.terms
-            ],
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+        terms = [[{"var": lit.var, "neg": lit.neg} for lit in term.literals] for term in self.terms]
+        return json.dumps({"n": self.n, "terms": terms})
 
     @classmethod
-    def from_json_dict(cls, data) -> "DnfFormula":
+    def from_json(cls, text: str) -> "DnfFormula":
+        try:
+            data = json.loads(text, parse_int=lambda token: _integer(token, token))
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"not valid JSON: {exc.msg}", where=exc.pos) from exc
+        except RecursionError:
+            raise ParseError("JSON nested too deeply") from None
         if not isinstance(data, dict):
             raise ParseError("formula JSON must be an object")
         n = data.get("n")
@@ -165,16 +163,6 @@ class DnfFormula:
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
 
-    @classmethod
-    def from_json(cls, text: str) -> "DnfFormula":
-        try:
-            data = json.loads(text, parse_int=lambda token: _integer(token, token))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"not valid JSON: {exc.msg}", where=exc.pos) from exc
-        except RecursionError:
-            raise ParseError("JSON nested too deeply") from None
-        return cls.from_json_dict(data)
-
 
 def _check_width(formula: DnfFormula, n: int) -> None:
     """The one width rule of every check against data over ``n``
@@ -185,15 +173,20 @@ def _check_width(formula: DnfFormula, n: int) -> None:
         raise ValueError(f"formula names x{widest} but the data has only {n} variables")
 
 
+def _clip(token: str) -> str:
+    """The one rule for showing user text in a message: a token of up to
+    20 characters whole, a longer one as its first 16 and ``...``."""
+    return token if len(token) <= 20 else f"{token[:16]}..."
+
+
 def _integer(digits: str, token: str, where: int | None = None) -> int:
     """``int(digits)``, or ParseError naming ``token`` when the digits are
     past Python's int-to-str digit limit."""
     try:
         return int(digits)
     except ValueError:
-        shown = token if len(token) <= 20 else f"{token[:16]}..."
         raise ParseError(
-            f"number too long: {shown!r} has {len(token)} characters", where=where,
+            f"number too long: {_clip(token)!r} has {len(token)} characters", where=where,
         ) from None
 
 
@@ -232,7 +225,7 @@ def parse_formula(text: str) -> DnfFormula:
         for tok, pos in group:
             m = _LITERAL.match(tok)
             if not m or m.group(2).startswith("0"):
-                raise ParseError(f"not a literal: {tok!r}", where=pos)
+                raise ParseError(f"not a literal: {_clip(tok)!r}", where=pos)
             var = _integer(m.group(2), tok, pos)
             max_var = max(max_var, var)
             lits.append(Literal(bool(m.group(1)), var))

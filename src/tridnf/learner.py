@@ -136,9 +136,9 @@ class _TermEngine:
     every live v decides it false.  Rows need not be distinct.  A row's
     masks are made once per learn and kept per class under its
     ``(value_bits, known_bits)``; a row that reduction or a negative
-    update edits is a new key.  When ``term`` returns, ``live_u`` holds
-    exactly the positives that admit every pick, which are the ones the
-    finished term may cover, and ``learn`` erases them by position.
+    update edits is a new key.  ``term`` hands back, with the picks, the
+    term's cover: the positions of the u rows still live, which are exactly
+    the positives that admit every pick.
 
     ``tiers`` maps each tier denominator to a packed word in which literal
     c owns the W-bit field at bit c*W: the full-grade indicators of the
@@ -315,15 +315,16 @@ class _TermEngine:
         self.tiers = self._sum(live_u, live_v)
         self.live_u, self.live_v = live_u, live_v
 
-    def term(self, positives, negatives) -> list[int]:
+    def term(self, positives, negatives) -> tuple[list[int], list[int]]:
         """Open a term, then select and apply literals until no v row is
-        live; the picked codes."""
+        live; the picked codes and the cover, the ascending 0-based
+        positions of the positives still live."""
         self.open(positives, negatives)
         codes: list[int] = []
         while self.live_v:
             codes.append(self.select())
             self.apply(codes[-1])
-        return codes
+        return codes, [u[3] - 1 for u in self.live_u]
 
 
 def _exact(value: Fraction) -> str:
@@ -347,8 +348,8 @@ def learn(dataset: Dataset, config: LearnerConfig | None = None) -> LearnResult:
     updates) self-contradictory.  Every outer iteration erases at least one
     positive or aborts, so there are at most p of them.
 
-    The positives a finished term erases are the engine's last live u
-    rows, which are not tested again.  A negative is tested against the
+    The positives a finished term erases are the cover the engine hands
+    back, which is not tested again.  A negative is tested against the
     term's literal mask ``picked`` (bit c for literal code c): the term
     may hold on it unless a certain cell contradicts a literal, and then
     its lowest Unknown on the term's variables is pinned to falsify it.
@@ -376,19 +377,19 @@ def learn(dataset: Dataset, config: LearnerConfig | None = None) -> LearnResult:
         positives = list(work.positives)
         negatives = list(work.negatives)
 
-        codes = engine.term(positives, negatives)
+        codes, cover = engine.term(positives, negatives)
         term = term_from_codes(n, codes)
         terms.append(term)
         if trace is not None:
             trace.append(f"TERM {term.render()}")
 
-        if not engine.live_u:
+        if not cover:
             _abort(trace, "no-positive-erased", term=term.render())
-        cover = dict.fromkeys(u[3] - 1 for u in engine.live_u)  # in position order
         erased += (positives[i] for i in cover)
         if trace is not None:
             trace.extend(f"POS_ERASED {positives[i].id}" for i in cover)
-        positives = [inst for i, inst in enumerate(positives) if i not in cover]
+        covered = set(cover)
+        positives = [inst for i, inst in enumerate(positives) if i not in covered]
 
         picked = sum(1 << c for c in codes)
         on_term = picked | picked >> n

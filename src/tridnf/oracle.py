@@ -103,7 +103,7 @@ def minimal_dnf_exhaustive(d: Dataset, max_literals: int = 12) -> DnfFormula:
     """
     if d.n > 6:
         raise ValueError("exhaustive search is limited to n <= 6")
-    if not d.all_certain:
+    if d.unknown_count:
         raise ValueError("exhaustive search needs fully certain data")
 
     n = d.n

@@ -84,6 +84,8 @@ class Instance:
 
     @classmethod
     def from_cells(cls, cells: Iterable, label: Label, id: str = "") -> "Instance":
+        """Build from cells as ``Trit.coerce`` reads them, a compact row
+        like ``"1?0"`` included."""
         value = known = 0
         n = 0
         for k, raw in enumerate(cells):
@@ -94,11 +96,6 @@ class Instance:
                 known |= 1 << k
             n = k + 1
         return cls(n, value, known, label, id)
-
-    @classmethod
-    def from_text(cls, text: str, label: Label, id: str = "") -> "Instance":
-        """Parse a compact row like ``"1?0"``."""
-        return cls.from_cells(text, label, id)
 
     def cell(self, k: int) -> Trit:
         """Cell at 0-based coordinate ``k``."""
@@ -185,8 +182,8 @@ class Dataset:
         """Build from compact rows like ``["1?0", "110"]``, named u1, u2, ...
         and v1, v2, ... as ``_named`` names them.  The width is the first
         row's; the dataset check names any row of another width."""
-        pos = tuple(_named((Instance.from_text(t, Label.POSITIVE) for t in positives), "u"))
-        neg = tuple(_named((Instance.from_text(t, Label.NEGATIVE) for t in negatives), "v"))
+        pos = tuple(_named((Instance.from_cells(t, Label.POSITIVE) for t in positives), "u"))
+        neg = tuple(_named((Instance.from_cells(t, Label.NEGATIVE) for t in negatives), "v"))
         if not pos + neg:
             raise ValueError("no row to take the dataset width from")
         return cls((pos + neg)[0].n, pos, neg)
@@ -198,10 +195,6 @@ class Dataset:
     @property
     def q(self) -> int:
         return len(self.negatives)
-
-    @property
-    def all_certain(self) -> bool:
-        return all(inst.is_certain for inst in self.instances())
 
     @property
     def unknown_count(self) -> int:

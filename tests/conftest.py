@@ -54,9 +54,8 @@ def without_safeguards(d: Dataset) -> DnfFormula:
     positives, terms = list(d.positives), []
     engine = _TermEngine(d.n, d.p * d.q, None)
     while positives:
-        terms.append(term_from_codes(d.n, engine.term(positives, list(d.negatives))))
-        # as in learn, the term's cover is the engine's live positives
-        cover = {u[3] - 1 for u in engine.live_u}
+        codes, cover = engine.term(positives, list(d.negatives))
+        terms.append(term_from_codes(d.n, codes))
         assert cover, terms[-1].render()
         positives = [u for i, u in enumerate(positives) if i not in cover]
     return DnfFormula(d.n, tuple(terms))

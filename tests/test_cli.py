@@ -703,6 +703,50 @@ def test_mask_truth_that_does_not_parse_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_mask_truth_too_long_for_a_file_name_reports_the_parse_error(tmp_path, capsys):
+    # no file can be named by the token, so it is read as formula text alone
+    out = tmp_path / "m.csv"
+    code, stdout, err = run(
+        capsys, "mask", "--format", "zoo", "--positive-type", "1", "--mode", "trustworthy",
+        "--fraction", "10%", "--seed", "1", "--truth", "x" + "9" * 5000, "--output", str(out),
+    )
+    assert (code, stdout) == (2, "")
+    assert err == "error: number too long: 'x999999999999999...' has 5001 characters (at 0)\n"
+    assert not out.exists()
+
+
+_LONG = "9" * 5000
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("mask", "--seed", _LONG),
+    ("experiment", "--seeds", _LONG),
+    ("experiment", "--seeds", "1," + _LONG),
+    ("experiment", "--types", _LONG),
+    ("mask", "--fraction", _LONG),
+    ("experiment", "--fractions", _LONG),
+    ("experiment", "--encoding", _LONG),
+    ("verify", "--max-literals", _LONG),
+    ("experiment", "--modes", "x" * 5000),
+])
+def test_long_flag_values_are_shown_clipped(tmp_path, capsys, command, flag, value):
+    # after the usage, one error line shows the value as its first 16
+    # characters and "..."; a digit string that int refuses is too long
+    required = {
+        "mask": ["--format", "zoo", "--positive-type", "1", "--mode", "random",
+                 "--fraction", "10%", "--seed", "1", "--output", str(tmp_path / "m.csv")],
+        "experiment": ["--report", str(tmp_path / "r.txt")],
+        "verify": ["--formula", str(tmp_path / "f.txt"), "--format", "zoo", "--positive-type", "1"],
+    }[command]
+    code, err = refused(capsys, command, *required, flag, value)
+    line = err.splitlines()[-1]
+    assert code == 1 and err.startswith(f"usage: tridnf {command} ")
+    assert line.startswith(f"tridnf {command}: error: argument {flag}: ")
+    assert len(line.encode()) < 300 and value[:17] not in err, line
+    assert ("number too long" in line) == (flag in ("--seed", "--seeds", "--types", "--max-literals"))
+    assert "expected an integer" not in line
+
+
 def test_eval_formula_wider_than_the_data_exits_1(tmp_path, capsys):
     data = tmp_path / "rows.csv"
     save_ternary_csv(Dataset.from_texts(["11"], ["00"]), data)

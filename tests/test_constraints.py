@@ -20,8 +20,8 @@ H = Fraction(1, 2)
 
 def pair(u_text, v_text, p, q):
     """The grade function of the pair (u, v) at class sizes p and q."""
-    u = Instance.from_text(u_text, Label.POSITIVE)
-    v = Instance.from_text(v_text, Label.NEGATIVE)
+    u = Instance.from_cells(u_text, Label.POSITIVE)
+    v = Instance.from_cells(v_text, Label.NEGATIVE)
     return lambda lit: membership(u, v, lit, p, q)
 
 

@@ -42,10 +42,10 @@ def test_term_evaluate_bits():
 
 def test_term_against_uncertain_instance():
     term = Term((Literal(False, 1), Literal(True, 3)))
-    sure = Instance.from_text("1?0", Label.POSITIVE)
-    open_ = Instance.from_text("1??", Label.POSITIVE)
-    blocked = Instance.from_text("1?1", Label.POSITIVE)
-    blocked_pos = Instance.from_text("0?0", Label.POSITIVE)
+    sure = Instance.from_cells("1?0", Label.POSITIVE)
+    open_ = Instance.from_cells("1??", Label.POSITIVE)
+    blocked = Instance.from_cells("1?1", Label.POSITIVE)
+    blocked_pos = Instance.from_cells("0?0", Label.POSITIVE)
     assert term.possibly_satisfied_by(sure)
     assert term.possibly_satisfied_by(open_)
     assert not term.possibly_satisfied_by(blocked)

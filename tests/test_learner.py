@@ -131,8 +131,8 @@ def test_erased_positives_keep_erasure_order():
 def test_instance_ids_survive_into_the_trace():
     d = Dataset(
         3,
-        (Instance.from_text("1?0", Label.POSITIVE, "ada"),),
-        (Instance.from_text("?00", Label.NEGATIVE, "bob"),),
+        (Instance.from_cells("1?0", Label.POSITIVE, "ada"),),
+        (Instance.from_cells("?00", Label.NEGATIVE, "bob"),),
     )
     result = learn(d, TRACED)
     assert "POS_ERASED ada" in result.trace
@@ -153,7 +153,7 @@ def test_rows_without_an_id_are_named_by_their_position_in_their_class():
             for low in (1, 0)
         ]
         sides = [
-            tuple(Instance.from_text(t, label, rng.choice(("", "", "ada", "u1", "v2"))) for t in rows)
+            tuple(Instance.from_cells(t, label, rng.choice(("", "", "ada", "u1", "v2"))) for t in rows)
             for rows, label in zip(texts, (Label.POSITIVE, Label.NEGATIVE))
         ]
         d = Dataset(n, *sides)
@@ -553,13 +553,12 @@ from tridnf import formula, learner, oracle
 out = {"debug": __debug__}
 d = Dataset.from_texts(["110", "011"], ["000", "101"])
 
-# the engine's live positives are the term's cover; emptying them after
-# the real term leaves the term covering no positive
+# emptying the engine's cover after the real term leaves the term
+# covering no positive
 real = learner._TermEngine.term
 def term(self, positives, negatives):
-    codes = real(self, positives, negatives)
-    self.live_u = []
-    return codes
+    codes, _ = real(self, positives, negatives)
+    return codes, []
 learner._TermEngine.term = term
 try:
     learn(d, LearnerConfig(trace=True))
@@ -604,7 +603,7 @@ def test_term_certainly_true_on_a_negative_aborts(monkeypatch):
     # returns the empty term
     d = Dataset.from_texts(["110", "011"], ["000", "1?1"])
     real = _TermEngine.term
-    monkeypatch.setattr(_TermEngine, "term", lambda self, *rows: real(self, *rows)[:0])
+    monkeypatch.setattr(_TermEngine, "term", lambda self, *rows: ([], real(self, *rows)[1]))
     monkeypatch.setattr(oracle, "term_from_codes", lambda n, codes: Term(()))
     for run in (_traced_learn, reference_learn):
         with pytest.raises(ConsistencyAbort) as err:

@@ -189,8 +189,8 @@ def masking_cases(draw):
     p = draw(st.integers(0, len(texts)))
     d = Dataset(
         n,
-        tuple(Instance.from_text(t, Label.POSITIVE, f"u{i}") for i, t in enumerate(texts[:p])),
-        tuple(Instance.from_text(t, Label.NEGATIVE, f"v{i}") for i, t in enumerate(texts[p:])),
+        tuple(Instance.from_cells(t, Label.POSITIVE, f"u{i}") for i, t in enumerate(texts[:p])),
+        tuple(Instance.from_cells(t, Label.NEGATIVE, f"v{i}") for i, t in enumerate(texts[p:])),
     )
     mode = draw(st.sampled_from([RANDOM, TRUSTWORTHY]))
     codes = draw(st.lists(st.integers(0, 2 * n - 1), unique=True, max_size=n))

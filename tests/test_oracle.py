@@ -136,7 +136,7 @@ def test_verify_consistency_matches_its_definition():
 
         def rows(label):
             return tuple(
-                Instance.from_text(
+                Instance.from_cells(
                     "".join(rng.choice("01??") for _ in range(n)), label, rng.choice(["", f"r{k}"])
                 )
                 for k in range(rng.randint(0, 4))
@@ -159,9 +159,9 @@ def test_verdicts_are_mutually_exclusive():
     for _ in range(50):
         text = "".join(rng.choice("01?") for _ in range(4))
         label = rng.choice([Label.POSITIVE, Label.NEGATIVE])
-        d = Dataset(4, (Instance.from_text(text, Label.POSITIVE),), ()) \
+        d = Dataset(4, (Instance.from_cells(text, Label.POSITIVE),), ()) \
             if label is Label.POSITIVE else \
-            Dataset(4, (), (Instance.from_text(text, Label.NEGATIVE),))
+            Dataset(4, (), (Instance.from_cells(text, Label.NEGATIVE),))
         (cert,) = verify_consistency(f, d)
         assert cert.verdict in (Verdict.EXACT, Verdict.COMPLETION_WITNESS, Verdict.VIOLATED)
         assert (cert.witness is not None) == (cert.verdict is Verdict.COMPLETION_WITNESS)

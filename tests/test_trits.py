@@ -40,7 +40,7 @@ def test_trit_negation_fixes_unknown():
 
 
 def test_instance_text_round_trip():
-    inst = Instance.from_text("1?01", Label.POSITIVE, "u1")
+    inst = Instance.from_cells("1?01", Label.POSITIVE, "u1")
     assert inst.text == "1?01"
     assert inst.n == 4
     assert inst.cells == (Trit.TRUE, Trit.UNKNOWN, Trit.FALSE, Trit.TRUE)
@@ -48,7 +48,7 @@ def test_instance_text_round_trip():
 
 
 def test_instance_bit_views():
-    inst = Instance.from_text("1?0", Label.NEGATIVE)
+    inst = Instance.from_cells("1?0", Label.NEGATIVE)
     # coordinate k maps to bit k
     assert inst.value_bits == 0b001
     assert inst.zeros == 0b100
@@ -73,7 +73,7 @@ def test_instance_constructor_checks_canonical_form():
 
 
 def test_instance_is_a_frozen_value():
-    inst = Instance.from_text("1?0", Label.NEGATIVE, "v1")
+    inst = Instance.from_cells("1?0", Label.NEGATIVE, "v1")
     with pytest.raises(dataclasses.FrozenInstanceError):
         inst.value_bits = 0
     assert inst.value_bits == 0b001
@@ -91,7 +91,7 @@ def test_instance_is_a_frozen_value():
 
 
 def test_with_cell_replaces_one_coordinate():
-    inst = Instance.from_text("1?0", Label.NEGATIVE, "v1")
+    inst = Instance.from_cells("1?0", Label.NEGATIVE, "v1")
     filled = inst.with_cell(1, Trit.TRUE)
     assert filled.text == "110"
     assert filled.id == "v1"
@@ -125,18 +125,18 @@ def test_from_texts_takes_the_width_of_its_first_row():
 
 
 def test_dataset_rejects_mislabeled_instance():
-    neg = Instance.from_text("10", Label.NEGATIVE)
+    neg = Instance.from_cells("10", Label.NEGATIVE)
     with pytest.raises(ValueError):
         Dataset(2, (neg,), ())
 
 
 def test_dataset_checks_each_class_in_order():
-    pos = Instance.from_text("10", Label.POSITIVE, "u1")
-    neg = Instance.from_text("01", Label.NEGATIVE, "v1")
+    pos = Instance.from_cells("10", Label.POSITIVE, "u1")
+    neg = Instance.from_cells("01", Label.NEGATIVE, "v1")
     with pytest.raises(ValueError, match="^dataset width must be at least 1$"):
         Dataset(0, (), ())
-    wide_pos = Instance.from_text("101", Label.POSITIVE, "u2")
-    wide_neg = Instance.from_text("011", Label.NEGATIVE, "v2")
+    wide_pos = Instance.from_cells("101", Label.POSITIVE, "u2")
+    wide_neg = Instance.from_cells("011", Label.NEGATIVE, "v2")
     with pytest.raises(LengthMismatchError, match="^instance 'u2' has width 3, expected 2$"):
         Dataset(2, (pos, wide_pos), (neg,))
     with pytest.raises(LengthMismatchError, match="^instance 'v2' has width 3, expected 2$"):
@@ -177,8 +177,8 @@ def test_reduce_uncertainty_skips_pairs_with_certain_disagreement():
 def test_reduce_uncertainty_preserves_ids():
     d = Dataset(
         4,
-        (Instance.from_text("1?00", Label.POSITIVE, "a"),),
-        (Instance.from_text("1100", Label.NEGATIVE, "b"), Instance.from_text("100?", Label.NEGATIVE, "c")),
+        (Instance.from_cells("1?00", Label.POSITIVE, "a"),),
+        (Instance.from_cells("1100", Label.NEGATIVE, "b"), Instance.from_cells("100?", Label.NEGATIVE, "c")),
     )
     g = reduce_uncertainty(d)
     assert [i.id for i in g.positives] == ["a"]
