@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import os
 import sys
@@ -139,11 +140,21 @@ def _types(text: str) -> list[int]:
     return list(range(1, 8)) if text == "all" else _type_list(text)
 
 
-def _mode(token: str) -> str:
-    mode = token.strip()
-    if mode not in (RANDOM, TRUSTWORTHY):
-        raise ValueError(f"unknown mode {_clip(token)!r}")
-    return mode
+def _choice(*values: str):
+    """An argparse type: one of ``values``, refused in argparse's words
+    for ``choices``, with the token shown clipped."""
+
+    def parse(token: str) -> str:
+        if token not in values:
+            listed = ", ".join(map(repr, values))
+            raise argparse.ArgumentTypeError(f"invalid choice: {_clip(token)!r} (choose from {listed})")
+        return token
+
+    return parse
+
+
+_mode = _choice(RANDOM, TRUSTWORTHY)
+_mode_list = _list_of(lambda token: _mode(token.strip()))  # "random, trustworthy" too
 
 
 def _encoding(text: str) -> tuple[int, ...]:
@@ -339,11 +350,12 @@ def cmd_verify(args) -> int:
 
 def _add_dataset_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--input", help="data file (defaults to the bundled animal data for --format zoo)")
-    sub.add_argument("--format", choices=["zoo", "csv"], required=True)
+    sub.add_argument("--format", type=_choice("zoo", "csv"), required=True, metavar="{zoo,csv}")
     sub.add_argument("--positive-type", type=_type, help="class code 1..7 (zoo format)")
     sub.add_argument(
         "--positive-label",
-        choices=["+", "-"],
+        type=_choice("+", "-"),
+        metavar="{+,-}",
         help="which CSV label counts as positive, + by default (csv format)",
     )
     sub.add_argument(
@@ -365,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     mask_p = subparsers.add_parser("mask", help="blank cells of a dataset")
     _add_dataset_arguments(mask_p)
-    mask_p.add_argument("--mode", choices=[RANDOM, TRUSTWORTHY], required=True)
+    mask_p.add_argument("--mode", type=_mode, required=True, metavar="{random,trustworthy}")
     mask_p.add_argument("--fraction", type=_fraction, required=True, help="share of cells to blank, at most 1/2")
     mask_p.add_argument("--seed", type=_seed, required=True, help="integer in [0, 2^64)")
     mask_p.add_argument("--truth", help="reference formula (text or file); required for trustworthy mode")
@@ -381,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp_p.add_argument("--dataset", help="animal data file (defaults to the bundled copy)")
     exp_p.add_argument("--types", type=_types, default="all", help="'all' or comma-separated class codes 1..7")
     exp_p.add_argument("--fractions", type=_list_of(_fraction), default="0,10,20,30,40,50")
-    exp_p.add_argument("--modes", type=_list_of(_mode), default="random,trustworthy")
+    exp_p.add_argument("--modes", type=_mode_list, default="random,trustworthy")
     exp_p.add_argument("--seeds", type=_list_of(_seed), default="1,2", help="integers in [0, 2^64)")
     exp_p.add_argument("--report", required=True, help="report text file (a CSV sibling is written too)")
     exp_p.add_argument("--encoding", type=_encoding, default=DEFAULT_LEGS_ORDER, help="leg-count order for x13..x17")
@@ -416,7 +428,11 @@ def main(argv=None) -> int:
             return args.func(args)
         except tuple(_EXIT_CODES) as exc:
             code = next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
-            print(f"{'inconsistent' if code == EXIT_INCONSISTENT else 'error'}: {exc}", file=sys.stderr)
+            message = str(exc)
+            if isinstance(exc, OSError) and exc.errno == errno.ENAMETOOLONG:
+                name = str(exc.filename)  # OSError's own text holds it whole
+                message = f"file name too long: {_clip(name)!r} has {len(name)} characters"
+            print(f"{'inconsistent' if code == EXIT_INCONSISTENT else 'error'}: {message}", file=sys.stderr)
             return code
 
 

@@ -38,8 +38,8 @@ from __future__ import annotations
 
 import math
 import struct
-import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from operator import mul
 
@@ -73,14 +73,17 @@ class LearnResult:
 
     ``dataset`` holds the erased positives (in erasure order) and the
     negatives in their final, possibly updated, state.  ``trace`` is empty
-    unless the config asked for one.  ``iterations`` counts the outer
-    iterations, each of which learned one of the formula's terms.
+    unless the config asked for one.
     """
 
     formula: DnfFormula
     dataset: Dataset
     trace: tuple[str, ...]
-    iterations: int
+
+    @property
+    def iterations(self) -> int:
+        """The outer iterations, each of which learned one of the formula's terms."""
+        return len(self.formula.terms)
 
 
 def _abort(trace: list[str] | None, reason: str, **details) -> None:
@@ -108,11 +111,8 @@ def _dilate(bits: int, width: int) -> int:
     return out
 
 
-# field width in bits -> the native unsigned format that memoryview.cast
-# reads one field with
-_FIELD_FORMATS = {struct.calcsize(code) * 8: code for code in "QLIHB"}
-# to_bytes in native order puts the top field first on a big-endian machine
-_FIELD_ORDER = slice(None, None, -1 if sys.byteorder == "big" else 1)
+# field width in bits -> its unsigned struct code, in standard size
+_FIELD_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
 class _TermEngine:
@@ -147,20 +147,19 @@ class _TermEngine:
     2 to a field and there are at most p*q sets, so no field carries into
     the next.  W is the narrowest of 8, 16, 32 and 64 bits that holds
     2*pairs, a whole number of bytes, so ``select`` reads a word's fields
-    with one ``memoryview.cast``.  ``learn`` passes the input's p*q as
-    ``pairs``: later iterations only erase, dedupe or fill rows, so no
-    term's p*q is larger.
+    with one ``struct`` unpack of its little-endian bytes.  ``learn``
+    passes the input's p*q as ``pairs``: later iterations only erase,
+    dedupe or fill rows, so no term's p*q is larger.
     """
 
     def __init__(self, n: int, pairs: int, trace: list[str] | None):
-        w = next((w for w in (8, 16, 32, 64) if not 2 * pairs >> w), None)
+        w = next((w for w in _FIELD_CODES if not 2 * pairs >> w), None)
         if w is None:
             raise OverflowError(f"{pairs} constraint sets overflow a 64-bit field")
-        if w not in _FIELD_FORMATS:
-            raise RuntimeError(f"no native {w}-bit unsigned format for memoryview.cast")
         self.n, self.trace = n, trace
-        self.width, self.format = w, _FIELD_FORMATS[w]
-        self.field = (1 << w) - 1
+        self.width, self.field = w, (1 << w) - 1
+        # little-endian and standard sizes on every platform
+        self.fields = struct.Struct(f"<{2 * n}{_FIELD_CODES[w]}")
         # per class, positives first: (value_bits, known_bits) -> masks
         self.masks: tuple[dict, dict] = ({}, {})
 
@@ -269,14 +268,10 @@ class _TermEngine:
         total*2n/scale can neither win nor tie, and only the literals left
         are scored exactly.
         """
-        codes = 2 * self.n
-        size = codes * self.width // 8
+        codes, unpack, size = 2 * self.n, self.fields.unpack, self.fields.size
         d = math.lcm(*self.tiers)
         multipliers = [d // t for t in self.tiers]
-        fields = [
-            memoryview(word.to_bytes(size, sys.byteorder)).cast(self.format)[_FIELD_ORDER]
-            for word in self.tiers.values()
-        ]
+        fields = [unpack(word.to_bytes(size, "little")) for word in self.tiers.values()]
         lead = [sum(map(mul, column, multipliers)) for column in zip(*fields)]  # L_c * d
         best_lead = max(lead)
         margin = 4 * len(self.live_u) * len(self.live_v) * self.n * d
@@ -328,17 +323,11 @@ class _TermEngine:
 
 
 def _exact(value: Fraction) -> str:
-    """``str(value)`` past Python's int-to-str digit limit, which exact
-    relevances on masked data outgrow.  The caller's limit is restored."""
-    get_limit = getattr(sys, "get_int_max_str_digits", None)
-    if get_limit is None:
-        return str(value)
-    limit = get_limit()
-    sys.set_int_max_str_digits(0)
-    try:
-        return str(value)
-    finally:
-        sys.set_int_max_str_digits(limit)
+    """``str(value)``, each integer written through ``Decimal``: exact
+    relevances on masked data outgrow Python's int-to-str digit limit,
+    which a Decimal made from an int is not subject to."""
+    parts = (value.numerator,) if value.denominator == 1 else value.as_integer_ratio()
+    return "/".join(str(Decimal(k)) for k in parts)
 
 
 def learn(dataset: Dataset, config: LearnerConfig | None = None) -> LearnResult:
@@ -425,4 +414,4 @@ def learn(dataset: Dataset, config: LearnerConfig | None = None) -> LearnResult:
 
     formula = DnfFormula(n, tuple(terms))
     final = Dataset(n, tuple(erased), tuple(negatives))
-    return LearnResult(formula, final, tuple(trace) if trace is not None else (), len(terms))
+    return LearnResult(formula, final, tuple(trace) if trace is not None else ())

@@ -337,8 +337,7 @@ def reference_learn(d: Dataset) -> LearnResult:
                 abort("inconsistent-data", pairs=clashes)
 
     return LearnResult(
-        DnfFormula(n, tuple(terms)), Dataset(n, tuple(erased), tuple(negatives)),
-        tuple(trace), len(terms),
+        DnfFormula(n, tuple(terms)), Dataset(n, tuple(erased), tuple(negatives)), tuple(trace)
     )
 
 

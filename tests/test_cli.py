@@ -728,11 +728,15 @@ _LONG = "9" * 5000
     ("experiment", "--encoding", _LONG),
     ("verify", "--max-literals", _LONG),
     ("experiment", "--modes", "x" * 5000),
+    ("learn", "--format", "x" * 5000),
+    ("learn", "--positive-label", "x" * 5000),
+    ("mask", "--mode", "x" * 5000),
 ])
 def test_long_flag_values_are_shown_clipped(tmp_path, capsys, command, flag, value):
     # after the usage, one error line shows the value as its first 16
     # characters and "..."; a digit string that int refuses is too long
     required = {
+        "learn": ["--format", "zoo", "--positive-type", "1", "--output", str(tmp_path / "f.txt")],
         "mask": ["--format", "zoo", "--positive-type", "1", "--mode", "random",
                  "--fraction", "10%", "--seed", "1", "--output", str(tmp_path / "m.csv")],
         "experiment": ["--report", str(tmp_path / "r.txt")],
@@ -745,6 +749,26 @@ def test_long_flag_values_are_shown_clipped(tmp_path, capsys, command, flag, val
     assert len(line.encode()) < 300 and value[:17] not in err, line
     assert ("number too long" in line) == (flag in ("--seed", "--seeds", "--types", "--max-literals"))
     assert "expected an integer" not in line
+
+
+@pytest.mark.parametrize("flag", ["--input", "--output", "--trace"])
+def test_file_names_too_long_are_shown_clipped(tmp_path, capsys, flag):
+    # the OS refuses the name; the message shows it clipped, with its length
+    argv = ["--input", str(_two_rows(tmp_path)), "--output", str(tmp_path / "f.txt"),
+            "--trace", str(tmp_path / "t.txt")]
+    argv[argv.index(flag) + 1] = "x" * 5000
+    code, stdout, err = run(capsys, "learn", "--format", "csv", *argv)
+    assert (code, stdout) == (2, "")
+    assert err == "error: file name too long: 'xxxxxxxxxxxxxxxx...' has 5000 characters\n"
+
+
+def test_other_file_errors_keep_the_os_message(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    code, stdout, err = run(
+        capsys, "learn", "--format", "csv", "--input", str(missing), "--output", str(tmp_path / "f.txt"),
+    )
+    assert (code, stdout) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
 
 
 def test_eval_formula_wider_than_the_data_exits_1(tmp_path, capsys):

@@ -511,17 +511,44 @@ def test_packed_fields_hold_their_largest_sum():
     # x1 and x2 grade half in each of the p*q sets, which have no full
     # grade and nr = 4, so their fields of the one tier word hold 2*p*q;
     # the field width is the narrowest of 8, 16, 32 and 64 bits that holds
-    # it, and 2*p*q = 128, 2^15 and 2^17 fill a field to its top bit or
-    # spill into the next width; the tie goes to x1
-    for p, q in ((1, 1), (2, 2), (8, 8), (8, 16), (128, 128), (256, 256)):
+    # 2*pairs, and 2*p*q = 128, 2^15 and 2^17 fill a field to its top bit
+    # or spill into the next width; a pairs bound of 2^31 or more forces
+    # 64 bits on the same few rows; the tie goes to x1
+    cases = [(p, q, p * q) for p, q in ((1, 1), (2, 2), (8, 8), (8, 16), (128, 128), (256, 256))]
+    for p, q, pairs in cases + [(1, 1, 1 << 31), (2, 3, (1 << 63) - 1)]:
         d = Dataset.from_texts(["11"] * p, ["??"] * q)
         trace: list[str] = []
-        engine = _TermEngine(d.n, p * q, trace)
+        engine = _TermEngine(d.n, pairs, trace)
         engine.open(list(d.positives), list(d.negatives))
-        assert engine.width == min(w for w in (8, 16, 32, 64) if 2 * p * q < 1 << w)
+        assert engine.width == min(w for w in (8, 16, 32, 64) if 2 * pairs < 1 << w)
         assert engine.tiers == {4: 2 * p * q * (1 + (1 << engine.width))}
         assert engine.select() == 0
         assert _traced_relevance(trace) == Fraction(1, 2)
+    with pytest.raises(OverflowError):
+        _TermEngine(2, 1 << 63, None)
+
+
+def test_exact_text_leaves_the_digit_limit_alone(monkeypatch):
+    # numerator and denominator of over 4,300 digits, past the default
+    # limit; the limit is process-wide, so it is neither read nor set
+    value = Fraction(7**5300, 2 * 3**9300)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        expected = str(value)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+    def refuse(*_):
+        raise AssertionError("the int-to-str digit limit was touched")
+
+    monkeypatch.setattr(sys, "set_int_max_str_digits", refuse, raising=False)
+    assert min(map(len, expected.split("/"))) > 4300
+    assert learner._exact(value) == expected
+    assert learner._exact(Fraction(-3)) == "-3" and learner._exact(Fraction(0)) == "0"
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
 
 
 def test_dilate_equals_its_string_definition():
