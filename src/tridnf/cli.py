@@ -59,6 +59,10 @@ _EXIT_CODES = {
     OSError: EXIT_DATA,
 }
 
+# the longest file name an OS error shows whole, the usual limit on one
+# path component; a longer one is shown through _clip
+_NAME_MAX = 255
+
 # the flag each --format requires, then the dataset flags only one format
 # takes, in the order they are checked
 _REQUIRED = {"zoo": "--positive-type", "csv": "--input"}
@@ -141,20 +145,21 @@ def _types(text: str) -> list[int]:
 
 
 def _choice(*values: str):
-    """An argparse type: one of ``values``, refused in argparse's words
-    for ``choices``, with the token shown clipped."""
+    """An argparse type: one of ``values``, surrounding spaces aside, as
+    ``int`` reads a number; refused in argparse's words for ``choices``,
+    with the token shown clipped."""
 
     def parse(token: str) -> str:
-        if token not in values:
+        choice = token.strip()
+        if choice not in values:
             listed = ", ".join(map(repr, values))
             raise argparse.ArgumentTypeError(f"invalid choice: {_clip(token)!r} (choose from {listed})")
-        return token
+        return choice
 
     return parse
 
 
 _mode = _choice(RANDOM, TRUSTWORTHY)
-_mode_list = _list_of(lambda token: _mode(token.strip()))  # "random, trustworthy" too
 
 
 def _encoding(text: str) -> tuple[int, ...]:
@@ -393,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp_p.add_argument("--dataset", help="animal data file (defaults to the bundled copy)")
     exp_p.add_argument("--types", type=_types, default="all", help="'all' or comma-separated class codes 1..7")
     exp_p.add_argument("--fractions", type=_list_of(_fraction), default="0,10,20,30,40,50")
-    exp_p.add_argument("--modes", type=_mode_list, default="random,trustworthy")
+    exp_p.add_argument("--modes", type=_list_of(_mode), default="random,trustworthy")
     exp_p.add_argument("--seeds", type=_list_of(_seed), default="1,2", help="integers in [0, 2^64)")
     exp_p.add_argument("--report", required=True, help="report text file (a CSV sibling is written too)")
     exp_p.add_argument("--encoding", type=_encoding, default=DEFAULT_LEGS_ORDER, help="leg-count order for x13..x17")
@@ -429,9 +434,12 @@ def main(argv=None) -> int:
         except tuple(_EXIT_CODES) as exc:
             code = next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
             message = str(exc)
-            if isinstance(exc, OSError) and exc.errno == errno.ENAMETOOLONG:
-                name = str(exc.filename)  # OSError's own text holds it whole
-                message = f"file name too long: {_clip(name)!r} has {len(name)} characters"
+            # OSError's own text holds the file name whole, however long
+            if isinstance(exc, OSError) and len(name := str(exc.filename or "")) > _NAME_MAX:
+                if exc.errno == errno.ENAMETOOLONG:
+                    message = f"file name too long: {_clip(name)!r} has {len(name)} characters"
+                else:
+                    message = f"[Errno {exc.errno}] {exc.strerror}: {_clip(name)!r}"
             print(f"{'inconsistent' if code == EXIT_INCONSISTENT else 'error'}: {message}", file=sys.stderr)
             return code
 

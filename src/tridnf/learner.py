@@ -32,7 +32,9 @@ One ``_TermEngine`` serves a whole learn.  It fixes the field width
 from the input's pair count, which bounds every later iteration's, and
 makes a row's packed masks once, so an outer iteration sets up only the
 rows that reduction or a negative update has changed since an earlier
-one.
+one.  A term's opening sums carry over the same way: when few negatives
+changed since the last opening, each positive kept from it moves only
+those negatives between its slots instead of summing all of them.
 """
 from __future__ import annotations
 
@@ -41,7 +43,8 @@ import struct
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from operator import mul
+from itertools import compress, count
+from operator import is_not, mul
 
 from .errors import ConsistencyAbort
 from .formula import DnfFormula, Term, term_from_codes
@@ -140,6 +143,10 @@ class _TermEngine:
     term's cover: the positions of the u rows still live, which are exactly
     the positives that admit every pick.
 
+    ``opened`` keeps the last opening's positives, a copy of its
+    negatives, its ``live_v`` and each positive's slot list (see
+    ``_sum``), from which ``_carry`` starts the next opening.
+
     ``tiers`` maps each tier denominator to a packed word in which literal
     c owns the W-bit field at bit c*W: the full-grade indicators of the
     sets with nf >= 1 summed by nf, and the R words (2 per half grade, 1
@@ -162,6 +169,7 @@ class _TermEngine:
         self.fields = struct.Struct(f"<{2 * n}{_FIELD_CODES[w]}")
         # per class, positives first: (value_bits, known_bits) -> masks
         self.masks: tuple[dict, dict] = ({}, {})
+        self.opened = None
 
     def _live(self, instances, negative: bool) -> list[tuple[int, int, int, int]]:
         """The rows a term opens on, in the shape of ``live_u`` or ``live_v``."""
@@ -191,9 +199,47 @@ class _TermEngine:
         self.scale = 1 << (p + q + 1)
         self.live_u = self._live(positives, False)
         self.live_v = self._live(negatives, True)
-        self.tiers = self._sum(self.live_u, self.live_v)
+        slots = self._carry(positives, negatives)
+        self.tiers = self._sum(self.live_u, self.live_v, slots)
+        # copies: learn edits its negatives in place after the term, and
+        # _carry matches positives by the identity of the objects kept here
+        self.opened = positives[:], negatives[:], self.live_v, slots
 
-    def _sum(self, live_u, live_v) -> dict[int, int]:
+    def _carry(self, positives, negatives) -> list[list[int] | None]:
+        """Per positive, its slot list carried from the last opening, or
+        None where it is to be summed in full.
+
+        Between openings a negative changes only where a negative update
+        or reduction put a new row at its position; dedupe changes q.
+        Carrying moves a changed negative's dilated off word between two
+        slots of each kept positive, 2 steps per changed negative, where
+        a fresh sum costs q, so it runs when q is unchanged and fewer
+        than q/2 negatives changed.  A positive is kept when the same
+        object was opened on last time; one that reduction re-made is
+        summed in full.
+        """
+        slots: list[list[int] | None] = [None] * len(positives)
+        if self.opened is None:
+            return slots
+        old_u, old_v, old_live_v, old_slots = self.opened
+        if len(old_v) != len(negatives):
+            return slots
+        changed = list(compress(count(), map(is_not, old_v, negatives)))
+        if 2 * len(changed) >= len(negatives):
+            return slots
+        moves = [(old_live_v[j][0], old_live_v[j][2], self.live_v[j][0], self.live_v[j][2]) for j in changed]
+        kept = dict(zip(map(id, old_u), old_slots))  # old_u holds the keys' objects alive
+        for k, (inst, u) in enumerate(zip(positives, self.live_u)):
+            groups = kept.get(id(inst))
+            if groups is not None:
+                on, groups = u[0], groups[:]  # a row may stand at two positions
+                for old_off, old_d, off, d_off in moves:
+                    groups[(on & old_off).bit_count()] -= old_d
+                    groups[(on & off).bit_count()] += d_off
+                slots[k] = groups
+        return slots
+
+    def _sum(self, live_u, live_v, slots=None) -> dict[int, int]:
         """The tiers of the rectangle live_u x live_v; aborts on its
         first empty set in (i, j) order.
 
@@ -203,16 +249,23 @@ class _TermEngine:
         sets with nf = 0, and only those are graded in full, when slot 0
         is nonzero or some live v has off mask 0: such a v decides no
         literal, so its dilated off word adds nothing to slot 0.
+        At an opening, ``slots`` holds per u its carried slot list or
+        None, and each None is replaced by the list summed here; after a
+        pick it is None, and each list is dropped once folded.
         """
         if not live_v:
             return {}  # the term is closed: nothing left to select
-        w, slots, tiers = self.width, self.n + 1, {}
+        w, levels, tiers = self.width, self.n + 1, {}
         offs = [(v[0], v[2]) for v in live_v]
         blank = any(not off for off, _ in offs)
-        for on, op, wide, i in live_u:
-            groups = [0] * slots  # nf -> sum of the dilated off words
-            for off, d_off in offs:
-                groups[(on & off).bit_count()] += d_off
+        for k, (on, op, wide, i) in enumerate(live_u):
+            groups = slots[k] if slots else None  # nf -> sum of the dilated off words
+            if groups is None:
+                groups = [0] * levels
+                for off, d_off in offs:
+                    groups[(on & off).bit_count()] += d_off
+                if slots:
+                    slots[k] = groups
             if groups[0] or blank:
                 for off, v_op, _, j in live_v:
                     if on & off:
@@ -223,7 +276,7 @@ class _TermEngine:
                     if not nr:
                         _abort(self.trace, "empty-constraint-set", pairs=((i, j),))
                     tiers[nr] = tiers.get(nr, 0) + (_dilate(half, w) << 1 | _dilate(quarter, w))
-            for nf in range(1, slots):
+            for nf in range(1, levels):
                 if groups[nf]:
                     tiers[nf] = tiers.get(nf, 0) + (groups[nf] & wide)
         return tiers

@@ -517,6 +517,29 @@ def test_experiment_list_errors_name_the_flag(tmp_path, capsys, flag, value):
     assert code == 1 and f"argument {flag}:" in err and "Fraction(" not in err
 
 
+def test_choice_flags_read_a_token_as_a_list_entry_is_read(tmp_path, capsys):
+    # surrounding spaces aside, as --modes entries and int-typed flags are read
+    parse = cli.build_parser().parse_args
+    common = ["--positive-type", "1", "--output", "o.txt"]
+    assert parse(["learn", "--format", " zoo ", *common]).format == "zoo"
+    assert parse(["learn", "--format", "csv", "--positive-label", " -", "--output", "o.txt"]).positive_label == "-"
+    args = parse(["mask", "--format", "zoo", "--mode", " random", "--fraction", "10%", "--seed", "1", *common])
+    assert args.mode == "random"
+    assert parse(["experiment", "--modes", " random, trustworthy", "--report", "r.txt"]).modes == [
+        "random", "trustworthy",
+    ]
+    out = tmp_path / "f.txt"
+    code, stdout, _ = run(capsys, "learn", "--format", " zoo", "--positive-type", "1", "--output", str(out))
+    assert (code, stdout.splitlines()[0]) == (0, "f* = x4")
+    # a padded token that is no choice is shown as given
+    code, err = refused(capsys, "learn", "--format", " zo", *common)
+    assert code == 1 and err.endswith("invalid choice: ' zo' (choose from 'zoo', 'csv')\n")
+    # the help text still lists the choices
+    with pytest.raises(SystemExit):
+        main(["learn", "--help"])
+    assert "--format {zoo,csv}" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--fraction", "x"), ("--fraction", "0.9"), ("--encoding", "9,9"), ("--encoding", "8,6,x,4,2"),
 ])
@@ -769,6 +792,17 @@ def test_other_file_errors_keep_the_os_message(tmp_path, capsys):
     )
     assert (code, stdout) == (2, "")
     assert err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+
+
+def test_missing_long_paths_are_shown_clipped(tmp_path, capsys, monkeypatch):
+    # 2,000 "a/" components: 4,001 characters, short enough for the OS to
+    # look the path up and report it missing
+    monkeypatch.chdir(tmp_path)
+    path = "a/" * 2000 + "x"
+    code, stdout, err = run(capsys, "learn", "--format", "csv", "--input", path, "--output", "f.txt")
+    assert (code, stdout) == (2, "")
+    assert err == "error: [Errno 2] No such file or directory: 'a/a/a/a/a/a/a/a/...'\n"
+    assert len(err.encode()) < 300
 
 
 def test_eval_formula_wider_than_the_data_exits_1(tmp_path, capsys):

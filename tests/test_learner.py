@@ -6,8 +6,10 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from operator import is_not
 from pathlib import Path
 
 import pytest
@@ -375,6 +377,57 @@ def test_learner_equals_reference_when_the_scale_is_small():
         assert got == _outcome(reference_learn, d), k
         if isinstance(got, LearnResult):
             assert learn(d) == replace(got, trace=())
+
+
+def _tier_fields(engine):
+    """The engine's tier words as field values, whatever its field width."""
+    size = engine.fields.size
+    return {t: engine.fields.unpack(word.to_bytes(size, "little")) for t, word in engine.tiers.items()}
+
+
+def test_carried_openings_equal_a_fresh_sum(monkeypatch):
+    # at every opening of a learn, the tiers carried from the last opening
+    # equal those of a fresh engine opened on the same rows; between two
+    # openings, negative updates edit negatives (masked rows), reduction
+    # re-makes a kept positive (v5 is pinned to 010?, then reduction fills
+    # it to 0100 and u2 to 0110), and dedupe drops a negative (v2 once v1
+    # is filled)
+    seen = Counter()
+    real_open, real_carry = _TermEngine.open, _TermEngine._carry
+
+    def carry(self, positives, negatives):
+        slots = real_carry(self, positives, negatives)
+        if any(groups is not None for groups in slots):
+            seen["carried"] += 1
+            seen["edited"] += any(map(is_not, self.opened[1], negatives))
+            seen["remade"] += any(groups is None for groups in slots)
+        elif self.opened is not None and len(negatives) < len(self.opened[1]):
+            seen["dropped"] += 1
+        return slots
+
+    def open_(self, positives, negatives):
+        real_open(self, positives, negatives)
+        fresh = _TermEngine(self.n, len(positives) * len(negatives), None)
+        real_open(fresh, positives, negatives)
+        assert _tier_fields(self) == _tier_fields(fresh)
+        seen["openings"] += 1
+
+    monkeypatch.setattr(_TermEngine, "_carry", carry)
+    monkeypatch.setattr(_TermEngine, "open", open_)
+    cases = [_masked_rows(seed, 20, 20, 40, Fraction(1, 5)) for seed in range(4)]
+    cases.append(Dataset.from_texts(["0101", "01?0", "10?1"], ["0?10", "1000", "1100", "1001", "01??"]))
+    cases.append(Dataset.from_texts(["?00", "???", "0?1"], ["0?1", "00?", "?0?", "1?0"]))
+    rng = random.Random(3)
+    for _ in range(300):
+        n, p, q = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        rows = ["".join(rng.choice("01??") for _ in range(n)) for _ in range(p + q)]
+        cases.append(Dataset.from_texts(rows[:p], rows[p:]))
+    for d in cases:
+        try:
+            learn(d)
+        except ConsistencyAbort:
+            pass
+    assert seen["openings"] > 300 and seen["edited"] and seen["remade"] and seen["dropped"], seen
 
 
 def test_trace_positions_follow_a_dropped_negative():
