@@ -434,12 +434,15 @@ def main(argv=None) -> int:
         except tuple(_EXIT_CODES) as exc:
             code = next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
             message = str(exc)
-            # OSError's own text holds the file name whole, however long
+            # OSError's own text, and the "(at ...)" of a file read_text
+            # could not decode, hold the file name whole, however long
             if isinstance(exc, OSError) and len(name := str(exc.filename or "")) > _NAME_MAX:
                 if exc.errno == errno.ENAMETOOLONG:
                     message = f"file name too long: {_clip(name)!r} has {len(name)} characters"
                 else:
                     message = f"[Errno {exc.errno}] {exc.strerror}: {_clip(name)!r}"
+            elif isinstance(exc, ParseError) and len(name := str(exc.where)) > _NAME_MAX:
+                message = f"{message.removesuffix(f'(at {name})')}(at {_clip(name)})"
             print(f"{'inconsistent' if code == EXIT_INCONSISTENT else 'error'}: {message}", file=sys.stderr)
             return code
 

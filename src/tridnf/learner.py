@@ -24,6 +24,10 @@ half and quarter weight over the set's weight nr.  At the grade scale
 2^(p+q+1) it is within total*2n/scale of the exact score.  The tiers are
 packed integers with one field per literal, 8, 16, 32 or 64 bits wide,
 summed anew over the rectangle after every pick (see ``_TermEngine``).
+Each literal's estimate, scaled to whole numbers, is read from lanes of
+64*r bits in which every tier's fields are weighted and added at once;
+a literal's fields over all tiers hold less than 2^W, so r is chosen to
+keep a lane from carrying into the next (see ``_TermEngine._leads``).
 Only literals whose tier is that close to the best are scored exactly,
 from the rows.  The winner (ties broken by literal code: x1..xn then
 ~x1..~xn) is provably the same literal exact arithmetic would pick.
@@ -43,8 +47,8 @@ import struct
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import compress, count
-from operator import is_not, mul
+from itertools import chain, compress, count
+from operator import is_not
 
 from .errors import ConsistencyAbort
 from .formula import DnfFormula, Term, term_from_codes
@@ -114,10 +118,6 @@ def _dilate(bits: int, width: int) -> int:
     return out
 
 
-# field width in bits -> its unsigned struct code, in standard size
-_FIELD_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
-
-
 class _TermEngine:
     """Scoring and erasure state of one learn, opened once per term on
     that outer iteration's working rows.  ``open`` sets p, q, the grade
@@ -152,21 +152,23 @@ class _TermEngine:
     sets with nf >= 1 summed by nf, and the R words (2 per half grade, 1
     per quarter) of the sets with nf = 0 summed by nr.  A set adds at most
     2 to a field and there are at most p*q sets, so no field carries into
-    the next.  W is the narrowest of 8, 16, 32 and 64 bits that holds
-    2*pairs, a whole number of bytes, so ``select`` reads a word's fields
-    with one ``struct`` unpack of its little-endian bytes.  ``learn``
+    the next, nor does a literal's sum over all tiers reach 2^W.  W is the
+    narrowest of 8, 16, 32 and 64 bits that holds 2*pairs, so a 64-bit
+    word holds whole fields: ``select`` weighs and adds every tier's
+    fields at once in lanes of 64*r bits, wide enough that none carries,
+    and reads each lane back as r little-endian words (see ``_leads``).
+    ``lanes`` keeps the lane masks and ``struct`` of each r.  ``learn``
     passes the input's p*q as ``pairs``: later iterations only erase,
     dedupe or fill rows, so no term's p*q is larger.
     """
 
     def __init__(self, n: int, pairs: int, trace: list[str] | None):
-        w = next((w for w in _FIELD_CODES if not 2 * pairs >> w), None)
+        w = next((w for w in (8, 16, 32, 64) if not 2 * pairs >> w), None)
         if w is None:
             raise OverflowError(f"{pairs} constraint sets overflow a 64-bit field")
         self.n, self.trace = n, trace
         self.width, self.field = w, (1 << w) - 1
-        # little-endian and standard sizes on every platform
-        self.fields = struct.Struct(f"<{2 * n}{_FIELD_CODES[w]}")
+        self.lanes: dict[int, tuple] = {}  # r -> each phase's lane mask, word struct
         # per class, positives first: (value_bits, known_bits) -> masks
         self.masks: tuple[dict, dict] = ({}, {})
         self.opened = None
@@ -306,6 +308,48 @@ class _TermEngine:
             for c, per_card in sums.items()
         }
 
+    def _leads(self, d: int) -> list[int]:
+        """L_c * d for every literal code c, the sum over the tiers t of c's
+        field of word t times d/t, in O(tiers * phases) whole-int steps.
+
+        Over all tiers a code's fields add up to at most 2*pairs < 2^W, so
+        its lead is below d * 2^W and fits a lane of 64*r bits, r =
+        ceil((W + bits of d) / 64).  A lane spans k = 64*r/W fields, and
+        phase j takes field j of every lane, codes j, j+k, j+2k, ...: it
+        masks each tier word to those fields, adds them up times d/t and
+        shifts the sum down j fields, so each lane holds one code's lead
+        and none carries into the next.  A phase is read with one
+        ``struct`` unpack of its little-endian 64-bit words, r of which
+        make a lane.
+        """
+        w, codes = self.width, 2 * self.n
+        r = -(-(w + d.bit_length()) // 64)
+        if r not in self.lanes:
+            k = 64 * r // w
+            count = -(-codes // k)  # lanes per phase
+            mask = sum(self.field << 64 * r * m for m in range(count))
+            masks = [mask << j * w for j in range(min(k, codes))]
+            self.lanes[r] = masks, struct.Struct(f"<{count * r}Q")
+        masks, words = self.lanes[r]
+        terms = [(word, d // t) for t, word in self.tiers.items()]
+        parts = []
+        for j, mask in enumerate(masks):
+            part = 0
+            for word, m in terms:
+                part += (word & mask) * m
+            lanes = words.unpack((part >> j * w).to_bytes(words.size, "little"))
+            if r > 1:
+                lanes = [sum(x << 64 * b for b, x in enumerate(lanes[i:i + r])) for i in range(0, len(lanes), r)]
+            parts.append(lanes)
+        # lane m of phase j holds code m*k + j
+        return list(chain.from_iterable(zip(*parts)))[:codes]
+
+    def _margin(self, d: int) -> int:
+        """Twice the proven error of a leading tier, total*2n/scale, times
+        d * scale: a code whose lead L_c * d trails the best by more than
+        margin/scale can neither win nor tie."""
+        return 4 * len(self.live_u) * len(self.live_v) * self.n * d
+
     def select(self) -> int:
         """Literal code of maximal total relevance; exact, first-max ties.
 
@@ -319,17 +363,17 @@ class _TermEngine:
         (scale*F_c + R_c)/(scale*nf + nr) lies within 2n/scale of F_c/nf.
         So a literal whose tier trails the best by more than twice
         total*2n/scale can neither win nor tie, and only the literals left
-        are scored exactly.
+        are scored exactly.  The tiers are compared as whole numbers
+        L_c * d, d the lcm of the tier denominators, which ``_leads`` sums
+        in lanes that do not carry, against ``_margin``, twice the bound
+        at that scale.
         """
-        codes, unpack, size = 2 * self.n, self.fields.unpack, self.fields.size
         d = math.lcm(*self.tiers)
-        multipliers = [d // t for t in self.tiers]
-        fields = [unpack(word.to_bytes(size, "little")) for word in self.tiers.values()]
-        lead = [sum(map(mul, column, multipliers)) for column in zip(*fields)]  # L_c * d
+        lead = self._leads(d)
         best_lead = max(lead)
-        margin = 4 * len(self.live_u) * len(self.live_v) * self.n * d
+        margin = self._margin(d)
         shift = self.scale.bit_length() - 1
-        cluster = [c for c in range(codes) if (best_lead - lead[c]) << shift <= margin]
+        cluster = [c for c, x in enumerate(lead) if (best_lead - x) << shift <= margin]
         if len(cluster) == 1 and self.trace is None:
             return cluster[0]
         exact = self.scores(cluster)

@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -803,6 +804,26 @@ def test_missing_long_paths_are_shown_clipped(tmp_path, capsys, monkeypatch):
     assert (code, stdout) == (2, "")
     assert err == "error: [Errno 2] No such file or directory: 'a/a/a/a/a/a/a/a/...'\n"
     assert len(err.encode()) < 300
+
+
+def test_undecodable_files_at_long_paths_are_shown_clipped(tmp_path, capsys, monkeypatch):
+    # 40 nested 10-character directories: 447 characters, each component
+    # short enough to create; the "(at ...)" of the parse error is clipped
+    # as an OS error's file name is
+    monkeypatch.chdir(tmp_path)
+    folder = Path(*["abcdefghij"] * 40)
+    folder.mkdir(parents=True)
+    bad = folder / "bad.csv"
+    bad.write_bytes(b"x1,label\n\xff1,+\n")
+    code, stdout, err = run(capsys, "learn", "--format", "csv", "--input", str(bad), "--output", "f.txt")
+    assert (code, stdout) == (2, "")
+    assert err == "error: not UTF-8 text: invalid start byte (at abcdefghij/abcde...)\n"
+    assert len(err.encode()) < 300
+    # a name of at most 255 characters is shown whole
+    short = Path("bad.csv")
+    short.write_bytes(b"\xff")
+    code, _, err = run(capsys, "learn", "--format", "csv", "--input", str(short), "--output", "f.txt")
+    assert (code, err) == (2, "error: not UTF-8 text: invalid start byte (at bad.csv)\n")
 
 
 def test_eval_formula_wider_than_the_data_exits_1(tmp_path, capsys):

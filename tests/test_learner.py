@@ -2,6 +2,7 @@
 
 import ast
 import json
+import math
 import os
 import random
 import subprocess
@@ -381,8 +382,8 @@ def test_learner_equals_reference_when_the_scale_is_small():
 
 def _tier_fields(engine):
     """The engine's tier words as field values, whatever its field width."""
-    size = engine.fields.size
-    return {t: engine.fields.unpack(word.to_bytes(size, "little")) for t, word in engine.tiers.items()}
+    w, field = engine.width, engine.field
+    return {t: [word >> c * w & field for c in range(2 * engine.n)] for t, word in engine.tiers.items()}
 
 
 def test_carried_openings_equal_a_fresh_sum(monkeypatch):
@@ -579,6 +580,89 @@ def test_packed_fields_hold_their_largest_sum():
         assert _traced_relevance(trace) == Fraction(1, 2)
     with pytest.raises(OverflowError):
         _TermEngine(2, 1 << 63, None)
+
+
+def test_leads_equal_their_per_field_sum():
+    # _leads sums every code's weighted fields in lanes of 64*r bits, r =
+    # ceil((W + bits of d) / 64); at each width, n from 1 to 40 and tier
+    # denominators whose lcm d makes r = 1 (not reachable at W = 64), 2
+    # and 3, the leads equal sum_t field_{t,c} * (d/t).  A code's fields
+    # add up to at most 2*pairs, and every case has a code at that sum
+    # whose fields sit mostly on tier 1, weighted by d, so its lead
+    # needs all of W + bits(d) bits
+    rng = random.Random(11)
+    seen = set()
+    for w in (8, 16, 32, 64):
+        pairs = (1 << w - 1) - 1
+        for n in range(1, 41):
+            engine = _TermEngine(n, pairs, None)
+            assert engine.width == w
+            for r in (1, 2, 3):
+                low, high = max(1, 64 * (r - 1) - w + 1), 64 * r - w
+                if low > high:
+                    continue
+                bits = rng.randint(low, high)
+                d = rng.randrange(1 << bits - 1, 1 << bits)
+                # divisors of d, so that their lcm is d
+                tiers = sorted({1, d} | {math.gcd(d, rng.getrandbits(high)) for _ in range(rng.randint(0, 10))})
+                fields = {t: [0] * (2 * n) for t in tiers}
+                for c in range(2 * n):
+                    total = 2 * pairs if c == n - 1 else rng.randint(0, 2 * pairs)
+                    cuts = sorted(rng.randint(0, total) for _ in tiers[1:])
+                    if c == n - 1:
+                        cuts = [total - (total >> 4)] * len(cuts)
+                    for t, low_cut, high_cut in zip(tiers, [0, *cuts], [*cuts, total]):
+                        fields[t][c] = high_cut - low_cut
+                engine.tiers = {t: sum(f << c * w for c, f in enumerate(fs)) for t, fs in fields.items()}
+                naive = [sum(fields[t][c] * (d // t) for t in tiers) for c in range(2 * n)]
+                assert -(-(w + bits) // 64) == r
+                assert engine._leads(math.lcm(*tiers)) == naive, (w, n, r)
+                seen.add((w, r))
+    assert seen == {(w, r) for w in (8, 16, 32, 64) for r in (1, 2, 3)} - {(64, 1)}
+
+
+def test_select_is_exact_within_its_margin(monkeypatch):
+    # at every select: each lead is within the proven bound of the exact
+    # score, every code outside the cluster the margin keeps scores below
+    # the best, and the pick is the first exact maximum; on random ternary
+    # rows, rows dense in ?, and rows closed under swapping x1 and x2,
+    # whose scores tie
+    real, checked = _TermEngine.select, Counter()
+
+    def select(self):
+        d = math.lcm(*self.tiers)
+        lead, margin = self._leads(d), self._margin(d)
+        exact = self.scores(range(2 * self.n))
+        best, best_lead = max(exact.values()), max(lead)
+        for c, score in exact.items():
+            # |L_c - exact_c| <= total*2n/scale, half the margin over d*scale
+            assert abs(lead[c] - d * score) * 2 * self.scale <= margin, c
+            if (best_lead - lead[c]) * self.scale > margin:
+                assert score < best, c  # outside the cluster
+        code = real(self)
+        assert code == min(c for c, score in exact.items() if score == best)
+        checked["selects"] += 1
+        return code
+
+    monkeypatch.setattr(_TermEngine, "select", select)
+    rng = random.Random(13)
+    cases = []
+    for alphabet in ("01?", "0??", "01??????"):
+        for _ in range(400):
+            n, p, q = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+            rows = ["".join(rng.choice(alphabet) for _ in range(n)) for _ in range(p + q)]
+            cases.append((rows[:p], rows[p:]))
+    for _ in range(200):
+        n, p, q = rng.randint(2, 6), rng.randint(1, 4), rng.randint(1, 4)
+        rows = ["".join(rng.choice("01?") for _ in range(n)) for _ in range(p + q)]
+        swapped = [row[1] + row[0] + row[2:] for row in rows]
+        cases.append((rows[:p] + swapped[:p], rows[p:] + swapped[p:]))
+    for rows in cases:
+        try:
+            learn(Dataset.from_texts(*rows), TRACED)
+        except ConsistencyAbort:
+            pass
+    assert checked["selects"] > 2000, checked
 
 
 def test_exact_text_leaves_the_digit_limit_alone(monkeypatch):
