@@ -36,9 +36,11 @@ One ``_TermEngine`` serves a whole learn.  It fixes the field width
 from the input's pair count, which bounds every later iteration's, and
 makes a row's packed masks once, so an outer iteration sets up only the
 rows that reduction or a negative update has changed since an earlier
-one.  A term's opening sums carry over the same way: when few negatives
-changed since the last opening, each positive kept from it moves only
-those negatives between its slots instead of summing all of them.
+one.  A term's opening sums carry over by value: a positive's sums
+depend only on its row and the negatives' rows, so they are kept by the
+positive's mask, and when few negatives' masks changed since the last
+opening, a positive with a kept mask moves only those negatives between
+its slots instead of summing all of them.
 """
 from __future__ import annotations
 
@@ -47,15 +49,13 @@ import struct
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import chain, compress, count
-from operator import is_not
+from itertools import chain
 
 from .errors import ConsistencyAbort
 from .formula import DnfFormula, Term, term_from_codes
 from .trits import (
     Dataset,
     Instance,
-    Trit,
     _named,
     check_self_consistency,
     delete_repetitions,
@@ -143,9 +143,9 @@ class _TermEngine:
     term's cover: the positions of the u rows still live, which are exactly
     the positives that admit every pick.
 
-    ``opened`` keeps the last opening's positives, a copy of its
-    negatives, its ``live_v`` and each positive's slot list (see
-    ``_sum``), from which ``_carry`` starts the next opening.
+    ``opened`` keeps the last opening's ``live_v`` and each positive's
+    slot list (see ``_sum``) under its on mask, from which ``open``
+    carries the next opening's lists.
 
     ``tiers`` maps each tier denominator to a packed word in which literal
     c owns the W-bit field at bit c*W: the full-grade indicators of the
@@ -195,53 +195,40 @@ class _TermEngine:
         return live
 
     def open(self, positives, negatives) -> None:
-        """Start a term on an outer iteration's working rows."""
+        """Start a term on an outer iteration's working rows.
+
+        A positive's slot list (see ``_sum``) depends only on its on mask
+        and the negatives' off masks, so the last opening's lists, kept
+        by on mask, carry over by value.  Between openings a negative
+        changes only where a negative update or reduction put a new row
+        at its position; dedupe changes q.  Carrying moves a changed
+        negative's dilated off word between two slots of each kept list,
+        2 steps per changed negative, where a fresh sum costs q, so it
+        runs when q is unchanged and fewer than q/2 off masks changed.
+        A positive whose on mask was not opened on last time is summed
+        in full.
+        """
         p, q = len(positives), len(negatives)
         self.norm = p * q
         self.scale = 1 << (p + q + 1)
         self.live_u = self._live(positives, False)
-        self.live_v = self._live(negatives, True)
-        slots = self._carry(positives, negatives)
-        self.tiers = self._sum(self.live_u, self.live_v, slots)
-        # copies: learn edits its negatives in place after the term, and
-        # _carry matches positives by the identity of the objects kept here
-        self.opened = positives[:], negatives[:], self.live_v, slots
+        live_v = self.live_v = self._live(negatives, True)
+        slots = {}
+        if self.opened is not None and len(self.opened[0]) == q:
+            old_v, old_slots = self.opened
+            moves = [(a[0], a[2], b[0], b[2]) for a, b in zip(old_v, live_v) if a[0] != b[0]]
+            if 2 * len(moves) < q:
+                for on, *_ in self.live_u:
+                    groups = old_slots.get(on)
+                    if groups is not None:
+                        slots[on] = groups = groups[:]
+                        for old_off, old_d, off, d_off in moves:
+                            groups[(on & old_off).bit_count()] -= old_d
+                            groups[(on & off).bit_count()] += d_off
+        self.tiers = self._sum(self.live_u, live_v, slots)
+        self.opened = live_v, slots
 
-    def _carry(self, positives, negatives) -> list[list[int] | None]:
-        """Per positive, its slot list carried from the last opening, or
-        None where it is to be summed in full.
-
-        Between openings a negative changes only where a negative update
-        or reduction put a new row at its position; dedupe changes q.
-        Carrying moves a changed negative's dilated off word between two
-        slots of each kept positive, 2 steps per changed negative, where
-        a fresh sum costs q, so it runs when q is unchanged and fewer
-        than q/2 negatives changed.  A positive is kept when the same
-        object was opened on last time; one that reduction re-made is
-        summed in full.
-        """
-        slots: list[list[int] | None] = [None] * len(positives)
-        if self.opened is None:
-            return slots
-        old_u, old_v, old_live_v, old_slots = self.opened
-        if len(old_v) != len(negatives):
-            return slots
-        changed = list(compress(count(), map(is_not, old_v, negatives)))
-        if 2 * len(changed) >= len(negatives):
-            return slots
-        moves = [(old_live_v[j][0], old_live_v[j][2], self.live_v[j][0], self.live_v[j][2]) for j in changed]
-        kept = dict(zip(map(id, old_u), old_slots))  # old_u holds the keys' objects alive
-        for k, (inst, u) in enumerate(zip(positives, self.live_u)):
-            groups = kept.get(id(inst))
-            if groups is not None:
-                on, groups = u[0], groups[:]  # a row may stand at two positions
-                for old_off, old_d, off, d_off in moves:
-                    groups[(on & old_off).bit_count()] -= old_d
-                    groups[(on & off).bit_count()] += d_off
-                slots[k] = groups
-        return slots
-
-    def _sum(self, live_u, live_v, slots=None) -> dict[int, int]:
+    def _sum(self, live_u, live_v, slots) -> dict[int, int]:
         """The tiers of the rectangle live_u x live_v; aborts on its
         first empty set in (i, j) order.
 
@@ -251,23 +238,21 @@ class _TermEngine:
         sets with nf = 0, and only those are graded in full, when slot 0
         is nonzero or some live v has off mask 0: such a v decides no
         literal, so its dilated off word adds nothing to slot 0.
-        At an opening, ``slots`` holds per u its carried slot list or
-        None, and each None is replaced by the list summed here; after a
-        pick it is None, and each list is dropped once folded.
+        ``slots`` maps an on mask to its slot list: at an opening it
+        holds the lists carried from the last one, and each list summed
+        here is added to it.
         """
         if not live_v:
             return {}  # the term is closed: nothing left to select
         w, levels, tiers = self.width, self.n + 1, {}
         offs = [(v[0], v[2]) for v in live_v]
         blank = any(not off for off, _ in offs)
-        for k, (on, op, wide, i) in enumerate(live_u):
-            groups = slots[k] if slots else None  # nf -> sum of the dilated off words
+        for on, op, wide, i in live_u:
+            groups = slots.get(on)  # nf -> sum of the dilated off words
             if groups is None:
-                groups = [0] * levels
+                groups = slots[on] = [0] * levels
                 for off, d_off in offs:
                     groups[(on & off).bit_count()] += d_off
-                if slots:
-                    slots[k] = groups
             if groups[0] or blank:
                 for off, v_op, _, j in live_v:
                     if on & off:
@@ -404,7 +389,7 @@ class _TermEngine:
             self.trace.extend(
                 f"ERASE_SET {u[3]} {v[3]}" for u in live_u for v in self.live_v if (v[0] | v[1]) & bit
             )
-        self.tiers = self._sum(live_u, live_v)
+        self.tiers = self._sum(live_u, live_v, {})
         self.live_u, self.live_v = live_u, live_v
 
     def term(self, positives, negatives) -> tuple[list[int], list[int]]:
@@ -492,12 +477,13 @@ def learn(dataset: Dataset, config: LearnerConfig | None = None) -> LearnResult:
                     trace, "unfalsifiable-negative",
                     instance_id=inst.id, term=term.render(),
                 )
-            k = (pins & -pins).bit_length() - 1
-            value = Trit.TRUE if picked >> n + k & 1 else Trit.FALSE
-            v = inst.with_cell(k, value)
+            pin = pins & -pins
+            k = pin.bit_length() - 1
+            one = picked >> n & pin  # a picked ~x falsifies at 1, an x at 0
+            v = Instance(n, value | one, known | pin, inst.label, inst.id)
             negatives[j] = v
             if trace is not None:
-                trace.append(f"NEG_UPDATE {inst.id} {k + 1} {int(value is Trit.TRUE)}")
+                trace.append(f"NEG_UPDATE {inst.id} {k + 1} {one >> k}")
             # only this updated row can newly collide with a positive:
             # erasure removes rows and never edits them
             if v.known_bits == full:

@@ -100,6 +100,8 @@ def minimal_dnf_exhaustive(d: Dataset, max_literals: int = 12) -> DnfFormula:
     can appear (any other term misclassifies at once), and at the minimal
     literal count every term of a solution must cover a positive no other
     term covers, so the search may demand fresh coverage from each pick.
+    A consistent DNF exists iff every positive has a usable term that
+    covers it, so data without one is refused before any search.
     """
     if d.n > 6:
         raise ValueError("exhaustive search is limited to n <= 6")
@@ -130,6 +132,11 @@ def minimal_dnf_exhaustive(d: Dataset, max_literals: int = 12) -> DnfFormula:
     usable.sort(key=lambda item: item[0])
 
     all_pos = (1 << len(positives)) - 1
+    reachable = 0
+    for _, _, cover in usable:
+        reachable |= cover
+    if reachable != all_pos:
+        raise BudgetExceededError(f"no consistent DNF within {max_literals} literals")
 
     def search(start: int, budget: int, picks_left: int, uncovered: int, chosen: list[int]):
         if picks_left == 0:

@@ -1,11 +1,15 @@
 """Command-line behavior: outputs, file products, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
+import tridnf
 from tridnf import (
     CountWarning,
     Dataset,
@@ -201,6 +205,31 @@ def test_verify_exhaustive_min(tmp_path, capsys):
     )
     assert code == 0
     assert stdout.splitlines()[-1] == "minimal: x1 x2 (2 literals)"
+
+
+def test_verify_exhaustive_min_refuses_inconsistent_data_at_once(tmp_path):
+    # row 101100 is both positive and negative, so no DNF of any size is
+    # consistent; seven positives and two negatives leave enough usable
+    # terms that a search through every size takes seconds per size, so
+    # the run is a subprocess with a timeout
+    data = tmp_path / "inc6.csv"
+    rows = ["101100+", "011010+", "110001+", "000111+", "010101+", "111000+", "001001+", "101100-", "100010-"]
+    lines = ["x1,x2,x3,x4,x5,x6,label", *(",".join(row) for row in rows)]
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    f = tmp_path / "f.txt"
+    f.write_text("x1\n", encoding="utf-8")
+    src = str(Path(tridnf.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "tridnf.cli", "verify", "--formula", str(f), "--format", "csv",
+            "--input", str(data), "--exhaustive-min", "--max-literals", "1000000",
+        ],
+        env=env, capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: no consistent DNF within 1000000 literals\n"
 
 
 def test_verify_budget_exceeded_exits_1(tmp_path, capsys):

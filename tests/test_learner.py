@@ -10,7 +10,6 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from operator import is_not
 from pathlib import Path
 
 import pytest
@@ -394,26 +393,27 @@ def test_carried_openings_equal_a_fresh_sum(monkeypatch):
     # it to 0100 and u2 to 0110), and dedupe drops a negative (v2 once v1
     # is filled)
     seen = Counter()
-    real_open, real_carry = _TermEngine.open, _TermEngine._carry
+    real_open, real_sum = _TermEngine.open, _TermEngine._sum
 
-    def carry(self, positives, negatives):
-        slots = real_carry(self, positives, negatives)
-        if any(groups is not None for groups in slots):
+    def sum_(self, live_u, live_v, slots):
+        # only an opening hands _sum lists, those it carried; self.opened
+        # still holds the last opening
+        if slots:
             seen["carried"] += 1
-            seen["edited"] += any(map(is_not, self.opened[1], negatives))
-            seen["remade"] += any(groups is None for groups in slots)
-        elif self.opened is not None and len(negatives) < len(self.opened[1]):
-            seen["dropped"] += 1
-        return slots
+            seen["edited"] += any(old[0] != new[0] for old, new in zip(self.opened[0], live_v))
+            seen["remade"] += any(u[0] not in slots for u in live_u)
+        return real_sum(self, live_u, live_v, slots)
 
     def open_(self, positives, negatives):
+        if self.opened is not None and len(negatives) < len(self.opened[0]):
+            seen["dropped"] += 1
         real_open(self, positives, negatives)
         fresh = _TermEngine(self.n, len(positives) * len(negatives), None)
         real_open(fresh, positives, negatives)
         assert _tier_fields(self) == _tier_fields(fresh)
         seen["openings"] += 1
 
-    monkeypatch.setattr(_TermEngine, "_carry", carry)
+    monkeypatch.setattr(_TermEngine, "_sum", sum_)
     monkeypatch.setattr(_TermEngine, "open", open_)
     cases = [_masked_rows(seed, 20, 20, 40, Fraction(1, 5)) for seed in range(4)]
     cases.append(Dataset.from_texts(["0101", "01?0", "10?1"], ["0?10", "1000", "1100", "1001", "01??"]))
@@ -482,9 +482,9 @@ def _leading_tiers(sets, n):
 def _engine_tiers(engine):
     """Each literal's leading tier read from the engine's packed tier words."""
     tiers = [Fraction(0)] * (2 * engine.n)
-    for t, word in engine.tiers.items():
-        for c in range(2 * engine.n):
-            tiers[c] += Fraction(word >> c * engine.width & engine.field, t)
+    for t, fields in _tier_fields(engine).items():
+        for c, field in enumerate(fields):
+            tiers[c] += Fraction(field, t)
     return tiers
 
 
