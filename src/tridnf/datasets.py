@@ -19,6 +19,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import CountWarning, ParseError
+from .formula import _clip
 from .trits import Dataset, Instance, Label
 
 # File-order attribute names.  "legs" sits between "fins" and "tail" and is
@@ -72,7 +73,7 @@ def _parse_natural(token: str, what: str, line_no: int) -> int:
     take other scripts' digits, ``_`` and a sign."""
     where = f"line {line_no}"
     if not (token.isascii() and token.isdigit()):
-        raise ParseError(f"{what} must be written in the digits 0-9, got {token!r}", where=where)
+        raise ParseError(f"{what} must be written in the digits 0-9, got {_clip(token)!r}", where=where)
     try:
         return int(token)
     except ValueError:  # past the int-to-str digit limit
@@ -84,7 +85,7 @@ def _parse_binary(token: str, field: str, line_no: int) -> int:
         return 0
     if token == "1":
         return 1
-    raise ParseError(f"field '{field}' must be 0 or 1, got {token!r}", where=f"line {line_no}")
+    raise ParseError(f"field '{field}' must be 0 or 1, got {_clip(token)!r}", where=f"line {line_no}")
 
 
 def load_zoo(path: str | Path) -> list[ZooRecord]:
@@ -217,14 +218,14 @@ def load_ternary_csv(path: str | Path) -> Dataset:
         label_token = cells[-1]
         if label_token not in ("+", "-"):
             raise ParseError(
-                f"label must be '+' or '-', got {label_token!r}",
+                f"label must be '+' or '-', got {_clip(label_token)!r}",
                 where=f"line {line_no}",
             )
         label = Label.POSITIVE if label_token == "+" else Label.NEGATIVE
         for column, cell in enumerate(cells[:-1], start=1):
             if cell not in ("0", "1", "?"):
                 raise ParseError(
-                    f"cell must be '0', '1' or '?', got {cell!r}",
+                    f"cell must be '0', '1' or '?', got {_clip(cell)!r}",
                     where=f"line {line_no}, column {column}",
                 )
         inst = Instance.from_cells(cells[:-1], label, id=f"r{index}")

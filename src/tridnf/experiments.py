@@ -3,9 +3,10 @@
 Each run is one (positive type, mode, fraction, seed) cell: the full data is
 encoded one-vs-rest, masked, a formula is learned from the masked data, and
 its errors are counted against the unmasked data.  The masked datasets of
-one (type, mode, seed) come from one shuffle (``masking._ladder``), and
-every shuffle of one seed reduces the same SplitMix64 draws, made once per
-call.  With no cell blanked, U-BRAIN is BRAIN: the fraction-0 cells of a
+one (type, mode, seed) come from one shuffle (``masking._ladder``),
+every shuffle of one seed reduces the same SplitMix64 draws, made once
+per call, and ladders with as many candidate cells share one shuffle.
+With no cell blanked, U-BRAIN is BRAIN: the fraction-0 cells of a
 type share one learn of its unmasked encoding, the one that gives the
 trustworthy reference formula when that mode runs.  That learn may abort
 like any other: then the type's fraction-0 and trustworthy cells are ABORT.
@@ -229,7 +230,8 @@ def run_experiment(
     reference and no trustworthy ladder: its trustworthy cells, and its
     fraction-0 cells in every mode, report the abort's reason, and the
     run goes on to the next type.  Each seed's SplitMix64 draws are made
-    once per call and shared by all its ladders.
+    once per call and shared by all its ladders, and each shuffle once
+    per (candidate count, cell count, seed).
     """
     kinds = sorted(set(types))
     fracs = sorted({Fraction(f) for f in fractions})
@@ -237,7 +239,7 @@ def run_experiment(
     seed_list = list(dict.fromkeys(seeds))
     runs: list[RunResult] = []
     references: list[tuple[int, DnfFormula]] = []
-    streams: dict = {}  # seed -> its SplitMix64 draws, shared by all ladders
+    streams: dict = {}  # each seed's SplitMix64 draws and shuffles, shared by all ladders
     for kind in kinds:
         complete = encode_zoo(records, kind, legs_order)
         unmasked = None  # (formula, errors, abort reason) of learning complete

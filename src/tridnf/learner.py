@@ -133,10 +133,12 @@ class _TermEngine:
     A term's state is its rectangle: ``live_u`` and ``live_v`` list the
     live rows in position order, u as (on, open, wide, i), wide being on
     dilated with each bit widened to its field, and v as (off, open,
-    dilated off, j).  i and j are the 1-based positions by which trace
-    lines and aborts name a pair.  Live set (u, v) is the set of the
-    two rows, and a struck complement is cleared from u's open mask, since
-    every live v decides it false.  Rows need not be distinct.  A row's
+    dilated off, j), the dilated off word tagged with bit j - 1 above the
+    2n fields.  i and j are the 1-based positions by which trace lines
+    and aborts name a pair, and ``opened_v`` lists the opening's v rows
+    by position, for ``_sum`` to find a tagged row by.  Live set (u, v)
+    is the set of the two rows, and a struck complement is cleared from
+    u's open mask, since every live v decides it false.  Rows need not be distinct.  A row's
     masks are made once per learn and kept per class under its
     ``(value_bits, known_bits)``; a row that reduction or a negative
     update edits is a new key.  ``term`` hands back, with the picks, the
@@ -168,15 +170,22 @@ class _TermEngine:
             raise OverflowError(f"{pairs} constraint sets overflow a 64-bit field")
         self.n, self.trace = n, trace
         self.width, self.field = w, (1 << w) - 1
+        self.unit = sum(1 << c * w for c in range(2 * n))  # the low bit of every field
         self.lanes: dict[int, tuple] = {}  # r -> each phase's lane mask, word struct
         # per class, positives first: (value_bits, known_bits) -> masks
         self.masks: tuple[dict, dict] = ({}, {})
+        self.dilated: dict[int, int] = {}  # open mask -> the mask dilated
         self.opened = None
 
     def _live(self, instances, negative: bool) -> list[tuple[int, int, int, int]]:
-        """The rows a term opens on, in the shape of ``live_u`` or ``live_v``."""
+        """The rows a term opens on, in the shape of ``live_u`` or ``live_v``.
+
+        A negative's dilated off word also carries its position bit, bit
+        j - 1 above the 2n fields, by which ``_sum`` finds the negatives
+        in a slot."""
         cache, n = self.masks[negative], self.n
         full = (1 << n) - 1
+        position = 1 << 2 * n * self.width if negative else 0
         live = []
         for k, inst in enumerate(instances, 1):
             key = (inst.value_bits, inst.known_bits)
@@ -191,7 +200,8 @@ class _TermEngine:
                 decided = zeros | ones << n if negative else ones | zeros << n
                 dilated = _dilate(decided, self.width) * (1 if negative else self.field)
                 masks = cache[key] = (decided, unknowns | unknowns << n, dilated)
-            live.append((*masks, k))
+            decided, opens, dilated = masks
+            live.append((decided, opens, dilated | position << k - 1, k))
         return live
 
     def open(self, positives, negatives) -> None:
@@ -212,7 +222,7 @@ class _TermEngine:
         self.norm = p * q
         self.scale = 1 << (p + q + 1)
         self.live_u = self._live(positives, False)
-        live_v = self.live_v = self._live(negatives, True)
+        live_v = self.live_v = self.opened_v = self._live(negatives, True)
         slots = {}
         if self.opened is not None and len(self.opened[0]) == q:
             old_v, old_slots = self.opened
@@ -234,35 +244,50 @@ class _TermEngine:
 
         Per u, the dilated off words of the v rows are added up in a slot
         per nf; ANDing a slot with u's widened on mask keeps the fields of
-        u's full grades, which hold at most q, so nothing carries.  u has
-        sets with nf = 0, and only those are graded in full, when slot 0
-        is nonzero or some live v has off mask 0: such a v decides no
-        literal, so its dilated off word adds nothing to slot 0.
-        ``slots`` maps an on mask to its slot list: at an opening it
-        holds the lists carried from the last one, and each list summed
-        here is added to it.
+        u's full grades, which hold at most q, so nothing carries, and
+        drops the position bits above them.  Slot 0's position bits name
+        exactly the v rows with which u has nf = 0, those whose off mask
+        meets none of u's on mask, the all-``?`` rows included, in
+        position order; only those sets are graded one by one.  Dilation
+        distributes over & and |, so their half and quarter words are
+        made from dilated masks: u's on mask is its widened mask's low
+        bits, a v row's off mask is its dilated off word, and the open
+        masks are dilated once per learn each, kept by value in
+        ``dilated``.  ``slots`` maps an on mask to its slot list: at an
+        opening it holds the lists carried from the last one, and each
+        list summed here is added to it.
         """
         if not live_v:
             return {}  # the term is closed: nothing left to select
         w, levels, tiers = self.width, self.n + 1, {}
+        unit, dilated, base = self.unit, self.dilated, 2 * self.n * w
+        rows = self.opened_v  # position j - 1 -> the row opened at j
         offs = [(v[0], v[2]) for v in live_v]
-        blank = any(not off for off, _ in offs)
         for on, op, wide, i in live_u:
             groups = slots.get(on)  # nf -> sum of the dilated off words
             if groups is None:
                 groups = slots[on] = [0] * levels
                 for off, d_off in offs:
                     groups[(on & off).bit_count()] += d_off
-            if groups[0] or blank:
-                for off, v_op, _, j in live_v:
-                    if on & off:
-                        continue
-                    half = on & v_op | op & off
-                    quarter = op & v_op
+            named = groups[0] >> base
+            if named:
+                d_on = wide & unit
+                d_op = dilated.get(op)
+                if d_op is None:
+                    d_op = dilated[op] = _dilate(op, w)
+                while named:
+                    low = named & -named
+                    named ^= low
+                    _, v_op, d_off, j = rows[low.bit_length() - 1]
+                    d_v_op = dilated.get(v_op)
+                    if d_v_op is None:
+                        d_v_op = dilated[v_op] = _dilate(v_op, w)
+                    half = d_on & d_v_op | d_op & d_off
+                    quarter = d_op & d_v_op
                     nr = 2 * half.bit_count() + quarter.bit_count()
                     if not nr:
                         _abort(self.trace, "empty-constraint-set", pairs=((i, j),))
-                    tiers[nr] = tiers.get(nr, 0) + (_dilate(half, w) << 1 | _dilate(quarter, w))
+                    tiers[nr] = tiers.get(nr, 0) + (half << 1 | quarter)
             for nf in range(1, levels):
                 if groups[nf]:
                     tiers[nf] = tiers.get(nf, 0) + (groups[nf] & wide)

@@ -12,8 +12,8 @@ implementations.  Selection without replacement is a partial Fisher-Yates
 shuffle over the candidate cells in row-major order, each cell held as the
 integer row * len(columns) + k for the k-th candidate column.
 
-A plan is applied a row at a time: its cells are checked in plan order,
-then gathered into one blank mask per row, and each touched row is copied
+A plan is applied a row at a time: its cells are checked in plan order
+and gathered into one blank mask per row, and each touched row is copied
 once with those cells made Unknown.
 
 Step i of the shuffle writes only positions i and j >= i, so after k steps
@@ -25,7 +25,11 @@ returns the dataset itself for a fraction that blanks no cell.
 The draws that drive a shuffle depend on the seed alone; only their
 reduction modulo ``size - i`` depends on the dataset and mode.  So the
 experiment runner draws each seed's stream once, to the largest cell
-count, and every ladder of that seed reduces the same draws.
+count, and every ladder of that seed reduces the same draws.  The shuffle
+itself depends only on its candidate count, its cell count and the seed,
+so the runner makes it once per (candidate count, seed) and every ladder
+with that many candidates, such as the random-mode ladders of every
+class, walks the same one.
 """
 
 from __future__ import annotations
@@ -92,6 +96,8 @@ def _draws(streams: dict, seed: int, count: int) -> list[int]:
 
     ``streams`` maps a seed to its generator and the outputs drawn so far,
     which grow in place, so callers that share it draw each output once.
+    ``_plan`` keeps its shuffles in the same dict, under
+    ``(size, count, seed)`` keys.
     """
     if seed not in streams:
         streams[seed] = (SplitMix64(seed).next_u64, [])
@@ -125,7 +131,9 @@ def _plan(
 
     Returns the fraction, requested cell count and capped cell count of
     each of ``fractions``, the candidate columns, and the shuffle run to
-    the largest capped count.
+    the largest capped count.  That shuffle is made once per ``streams``
+    and kept there by its size, count and seed, so callers share it and
+    must not change it.
     """
     if mode not in (RANDOM, TRUSTWORTHY):
         raise ValueError(f"mode must be '{RANDOM}' or '{TRUSTWORTHY}', got {mode!r}")
@@ -145,28 +153,10 @@ def _plan(
     size = rows * len(columns)
     budgets = [(value, want, min(want, size)) for value, want in requested]
     top = max((count for _, _, count in budgets), default=0)
-    return budgets, columns, _shuffle(size, top, _draws(streams, seed, top))
-
-
-def _cells(indices: list[int], columns: list[int]) -> list[tuple[int, int]]:
-    """The (row, column) cells of shuffle indices over ``columns``."""
-    width = len(columns)
-    return [(index // width, columns[index % width]) for index in indices]
-
-
-def _blank_rows(dataset: Dataset, rows: list[Instance], cells) -> Dataset:
-    """Replace each row of ``rows`` that the (row, column) ``cells`` name
-    by one copy with those cells made Unknown; return the rows as a
-    dataset split as ``dataset`` is."""
-    blank: dict[int, int] = {}  # row -> bits of its cells to blank
-    for row, col in cells:
-        blank[row] = blank.get(row, 0) | 1 << col
-    for row, bits in blank.items():
-        inst = rows[row]
-        rows[row] = Instance(
-            inst.n, inst.value_bits & ~bits, inst.known_bits & ~bits, inst.label, inst.id
-        )
-    return Dataset(dataset.n, tuple(rows[: dataset.p]), tuple(rows[dataset.p :]))
+    shuffled = streams.get((size, top, seed))
+    if shuffled is None:
+        shuffled = streams[size, top, seed] = _shuffle(size, top, _draws(streams, seed, top))
+    return budgets, columns, shuffled
 
 
 def make_mask(
@@ -186,26 +176,36 @@ def make_mask(
     [(value, requested, count)], columns, shuffled = _plan(
         dataset, mode, [fraction], seed, truth, {}
     )
+    width = len(columns)
     return MaskPlan(
         mode=mode,
         fraction=value,
         seed=seed,
         # columns ascend, so the indices sort as their cells do
-        cells=tuple(_cells(sorted(shuffled), columns)),
+        cells=tuple((index // width, columns[index % width]) for index in sorted(shuffled)),
         requested=requested,
         shortfall=requested - count,
     )
 
 
+def _blanked(inst: Instance, bits: int) -> Instance:
+    """``inst`` with the cells of ``bits`` made Unknown."""
+    return Instance(inst.n, inst.value_bits & ~bits, inst.known_bits & ~bits, inst.label, inst.id)
+
+
 def apply_mask(dataset: Dataset, plan: MaskPlan) -> Dataset:
     """Blank the plan's cells.  Idempotent; everything else is untouched."""
     rows: list[Instance] = list(dataset.instances())
+    blank: dict[int, int] = {}  # row -> bits of its cells to blank
     for row, col in plan.cells:
         if not 0 <= row < len(rows):
             raise CellOutOfRangeError(f"row {row} outside 0..{len(rows) - 1}")
         if not 0 <= col < dataset.n:
             raise CellOutOfRangeError(f"column {col} outside 0..{dataset.n - 1}")
-    return _blank_rows(dataset, rows, plan.cells)
+        blank[row] = blank.get(row, 0) | 1 << col
+    for row, bits in blank.items():
+        rows[row] = _blanked(rows[row], bits)
+    return Dataset(dataset.n, tuple(rows[: dataset.p]), tuple(rows[dataset.p :]))
 
 
 def _ladder(
@@ -217,21 +217,34 @@ def _ladder(
     streams: dict,
 ) -> list[Dataset]:
     """``apply_mask(dataset, make_mask(dataset, mode, f, seed, truth))`` for
-    each ``f`` of ``fractions``, in their order, from one shuffle drawn
-    from ``streams`` (see ``_draws``; a fresh ``{}`` draws anew).
+    each ``f`` of ``fractions``, in their order, from one shuffle kept in
+    ``streams`` (see ``_plan``; a fresh ``{}`` shuffles anew).
 
-    The shuffle runs to the largest cell count.  Going up in count, each
-    step blanks only the cells it adds and copies only the rows they touch;
-    fractions of equal count share one dataset, and a count of 0 gets
-    ``dataset`` itself.  Raises as ``make_mask`` does, checking every
+    The shuffle runs to the largest cell count, and its prefix is walked
+    once, each index split into its row and column and ORed into the
+    row's blank mask.  Going up in count, each step copies only the rows
+    its cells touch, each once, from the row of ``dataset`` with all its
+    cells so far made Unknown; the other rows are shared with the step
+    below.  Fractions of equal count share one dataset, and a count of 0
+    gets ``dataset`` itself.  Raises as ``make_mask`` does, checking every
     fraction before the reference formula.
     """
     budgets, columns, shuffled = _plan(dataset, mode, fractions, seed, truth, streams)
     counts = [count for _, _, count in budgets]
-    current = list(dataset.instances())
+    original = list(dataset.instances())
+    current = original[:]
+    blank = [0] * len(original)  # row -> bits of its cells blanked so far
+    width, p = len(columns), dataset.p
     masked = {0: dataset}  # cell count -> dataset
     done = 0
     for count in sorted(set(counts) - {0}):
-        masked[count] = _blank_rows(dataset, current, _cells(shuffled[done:count], columns))
+        touched = set()
+        for index in shuffled[done:count]:
+            row, k = divmod(index, width)
+            blank[row] |= 1 << columns[k]
+            touched.add(row)
+        for row in touched:
+            current[row] = _blanked(original[row], blank[row])
+        masked[count] = Dataset(dataset.n, tuple(current[:p]), tuple(current[p:]))
         done = count
     return [masked[count] for count in counts]

@@ -60,7 +60,7 @@ class Label(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Instance:
     """One training row of ``n`` ternary cells plus a class label.
 
@@ -68,6 +68,13 @@ class Instance:
     bit k is set iff cell k is certain.  Canonical form requires
     ``value_bits & ~known_bits == 0``.  ``id`` is an opaque source tag
     (animal name, CSV row, ...); duplicates are allowed.
+
+    The constructor is written out because masking and negative updates
+    build rows by the thousand: after the canonical-form checks it stores
+    the five fields through their slot descriptors, past the frozen
+    ``__setattr__`` that a generated ``__init__`` goes through field by
+    field.  ``dataclasses.replace``, copies and pickles reach the same
+    checks or the same slots.
     """
 
     n: int
@@ -76,11 +83,16 @@ class Instance:
     label: Label
     id: str = ""
 
-    def __post_init__(self):
-        if self.value_bits & ~self.known_bits:
+    def __init__(self, n: int, value_bits: int, known_bits: int, label: Label, id: str = ""):
+        if value_bits & ~known_bits:
             raise ValueError("unknown cell carries a value bit")
-        if (self.value_bits | self.known_bits) & ~((1 << self.n) - 1):
+        if (value_bits | known_bits) & ~((1 << n) - 1):
             raise ValueError("mask bits beyond instance width")
+        _set_n(self, n)
+        _set_value_bits(self, value_bits)
+        _set_known_bits(self, known_bits)
+        _set_label(self, label)
+        _set_id(self, id)
 
     @classmethod
     def from_cells(cls, cells: Iterable, label: Label, id: str = "") -> "Instance":
@@ -144,6 +156,12 @@ class Instance:
 
     def __str__(self) -> str:
         return f"{self.text}{self.label}"
+
+
+# the slot descriptors exist once the dataclass has made the slotted class
+_set_n, _set_value_bits, _set_known_bits, _set_label, _set_id = (
+    Instance.__dict__[name].__set__ for name in ("n", "value_bits", "known_bits", "label", "id")
+)
 
 
 def _named(rows: Iterable[Instance], prefix: str) -> list[Instance]:

@@ -349,6 +349,25 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert code == 2 and "line 2, column 1" in err
 
 
+def test_long_csv_tokens_are_shown_clipped(tmp_path, capsys):
+    # a 5,000-character cell or label is named by its first 16 characters;
+    # a short one is shown whole, as before
+    bad = tmp_path / "bad.csv"
+    cases = [
+        ("z" * 5000 + ",+", "cell must be '0', '1' or '?', got 'zzzzzzzzzzzzzzzz...' (at line 2, column 1)"),
+        ("1," + "z" * 5000, "label must be '+' or '-', got 'zzzzzzzzzzzzzzzz...' (at line 2)"),
+        ("2,+", "cell must be '0', '1' or '?', got '2' (at line 2, column 1)"),
+        ("1,*", "label must be '+' or '-', got '*' (at line 2)"),
+    ]
+    for row, message in cases:
+        bad.write_text(f"x1,label\n{row}\n", encoding="utf-8")
+        code, stdout, err = run(
+            capsys, "learn", "--format", "csv", "--input", str(bad), "--output", str(tmp_path / "f.txt"),
+        )
+        assert (code, stdout, err) == (2, "", f"error: {message}\n")
+        assert len(err.encode()) < 120
+
+
 @pytest.mark.parametrize("legs, kind", [("\u0664", "1"), ("4", "\u0661"), ("+4", "1"), ("0_4", "1")])
 def test_zoo_counts_in_other_digits_exit_2(tmp_path, capsys, legs, kind):
     bad = tmp_path / "zoo.data"
@@ -690,7 +709,13 @@ _AARDVARK = "aardvark,1,0,0,1,0,0,1,1,1,1,0,0,4,0,0,1,1"
     ("aardvark,1,0,0,1,0,0,1,1,1,1,0,0,3,0,0,1,1", "leg count must be one of (0, 2, 4, 5, 6, 8), got 3"),
     # the record checks the leg-count range once every field has parsed
     ("aardvark,1,0,0,1,0,0,1,1,1,1,0,0,3,0,0,x,1", "field 'catsize' must be 0 or 1, got 'x'"),
-], ids=["flag-2", "flag-x", "empty-name", "class-8", "class-0", "legs-3", "legs-3-flag-x"])
+    # a long token is shown as its first 16 characters
+    ("aardvark," + "1" * 5000 + ",0,0,1,0,0,1,1,1,1,0,0,4,0,0,1,1",
+     "field 'hair' must be 0 or 1, got '1111111111111111...'"),
+    ("aardvark,1,0,0,1,0,0,1,1,1,1,0,0," + "\u0664" * 5000 + ",0,0,1,1",
+     "leg count must be written in the digits 0-9, got '" + "\u0664" * 16 + "...'"),
+], ids=["flag-2", "flag-x", "empty-name", "class-8", "class-0", "legs-3", "legs-3-flag-x",
+        "flag-long", "legs-long"])
 def test_zoo_row_refusals_name_their_line_and_exit_2(tmp_path, capsys, line, message):
     data = tmp_path / "zoo.data"
     data.write_text(f"{_AARDVARK}\n{line}\n", encoding="utf-8")

@@ -17,6 +17,7 @@ from tridnf import (
     experiments,
     learn,
     make_mask,
+    masking,
     parse_formula,
     run_experiment,
 )
@@ -220,9 +221,13 @@ def test_default_sweep_learns_the_unmasked_data_and_draws_each_seed_once(
     # the grid of ``tridnf experiment``: 7 types x 2 modes x 6 fractions x
     # 2 seeds.  The 7 reference learns serve the 28 fraction-0 cells, and
     # each seed's draws reach the largest count, half of 101 x 20 cells,
-    # once for all 14 ladders of that seed.
+    # once for all 14 ladders of that seed.  Each of the 28 ladders walks
+    # one shuffle per (candidate count, seed): the 7 random ladders of a
+    # seed share one, and the references leave 5 candidate counts for the
+    # trustworthy ladders, so 2 x (1 + 5) shuffles are made.
     learned = counting(monkeypatch, experiments, "learn")
     drawn = counting(monkeypatch, SplitMix64, "next_u64")
+    shuffled = counting(monkeypatch, masking, "_shuffle")
     report = run_experiment(
         zoo_records,
         types=range(1, 8),
@@ -233,6 +238,7 @@ def test_default_sweep_learns_the_unmasked_data_and_draws_each_seed_once(
     assert len(report.runs) == 168
     assert len(learned) == 7 + 7 * 2 * 5 * 2 == 147
     assert len(drawn) == 2 * 1010
+    assert len(shuffled) == 12
     zero = [run for run in report.runs if run.fraction == 0]
     assert len(zero) == 28
     for run in zero:

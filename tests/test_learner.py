@@ -500,6 +500,11 @@ def test_a_terms_live_sets_form_a_rectangle():
         # every positive, though its off mask, and so its dilated off
         # word, is 0
         (["10", "0?"], ["01", "??"]),
+        # u1 has nf = 0 with v1 and v3 and, between them, the all-? v2;
+        # the pick ~x2 keeps v1 and v3 and strikes x2 from u1, which
+        # empties (1, 3) but not (1, 1), so the abort names (1, 3), past
+        # a set that is graded and kept
+        (["1?", "00", "?0"], ["?0", "??", "10", "?1", "?1"]),
     ]
     for _ in range(300):
         n, p, q = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)

@@ -70,6 +70,23 @@ def test_instance_constructor_checks_canonical_form():
         3, 0b001, 0b101, Label.NEGATIVE, "v1"
     )
     assert Instance(3, 0b001, 0b101, Label.NEGATIVE).id == ""
+    # keywords and dataclasses.replace reach the same two checks
+    assert Instance(n=3, value_bits=0b001, known_bits=0b101, label=Label.NEGATIVE, id="v1") == inst
+    with pytest.raises(ValueError, match="^unknown cell carries a value bit$"):
+        Instance(n=3, value_bits=0b011, known_bits=0b001, label=Label.POSITIVE)
+    with pytest.raises(ValueError, match="^mask bits beyond instance width$"):
+        Instance(label=Label.POSITIVE, known_bits=0b1000, value_bits=0, n=3)
+    with pytest.raises(ValueError, match="^unknown cell carries a value bit$"):
+        dataclasses.replace(inst, known_bits=0b100)
+    with pytest.raises(ValueError, match="^mask bits beyond instance width$"):
+        dataclasses.replace(inst, n=2)
+    # the fields live in slots, and copies and pickles keep them
+    assert not hasattr(inst, "__dict__")
+    for twin in (copy.copy(inst), pickle.loads(pickle.dumps(inst))):
+        assert twin == inst and hash(twin) == hash(inst)
+        assert (twin.n, twin.value_bits, twin.known_bits, twin.label, twin.id) == (
+            3, 0b001, 0b101, Label.NEGATIVE, "v1"
+        )
 
 
 def test_instance_is_a_frozen_value():
