@@ -231,7 +231,10 @@ def run_experiment(
     fraction-0 cells in every mode, report the abort's reason, and the
     run goes on to the next type.  Each seed's SplitMix64 draws are made
     once per call and shared by all its ladders, and each shuffle once
-    per (candidate count, cell count, seed).
+    per (candidate count, cell count, seed).  A type's errors are
+    counted once per distinct formula learned for it, so a cell's
+    ``seconds`` includes evaluation only when its formula is new to its
+    type.
     """
     kinds = sorted(set(types))
     fracs = sorted({Fraction(f) for f in fractions})
@@ -242,9 +245,10 @@ def run_experiment(
     streams: dict = {}  # each seed's SplitMix64 draws and shuffles, shared by all ladders
     for kind in kinds:
         complete = encode_zoo(records, kind, legs_order)
+        counted: dict[DnfFormula, int] = {}  # formula -> its errors on complete
         unmasked = None  # (formula, errors, abort reason) of learning complete
         if TRUSTWORTHY in mode_list:
-            unmasked = _outcome(complete, complete)
+            unmasked = _outcome(complete, complete, counted)
             if unmasked[0] is not None:
                 references.append((kind, unmasked[0]))
         for mode in mode_list:
@@ -265,10 +269,10 @@ def run_experiment(
                     # no cell, and that data is learned once per class
                     if masked is complete:
                         if unmasked is None:
-                            unmasked = _outcome(complete, complete)
+                            unmasked = _outcome(complete, complete, counted)
                         formula, errors, reason = unmasked
                     else:
-                        formula, errors, reason = _outcome(masked, complete)
+                        formula, errors, reason = _outcome(masked, complete, counted)
                     runs.append(
                         RunResult(
                             positive_type=kind,
@@ -285,12 +289,18 @@ def run_experiment(
     return ExperimentReport(runs=tuple(runs), references=tuple(references))
 
 
-def _outcome(masked: Dataset, complete: Dataset) -> tuple[DnfFormula | None, int | None, str]:
+def _outcome(
+    masked: Dataset, complete: Dataset, counted: dict[DnfFormula, int]
+) -> tuple[DnfFormula | None, int | None, str]:
     """Formula, error count on ``complete`` and abort reason of learning
     from ``masked``: the one learn of a cell, or of a class's unmasked
-    data, where a ConsistencyAbort is an outcome like any other."""
+    data, where a ConsistencyAbort is an outcome like any other.  A
+    formula's errors are counted once per class, the first time it is
+    learned, and kept in ``counted``."""
     try:
         formula = learn(masked).formula
-        return formula, evaluate(formula, complete).errors, ""
     except ConsistencyAbort as abort:
         return None, None, abort.reason
+    if formula not in counted:
+        counted[formula] = evaluate(formula, complete).errors
+    return formula, counted[formula], ""

@@ -32,15 +32,18 @@ Only literals whose tier is that close to the best are scored exactly,
 from the rows.  The winner (ties broken by literal code: x1..xn then
 ~x1..~xn) is provably the same literal exact arithmetic would pick.
 
-One ``_TermEngine`` serves a whole learn.  It fixes the field width
+One ``_TermEngine`` serves a whole learn.  It fixes the field width W
 from the input's pair count, which bounds every later iteration's, and
 makes a row's packed masks once, so an outer iteration sets up only the
 rows that reduction or a negative update has changed since an earlier
-one.  A term's opening sums carry over by value: a positive's sums
-depend only on its row and the negatives' rows, so they are kept by the
-positive's mask, and when few negatives' masks changed since the last
-opening, a positive with a kept mask moves only those negatives between
-its slots instead of summing all of them.
+one.  What depends only on n and W (the word of every field's low bit,
+the tables that dilate a mask, the lane masks of ``_leads``) is made
+once per (n, W) and kept at module level for every later learn.  A
+term's opening sums carry over by value: a positive's sums depend only
+on its row and the negatives' rows, so they are kept by the positive's
+mask, and when few negatives' masks changed since the last opening, a
+positive with a kept mask moves only those negatives between its slots
+instead of summing all of them.
 """
 from __future__ import annotations
 
@@ -50,6 +53,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
+from operator import getitem
 
 from .errors import ConsistencyAbort
 from .formula import DnfFormula, Term, term_from_codes
@@ -100,22 +104,41 @@ def _abort(trace: list[str] | None, reason: str, **details) -> None:
     raise ConsistencyAbort(reason, **details)
 
 
-_BYTE_DILATIONS: dict[int, tuple[int, ...]] = {}  # width -> each byte value dilated
+_TABLES: dict[int, tuple] = {}  # W -> byte k < 8 -> each byte value dilated, shifted to bit 8*k*W
+_LAYOUTS: dict[tuple[int, int], tuple] = {}  # (n, W) -> unit word, dilation tables, lanes by r
 
 
-def _dilate(bits: int, width: int) -> int:
-    """``bits`` with bit k moved to bit k*width, one table lookup per byte."""
-    table = _BYTE_DILATIONS.get(width)
-    if table is None:
-        table = _BYTE_DILATIONS[width] = tuple(
-            sum(1 << k * width for k in range(8) if b >> k & 1) for b in range(256)
-        )
-    out = shift = 0
-    while bits:
-        out |= table[bits & 0xFF] << shift
-        bits >>= 8
-        shift += 8 * width
-    return out
+def _layout(n: int, w: int) -> tuple[int, tuple, dict]:
+    """The constants of every term engine on n variables at field width
+    w, made once per (n, w): the word with the low bit of each of the 2n
+    fields, the dilation tables of the 2n-bit masks, and the dict in
+    which ``_leads`` keeps the lane masks and ``struct`` of each lane
+    width r.  The tables of one width serve every n and stop at 8 bytes:
+    table k's entries reach bit 8*(k+1)*w, so tables for every byte of
+    a wide mask would grow with n squared."""
+    layout = _LAYOUTS.get((n, w))
+    if layout is None:
+        tables = _TABLES.get(w)
+        if tables is None:
+            byte = [sum(1 << k * w for k in range(8) if b >> k & 1) for b in range(256)]
+            tables = _TABLES[w] = tuple(tuple(x << 8 * k * w for x in byte) for k in range(8))
+        unit = sum(1 << c * w for c in range(2 * n))
+        layout = _LAYOUTS[n, w] = unit, tables[:-(-n // 4)], {}
+    return layout
+
+
+def _dilate(bits: int, tables: tuple) -> int:
+    """``bits`` with bit k moved to bit k*W: one table entry per byte,
+    summed, table k holding each byte value dilated and shifted to byte
+    k's fields (see ``_layout``).  Bits past the tables' bytes are
+    dilated in chunks of that many bytes; W is read off table 0, whose
+    entry for byte value 2 is 1 << W."""
+    try:
+        return sum(map(getitem, tables, bits.to_bytes(len(tables), "little")))
+    except OverflowError:
+        k, w = 8 * len(tables), tables[0][2].bit_length() - 1
+        chunks = range(0, bits.bit_length(), k)
+        return sum(_dilate(bits >> s & (1 << k) - 1, tables) << s * w for s in chunks)
 
 
 class _TermEngine:
@@ -159,9 +182,11 @@ class _TermEngine:
     word holds whole fields: ``select`` weighs and adds every tier's
     fields at once in lanes of 64*r bits, wide enough that none carries,
     and reads each lane back as r little-endian words (see ``_leads``).
-    ``lanes`` keeps the lane masks and ``struct`` of each r.  ``learn``
-    passes the input's p*q as ``pairs``: later iterations only erase,
-    dedupe or fill rows, so no term's p*q is larger.
+    ``unit`` (each field's low bit), ``tables`` (see ``_dilate``) and
+    ``lanes`` (the lane masks and ``struct`` of each r) are the constants
+    of (n, W), shared by every engine of that shape (see ``_layout``).
+    ``learn`` passes the input's p*q as ``pairs``: later iterations only
+    erase, dedupe or fill rows, so no term's p*q is larger.
     """
 
     def __init__(self, n: int, pairs: int, trace: list[str] | None):
@@ -170,8 +195,7 @@ class _TermEngine:
             raise OverflowError(f"{pairs} constraint sets overflow a 64-bit field")
         self.n, self.trace = n, trace
         self.width, self.field = w, (1 << w) - 1
-        self.unit = sum(1 << c * w for c in range(2 * n))  # the low bit of every field
-        self.lanes: dict[int, tuple] = {}  # r -> each phase's lane mask, word struct
+        self.unit, self.tables, self.lanes = _layout(n, w)
         # per class, positives first: (value_bits, known_bits) -> masks
         self.masks: tuple[dict, dict] = ({}, {})
         self.dilated: dict[int, int] = {}  # open mask -> the mask dilated
@@ -198,7 +222,7 @@ class _TermEngine:
                 ones, known = key
                 zeros, unknowns = known ^ ones, full ^ known
                 decided = zeros | ones << n if negative else ones | zeros << n
-                dilated = _dilate(decided, self.width) * (1 if negative else self.field)
+                dilated = _dilate(decided, self.tables) * (1 if negative else self.field)
                 masks = cache[key] = (decided, unknowns | unknowns << n, dilated)
             decided, opens, dilated = masks
             live.append((decided, opens, dilated | position << k - 1, k))
@@ -259,7 +283,7 @@ class _TermEngine:
         """
         if not live_v:
             return {}  # the term is closed: nothing left to select
-        w, levels, tiers = self.width, self.n + 1, {}
+        w, levels, tiers, tables = self.width, self.n + 1, {}, self.tables
         unit, dilated, base = self.unit, self.dilated, 2 * self.n * w
         rows = self.opened_v  # position j - 1 -> the row opened at j
         offs = [(v[0], v[2]) for v in live_v]
@@ -274,14 +298,14 @@ class _TermEngine:
                 d_on = wide & unit
                 d_op = dilated.get(op)
                 if d_op is None:
-                    d_op = dilated[op] = _dilate(op, w)
+                    d_op = dilated[op] = _dilate(op, tables)
                 while named:
                     low = named & -named
                     named ^= low
                     _, v_op, d_off, j = rows[low.bit_length() - 1]
                     d_v_op = dilated.get(v_op)
                     if d_v_op is None:
-                        d_v_op = dilated[v_op] = _dilate(v_op, w)
+                        d_v_op = dilated[v_op] = _dilate(v_op, tables)
                     half = d_on & d_v_op | d_op & d_off
                     quarter = d_op & d_v_op
                     nr = 2 * half.bit_count() + quarter.bit_count()
@@ -376,7 +400,10 @@ class _TermEngine:
         are scored exactly.  The tiers are compared as whole numbers
         L_c * d, d the lcm of the tier denominators, which ``_leads`` sums
         in lanes that do not carry, against ``_margin``, twice the bound
-        at that scale.
+        at that scale.  When no live row leaves a cell open, every set has
+        nr = 0 and every set's share is exactly F_c/nf, so L_c * d is the
+        exact score times d and the first code at the best lead wins
+        without ``scores``.
         """
         d = math.lcm(*self.tiers)
         lead = self._leads(d)
@@ -386,9 +413,12 @@ class _TermEngine:
         cluster = [c for c, x in enumerate(lead) if (best_lead - x) << shift <= margin]
         if len(cluster) == 1 and self.trace is None:
             return cluster[0]
-        exact = self.scores(cluster)
-        best = max(exact.values())
-        code = min(c for c in cluster if exact[c] == best)
+        if any(u[1] for u in self.live_u) or any(v[1] for v in self.live_v):
+            exact = self.scores(cluster)
+            best = max(exact.values())
+            code = min(c for c in cluster if exact[c] == best)
+        else:  # no open cell: every set has nr = 0, so each lead is exact
+            code, best = lead.index(best_lead), Fraction(best_lead, d)
         if self.trace is not None:
             literal = term_from_codes(self.n, (code,)).render()
             self.trace.append(f"SELECT {literal} R={_exact(best / self.norm)}")

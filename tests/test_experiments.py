@@ -224,8 +224,11 @@ def test_default_sweep_learns_the_unmasked_data_and_draws_each_seed_once(
     # once for all 14 ladders of that seed.  Each of the 28 ladders walks
     # one shuffle per (candidate count, seed): the 7 random ladders of a
     # seed share one, and the references leave 5 candidate counts for the
-    # trustworthy ladders, so 2 x (1 + 5) shuffles are made.
+    # trustworthy ladders, so 2 x (1 + 5) shuffles are made.  Each type's
+    # errors are counted once per distinct formula: 62 evaluations, where
+    # one per learn would be 147.
     learned = counting(monkeypatch, experiments, "learn")
+    evaluated = counting(monkeypatch, experiments, "evaluate")
     drawn = counting(monkeypatch, SplitMix64, "next_u64")
     shuffled = counting(monkeypatch, masking, "_shuffle")
     report = run_experiment(
@@ -237,6 +240,9 @@ def test_default_sweep_learns_the_unmasked_data_and_draws_each_seed_once(
     )
     assert len(report.runs) == 168
     assert len(learned) == 7 + 7 * 2 * 5 * 2 == 147
+    assert len(evaluated) == 62
+    distinct = {(run.positive_type, run.formula) for run in report.runs if run.ok}
+    assert len(distinct) == len(evaluated)
     assert len(drawn) == 2 * 1010
     assert len(shuffled) == 12
     zero = [run for run in report.runs if run.fraction == 0]

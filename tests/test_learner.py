@@ -363,6 +363,38 @@ def test_learner_equals_reference_at_benchmark_scale():
     assert regraded
 
 
+def test_engine_constants_are_kept_per_variable_count_and_width(monkeypatch):
+    # the unit word, dilation tables and lane masks depend on n as well as
+    # on the field width W: 20 rows on 6 and on 40 variables, both at
+    # W = 8, learned in either order from no kept constants.  At n = 40
+    # the 80-bit masks outrun the 8 bytes of tables and are dilated in chunks
+    cases = {n: _masked_rows(n, n, 8, 12, Fraction(1, 5)) for n in (6, 40)}
+    for order in ((6, 40), (40, 6)):
+        monkeypatch.setattr(learner, "_LAYOUTS", {})
+        for n in order:
+            d = cases[n]
+            assert _outcome(_traced_learn, d) == _outcome(reference_learn, d), (order, n)
+        assert set(learner._LAYOUTS) == {(6, 8), (40, 8)}
+
+
+def test_certain_rows_are_selected_from_their_exact_leads(monkeypatch):
+    # with no open cell every set has nr = 0, so a literal's lead is its
+    # exact score and ``select`` takes the first code at the best lead
+    # without rescoring; random certain rows, whose picks often tie,
+    # learned traced, equal the reference and never call ``scores``
+    def refuse(self, codes):
+        raise AssertionError(f"scores({codes}) on certain rows")
+
+    monkeypatch.setattr(_TermEngine, "scores", refuse)
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        rows = [format(x, f"0{n}b") for x in rng.sample(range(1 << n), rng.randint(2, min(12, 1 << n)))]
+        p = rng.randint(1, len(rows) - 1)
+        d = Dataset.from_texts(rows[:p], rows[p:])
+        assert _traced_learn(d) == reference_learn(d), rows
+
+
 def test_learner_equals_reference_when_the_scale_is_small():
     # with p + q <= 4 the grade scale 2^(p+q+1) is at most 32, below
     # 2n = 40, so a set's half and quarter grades can outweigh one full
@@ -698,11 +730,14 @@ def test_dilate_equals_its_string_definition():
     def by_string(bits: int, n: int, width: int) -> int:
         return int(("0" * (width - 1)).join(format(bits, f"0{n}b")), 2)
 
+    # with the tables of 32 variables, which cover 8 bytes, and of 1
+    # variable, whose one table dilates wider bits a byte at a time
     rng = random.Random(5)
     for width in range(1, 41):
-        for n in (1, 7, 8, 9, 16, 40, 63, 64):
-            for bits in (0, 1, (1 << n) - 1, 1 << (n - 1), *(rng.getrandbits(n) for _ in range(8))):
-                assert learner._dilate(bits, width) == by_string(bits, n, width), (bits, width)
+        for tables in (learner._layout(32, width)[1], learner._layout(1, width)[1]):
+            for n in (1, 7, 8, 9, 16, 40, 63, 64):
+                for bits in (0, 1, (1 << n) - 1, 1 << (n - 1), *(rng.getrandbits(n) for _ in range(8))):
+                    assert learner._dilate(bits, tables) == by_string(bits, n, width), (bits, width)
 
 
 def test_no_negatives_learn_the_empty_term():
