@@ -70,11 +70,26 @@ _FORMAT_ONLY = {"--positive-type": "zoo", "--encoding": "zoo", "--positive-label
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse defaults to exit code 2 on bad usage; the contract says 1."""
+    """argparse defaults to exit code 2 on bad usage; the contract says 1.
+    The tokens argparse echoes itself, an unknown command and arguments
+    left over, are shown through ``_clip``."""
 
     def error(self, message: str):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    def parse_args(self, args=None, namespace=None):
+        namespace, extra = self.parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(map(_clip, extra))}")
+        return namespace
+
+    def _check_value(self, action, value):
+        # a clipped token ends in "...", which no choice does, so it is
+        # refused as the whole token would be
+        if action.choices is not None and value not in action.choices:
+            value = _clip(value)
+        super()._check_value(action, value)
 
 
 def _fraction(token: str) -> Fraction:

@@ -24,13 +24,17 @@ half and quarter weight over the set's weight nr.  At the grade scale
 2^(p+q+1) it is within total*2n/scale of the exact score.  The tiers are
 packed integers with one field per literal, 8, 16, 32 or 64 bits wide,
 summed anew over the rectangle after every pick (see ``_TermEngine``).
-Each literal's estimate, scaled to whole numbers, is read from lanes of
-64*r bits in which every tier's fields are weighted and added at once;
-a literal's fields over all tiers hold less than 2^W, so r is chosen to
-keep a lane from carrying into the next (see ``_TermEngine._leads``).
-Only literals whose tier is that close to the best are scored exactly,
-from the rows.  The winner (ties broken by literal code: x1..xn then
-~x1..~xn) is provably the same literal exact arithmetic would pick.
+Each literal's estimate is read at one fixed scale, d = 2^30, as the
+whole number sum of its fields times floor(d/t) over the tiers t, from
+lanes of 64*r bits in which every tier's fields are weighted and added
+at once; a literal's fields over all tiers hold less than 2^W, so a lane
+of W + 30 bits or more does not carry into the next (see
+``_TermEngine._leads``).  The floors leave each estimate short by less
+than the literal's field total, a slack the cluster test adds to the
+proven bound.  Only literals whose estimate is that close to the best
+are scored exactly, from the rows or, with no open cell, from the
+tiers.  The winner (ties broken by literal code: x1..xn then ~x1..~xn)
+is provably the same literal exact arithmetic would pick.
 
 One ``_TermEngine`` serves a whole learn.  It fixes the field width W
 from the input's pair count, which bounds every later iteration's, and
@@ -104,26 +108,33 @@ def _abort(trace: list[str] | None, reason: str, **details) -> None:
     raise ConsistencyAbort(reason, **details)
 
 
+_SCALE = 1 << 30  # the leads' scale d: d // t fits one 30-bit CPython digit for every t >= 2
 _TABLES: dict[int, tuple] = {}  # W -> byte k < 8 -> each byte value dilated, shifted to bit 8*k*W
-_LAYOUTS: dict[tuple[int, int], tuple] = {}  # (n, W) -> unit word, dilation tables, lanes by r
+_LAYOUTS: dict[tuple[int, int], tuple] = {}  # (n, W) -> unit word, dilation tables, lanes
 
 
-def _layout(n: int, w: int) -> tuple[int, tuple, dict]:
+def _layout(n: int, w: int) -> tuple[int, tuple, tuple]:
     """The constants of every term engine on n variables at field width
     w, made once per (n, w): the word with the low bit of each of the 2n
-    fields, the dilation tables of the 2n-bit masks, and the dict in
-    which ``_leads`` keeps the lane masks and ``struct`` of each lane
-    width r.  The tables of one width serve every n and stop at 8 bytes:
-    table k's entries reach bit 8*(k+1)*w, so tables for every byte of
-    a wide mask would grow with n squared."""
+    fields, the dilation tables of the 2n-bit masks, and the lanes of
+    ``_leads``, its phase masks and the ``struct`` that reads a phase.
+    A lead is below 2^W * d = 2^(W+30), so a lane is 64*r bits, r =
+    ceil((W + 30) / 64): one 64-bit word for W <= 32 and two for W = 64.
+    The tables of one width serve every n and stop at 8 bytes: table k's
+    entries reach bit 8*(k+1)*w, so tables for every byte of a wide mask
+    would grow with n squared."""
     layout = _LAYOUTS.get((n, w))
     if layout is None:
         tables = _TABLES.get(w)
         if tables is None:
             byte = [sum(1 << k * w for k in range(8) if b >> k & 1) for b in range(256)]
             tables = _TABLES[w] = tuple(tuple(x << 8 * k * w for x in byte) for k in range(8))
-        unit = sum(1 << c * w for c in range(2 * n))
-        layout = _LAYOUTS[n, w] = unit, tables[:-(-n // 4)], {}
+        codes, r = 2 * n, -(-(w + _SCALE.bit_length() - 1) // 64)
+        k = 64 * r // w  # fields per lane
+        count = -(-codes // k)  # lanes per phase
+        mask = sum((1 << w) - 1 << 64 * r * m for m in range(count))
+        lanes = tuple(mask << j * w for j in range(min(k, codes))), struct.Struct(f"<{count * r}Q")
+        layout = _LAYOUTS[n, w] = sum(1 << c * w for c in range(codes)), tables[:-(-n // 4)], lanes
     return layout
 
 
@@ -179,12 +190,13 @@ class _TermEngine:
     2 to a field and there are at most p*q sets, so no field carries into
     the next, nor does a literal's sum over all tiers reach 2^W.  W is the
     narrowest of 8, 16, 32 and 64 bits that holds 2*pairs, so a 64-bit
-    word holds whole fields: ``select`` weighs and adds every tier's
-    fields at once in lanes of 64*r bits, wide enough that none carries,
-    and reads each lane back as r little-endian words (see ``_leads``).
-    ``unit`` (each field's low bit), ``tables`` (see ``_dilate``) and
-    ``lanes`` (the lane masks and ``struct`` of each r) are the constants
-    of (n, W), shared by every engine of that shape (see ``_layout``).
+    word holds whole fields: ``select`` weighs every tier's fields by
+    floor(d/t) at the fixed scale d = 2^30 and adds them at once in lanes
+    of 64*r bits, wide enough that none carries, and reads each lane back
+    as r little-endian words (see ``_leads``).  ``unit`` (each field's
+    low bit), ``tables`` (see ``_dilate``) and ``lanes`` (the phase masks
+    and ``struct`` of ``_leads``) are the constants of (n, W), shared by
+    every engine of that shape (see ``_layout``).
     ``learn`` passes the input's p*q as ``pairs``: later iterations only
     erase, dedupe or fill rows, so no term's p*q is larger.
     """
@@ -342,47 +354,33 @@ class _TermEngine:
             for c, per_card in sums.items()
         }
 
-    def _leads(self, d: int) -> list[int]:
-        """L_c * d for every literal code c, the sum over the tiers t of c's
-        field of word t times d/t, in O(tiers * phases) whole-int steps.
+    def _leads(self) -> list[int]:
+        """sum_t F_{c,t} * floor(d/t) for every literal code c, d = 2^30,
+        in O(tiers * phases) whole-int steps: L_c * d less the floors'
+        rounding, which is below c's field total, at most 2*pairs.
 
         Over all tiers a code's fields add up to at most 2*pairs < 2^W, so
-        its lead is below d * 2^W and fits a lane of 64*r bits, r =
-        ceil((W + bits of d) / 64).  A lane spans k = 64*r/W fields, and
-        phase j takes field j of every lane, codes j, j+k, j+2k, ...: it
-        masks each tier word to those fields, adds them up times d/t and
-        shifts the sum down j fields, so each lane holds one code's lead
-        and none carries into the next.  A phase is read with one
-        ``struct`` unpack of its little-endian 64-bit words, r of which
-        make a lane.
+        its lead is below 2^(W+30) and fits a lane of 64*r bits (see
+        ``_layout``).  A lane spans k = 64*r/W fields, and phase j takes
+        field j of every lane, codes j, j+k, j+2k, ...: it masks each tier
+        word to those fields, adds them up times floor(d/t) and shifts the
+        sum down j fields, so each lane holds one code's lead and none
+        carries into the next.  A phase is read with one ``struct`` unpack
+        of its little-endian 64-bit words, r of which make a lane.
         """
-        w, codes = self.width, 2 * self.n
-        r = -(-(w + d.bit_length()) // 64)
-        if r not in self.lanes:
-            k = 64 * r // w
-            count = -(-codes // k)  # lanes per phase
-            mask = sum(self.field << 64 * r * m for m in range(count))
-            masks = [mask << j * w for j in range(min(k, codes))]
-            self.lanes[r] = masks, struct.Struct(f"<{count * r}Q")
-        masks, words = self.lanes[r]
-        terms = [(word, d // t) for t, word in self.tiers.items()]
+        w, codes, (masks, words) = self.width, 2 * self.n, self.lanes
+        terms = [(word, _SCALE // t) for t, word in self.tiers.items()]
         parts = []
         for j, mask in enumerate(masks):
             part = 0
             for word, m in terms:
                 part += (word & mask) * m
             lanes = words.unpack((part >> j * w).to_bytes(words.size, "little"))
-            if r > 1:
-                lanes = [sum(x << 64 * b for b, x in enumerate(lanes[i:i + r])) for i in range(0, len(lanes), r)]
+            if w == 64:  # r = 2: a lane is two words, the low one first
+                lanes = [low | high << 64 for low, high in zip(lanes[::2], lanes[1::2])]
             parts.append(lanes)
         # lane m of phase j holds code m*k + j
         return list(chain.from_iterable(zip(*parts)))[:codes]
-
-    def _margin(self, d: int) -> int:
-        """Twice the proven error of a leading tier, total*2n/scale, times
-        d * scale: a code whose lead L_c * d trails the best by more than
-        margin/scale can neither win nor tie."""
-        return 4 * len(self.live_u) * len(self.live_v) * self.n * d
 
     def select(self) -> int:
         """Literal code of maximal total relevance; exact, first-max ties.
@@ -397,28 +395,32 @@ class _TermEngine:
         (scale*F_c + R_c)/(scale*nf + nr) lies within 2n/scale of F_c/nf.
         So a literal whose tier trails the best by more than twice
         total*2n/scale can neither win nor tie, and only the literals left
-        are scored exactly.  The tiers are compared as whole numbers
-        L_c * d, d the lcm of the tier denominators, which ``_leads`` sums
-        in lanes that do not carry, against ``_margin``, twice the bound
-        at that scale.  When no live row leaves a cell open, every set has
-        nr = 0 and every set's share is exactly F_c/nf, so L_c * d is the
-        exact score times d and the first code at the best lead wins
-        without ``scores``.
+        are scored exactly.  ``_leads`` gives each L_c * d, d = 2^30, as a
+        whole number f_c with f_c <= L_c * d < f_c + slack, the slack
+        being 2*pairs over the live sets.  The cluster is every code at
+        or above ``floor``: the best lead less the slack and less twice
+        the bound at scale d, 4*pairs*n*d/scale, rounded down.  A code
+        below the floor has f_best - f_c - slack > 4*pairs*n*d/scale, so
+        L_best - L_c is more than twice the bound and c can neither win
+        nor tie.  The pick is exact whatever d is; d sets only the
+        cluster's size.  When no live row leaves a cell open, every set
+        has nr = 0 and adds exactly F_c/nf, so the cluster is scored
+        from the tiers, over their lcm, without ``scores``.
         """
-        d = math.lcm(*self.tiers)
-        lead = self._leads(d)
-        best_lead = max(lead)
-        margin = self._margin(d)
-        shift = self.scale.bit_length() - 1
-        cluster = [c for c, x in enumerate(lead) if (best_lead - x) << shift <= margin]
+        lead = self._leads()
+        pairs = len(self.live_u) * len(self.live_v)
+        floor = max(lead) - 2 * pairs - (4 * pairs * self.n * _SCALE >> self.scale.bit_length() - 1)
+        cluster = [c for c, x in enumerate(lead) if x >= floor]
         if len(cluster) == 1 and self.trace is None:
             return cluster[0]
         if any(u[1] for u in self.live_u) or any(v[1] for v in self.live_v):
             exact = self.scores(cluster)
-            best = max(exact.values())
-            code = min(c for c in cluster if exact[c] == best)
-        else:  # no open cell: every set has nr = 0, so each lead is exact
-            code, best = lead.index(best_lead), Fraction(best_lead, d)
+        else:  # no open cell: every set has nr = 0 and adds exactly F_c/nf
+            w, field, den = self.width, self.field, math.lcm(*self.tiers)
+            weights = [(word, den // t) for t, word in self.tiers.items()]
+            exact = {c: Fraction(sum((word >> c * w & field) * m for word, m in weights), den) for c in cluster}
+        best = max(exact.values())
+        code = min(c for c in cluster if exact[c] == best)
         if self.trace is not None:
             literal = term_from_codes(self.n, (code,)).render()
             self.trace.append(f"SELECT {literal} R={_exact(best / self.norm)}")

@@ -829,6 +829,27 @@ def test_long_flag_values_are_shown_clipped(tmp_path, capsys, command, flag, val
     assert "expected an integer" not in line
 
 
+_LEARN = ["learn", "--format", "zoo", "--positive-type", "1", "--output", "f.txt"]
+
+
+@pytest.mark.parametrize("argv, echo", [
+    ([*_LEARN, "x" * 5000], "unrecognized arguments: xxxxxxxxxxxxxxxx..."),
+    ([*_LEARN, "extra", "y" * 21], "unrecognized arguments: extra yyyyyyyyyyyyyyyy..."),
+    ([*_LEARN, "extra"], "unrecognized arguments: extra"),
+    (["x" * 5000], "argument command: invalid choice: 'xxxxxxxxxxxxxxxx...' (choose from "),
+    (["lern"], "argument command: invalid choice: 'lern' (choose from "),
+])
+def test_tokens_argparse_echoes_are_shown_clipped(capsys, argv, echo):
+    # argparse itself names the arguments left over and an unknown
+    # command; each token is shown through the one clipping rule.  The
+    # wording of the choice list differs across Python versions, so only
+    # the token and the line's length are pinned
+    code, err = refused(capsys, *argv)
+    line = err.splitlines()[-1]
+    assert code == 1 and line.startswith(f"tridnf: error: {echo}") and len(line.encode()) < 300, line
+    assert "(choose from" in echo or line == f"tridnf: error: {echo}"
+
+
 @pytest.mark.parametrize("flag", ["--input", "--output", "--trace"])
 def test_file_names_too_long_are_shown_clipped(tmp_path, capsys, flag):
     # the OS refuses the name; the message shows it clipped, with its length
