@@ -71,25 +71,39 @@ _FORMAT_ONLY = {"--positive-type": "zoo", "--encoding": "zoo", "--positive-label
 
 class _Parser(argparse.ArgumentParser):
     """argparse defaults to exit code 2 on bad usage; the contract says 1.
-    The tokens argparse echoes itself, an unknown command and arguments
-    left over, are shown through ``_clip``."""
+    argparse echoes a token itself (an unknown command, an argument left
+    over, an ambiguous ``--flag=value``) or a tail of one (the explicit
+    argument a flag ignores, from its short flag or its first ``=`` on,
+    past any short flags that follow), so one rule covers them all:
+    ``parse_known_args`` records its tokens, and ``error`` shows the
+    longest of those echoes, over 20 characters, that the message holds,
+    through ``_clip``, in its ``repr`` form and raw."""
+
+    tokens: tuple[str, ...] = ()  # the last parse's, or none before one
+
+    def parse_known_args(self, args=None, namespace=None):
+        self.tokens = args = tuple(sys.argv[1:] if args is None else args)
+        return super().parse_known_args(args, namespace)
 
     def error(self, message: str):
+        options = self._option_string_actions
+        # longest first, so no token is clipped inside a longer one
+        for token in sorted(dict.fromkeys(self.tokens), key=len, reverse=True):
+            # argparse reads what follows a short flag or the first "=" as
+            # more short flags up to the first that is not one, and echoes
+            # it from either end of that run ("-h-xxx" echoes "-xxx")
+            tails = {token}
+            for k in (2 if token[:2] in options else len(token), token.find("=") + 1 or len(token)):
+                tails.add(token[k:])
+                while "-" + token[k : k + 1] in options:
+                    k += 1
+                tails.add(token[k:])
+            for text in sorted(tails, key=len, reverse=True):
+                if len(text) > 20 and (repr(text) in message or text in message):
+                    message = message.replace(repr(text), repr(_clip(text))).replace(text, _clip(text))
+                    break
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-    def parse_args(self, args=None, namespace=None):
-        namespace, extra = self.parse_known_args(args, namespace)
-        if extra:
-            self.error(f"unrecognized arguments: {' '.join(map(_clip, extra))}")
-        return namespace
-
-    def _check_value(self, action, value):
-        # a clipped token ends in "...", which no choice does, so it is
-        # refused as the whole token would be
-        if action.choices is not None and value not in action.choices:
-            value = _clip(value)
-        super()._check_value(action, value)
 
 
 def _fraction(token: str) -> Fraction:

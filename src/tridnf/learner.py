@@ -167,17 +167,16 @@ class _TermEngine:
     A term's state is its rectangle: ``live_u`` and ``live_v`` list the
     live rows in position order, u as (on, open, wide, i), wide being on
     dilated with each bit widened to its field, and v as (off, open,
-    dilated off, j), the dilated off word tagged with bit j - 1 above the
-    2n fields.  i and j are the 1-based positions by which trace lines
-    and aborts name a pair, and ``opened_v`` lists the opening's v rows
-    by position, for ``_sum`` to find a tagged row by.  Live set (u, v)
-    is the set of the two rows, and a struck complement is cleared from
-    u's open mask, since every live v decides it false.  Rows need not be distinct.  A row's
-    masks are made once per learn and kept per class under its
-    ``(value_bits, known_bits)``; a row that reduction or a negative
-    update edits is a new key.  ``term`` hands back, with the picks, the
-    term's cover: the positions of the u rows still live, which are exactly
-    the positives that admit every pick.
+    dilated off, j), the dilated off word carrying one count bit just
+    above the 2n fields (see ``_sum``).  i and j are the 1-based
+    positions by which trace lines and aborts name a pair.  Live set
+    (u, v) is the set of the two rows, and a struck complement is cleared
+    from u's open mask, since every live v decides it false.  Rows need
+    not be distinct.  A row's masks are made once per learn and kept per
+    class under its ``(value_bits, known_bits)``; a row that reduction or
+    a negative update edits is a new key.  ``term`` hands back, with the
+    picks, the term's cover: the positions of the u rows still live, which
+    are exactly the positives that admit every pick.
 
     ``opened`` keeps the last opening's ``live_v`` and each positive's
     slot list (see ``_sum``) under its on mask, from which ``open``
@@ -216,12 +215,12 @@ class _TermEngine:
     def _live(self, instances, negative: bool) -> list[tuple[int, int, int, int]]:
         """The rows a term opens on, in the shape of ``live_u`` or ``live_v``.
 
-        A negative's dilated off word also carries its position bit, bit
-        j - 1 above the 2n fields, by which ``_sum`` finds the negatives
-        in a slot."""
+        A negative's dilated off word also carries the count bit, bit 2n*W
+        just above the fields, by which ``_sum`` counts the negatives in a
+        slot."""
         cache, n = self.masks[negative], self.n
         full = (1 << n) - 1
-        position = 1 << 2 * n * self.width if negative else 0
+        count = 1 << 2 * n * self.width if negative else 0
         live = []
         for k, inst in enumerate(instances, 1):
             key = (inst.value_bits, inst.known_bits)
@@ -234,10 +233,9 @@ class _TermEngine:
                 ones, known = key
                 zeros, unknowns = known ^ ones, full ^ known
                 decided = zeros | ones << n if negative else ones | zeros << n
-                dilated = _dilate(decided, self.tables) * (1 if negative else self.field)
+                dilated = _dilate(decided, self.tables) * (1 if negative else self.field) | count
                 masks = cache[key] = (decided, unknowns | unknowns << n, dilated)
-            decided, opens, dilated = masks
-            live.append((decided, opens, dilated | position << k - 1, k))
+            live.append((*masks, k))
         return live
 
     def open(self, positives, negatives) -> None:
@@ -258,7 +256,7 @@ class _TermEngine:
         self.norm = p * q
         self.scale = 1 << (p + q + 1)
         self.live_u = self._live(positives, False)
-        live_v = self.live_v = self.opened_v = self._live(negatives, True)
+        live_v = self.live_v = self._live(negatives, True)
         slots = {}
         if self.opened is not None and len(self.opened[0]) == q:
             old_v, old_slots = self.opened
@@ -281,23 +279,26 @@ class _TermEngine:
         Per u, the dilated off words of the v rows are added up in a slot
         per nf; ANDing a slot with u's widened on mask keeps the fields of
         u's full grades, which hold at most q, so nothing carries, and
-        drops the position bits above them.  Slot 0's position bits name
-        exactly the v rows with which u has nf = 0, those whose off mask
-        meets none of u's on mask, the all-``?`` rows included, in
-        position order; only those sets are graded one by one.  Dilation
-        distributes over & and |, so their half and quarter words are
-        made from dilated masks: u's on mask is its widened mask's low
-        bits, a v row's off mask is its dilated off word, and the open
-        masks are dilated once per learn each, kept by value in
-        ``dilated``.  ``slots`` maps an on mask to its slot list: at an
-        opening it holds the lists carried from the last one, and each
-        list summed here is added to it.
+        drops the count above them.  Each off word's count bit makes slot
+        0 hold, above the fields, the number of v rows with which u has
+        nf = 0, those whose off mask meets none of u's on mask, the
+        all-``?`` rows, whose off word is otherwise 0, included.  Only
+        when that count is not 0 are the v rows scanned, in position
+        order, and those sets graded one by one.  Dilation distributes
+        over & and |, so their half and quarter words are made from
+        dilated masks: u's on mask is its widened mask's low bits, a v
+        row's off mask is its dilated off word less the count bit, which
+        no open mask reaches, and the open masks are dilated once per
+        learn each, kept by value in ``dilated``.  ``slots`` maps an on
+        mask to its slot list: at an opening it holds the lists carried
+        from the last one, and each list summed here is added to it; a
+        carried slot moves whole off words, count bits included, so its
+        count stays exact.
         """
         if not live_v:
             return {}  # the term is closed: nothing left to select
-        w, levels, tiers, tables = self.width, self.n + 1, {}, self.tables
-        unit, dilated, base = self.unit, self.dilated, 2 * self.n * w
-        rows = self.opened_v  # position j - 1 -> the row opened at j
+        levels, tiers, tables = self.n + 1, {}, self.tables
+        unit, dilated = self.unit, self.dilated
         offs = [(v[0], v[2]) for v in live_v]
         for on, op, wide, i in live_u:
             groups = slots.get(on)  # nf -> sum of the dilated off words
@@ -305,16 +306,14 @@ class _TermEngine:
                 groups = slots[on] = [0] * levels
                 for off, d_off in offs:
                     groups[(on & off).bit_count()] += d_off
-            named = groups[0] >> base
-            if named:
+            if groups[0]:
                 d_on = wide & unit
                 d_op = dilated.get(op)
                 if d_op is None:
                     d_op = dilated[op] = _dilate(op, tables)
-                while named:
-                    low = named & -named
-                    named ^= low
-                    _, v_op, d_off, j = rows[low.bit_length() - 1]
+                for off, v_op, d_off, j in live_v:
+                    if on & off:
+                        continue
                     d_v_op = dilated.get(v_op)
                     if d_v_op is None:
                         d_v_op = dilated[v_op] = _dilate(v_op, tables)

@@ -838,6 +838,8 @@ _LEARN = ["learn", "--format", "zoo", "--positive-type", "1", "--output", "f.txt
     ([*_LEARN, "extra"], "unrecognized arguments: extra"),
     (["x" * 5000], "argument command: invalid choice: 'xxxxxxxxxxxxxxxx...' (choose from "),
     (["lern"], "argument command: invalid choice: 'lern' (choose from "),
+    # a long value argparse does not echo stays out of the line
+    ([*_LEARN[:-1], "o" * 100_000, "y" * 100_000], "unrecognized arguments: yyyyyyyyyyyyyyyy..."),
 ])
 def test_tokens_argparse_echoes_are_shown_clipped(capsys, argv, echo):
     # argparse itself names the arguments left over and an unknown
@@ -848,6 +850,22 @@ def test_tokens_argparse_echoes_are_shown_clipped(capsys, argv, echo):
     line = err.splitlines()[-1]
     assert code == 1 and line.startswith(f"tridnf: error: {echo}") and len(line.encode()) < 300, line
     assert "(choose from" in echo or line == f"tridnf: error: {echo}"
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["learn", "--format", "zoo", "--output", "o.txt", "--p=" + "x" * 5000],
+     "tridnf learn: error: ambiguous option: --p=xxxxxxxxxxxx... could match --positive-type, --positive-label"),
+    (["experiment", "--report", "r.txt", "--json=" + "x" * 5000],
+     "tridnf experiment: error: argument --json: ignored explicit argument 'xxxxxxxxxxxxxxxx...'"),
+    (["learn", "-h-" + "x" * 5000],
+     "tridnf learn: error: argument -h/--help: ignored explicit argument '-xxxxxxxxxxxxxxx...'"),
+])
+def test_subcommand_argparse_echoes_are_shown_clipped(capsys, argv, line):
+    # a subcommand's parser echoes an ambiguous abbreviation whole, and
+    # the argument a flag ignores after its "=" or its short flag; each
+    # is shown through the same rule
+    code, err = refused(capsys, *argv)
+    assert code == 1 and err.splitlines()[-1] == line, err[-300:]
 
 
 @pytest.mark.parametrize("flag", ["--input", "--output", "--trace"])

@@ -1,7 +1,8 @@
 """Every subcommand driven with drawn flag values on tiny files: each run
 ends with a documented exit code and no traceback, a flag outside its
 documented range is refused with exit 1 by a message that names it, and a
-run that succeeds had every flag in range."""
+run that succeeds had every flag in range.  A long drawn token, wherever
+it stands, leaves a short last line of stderr."""
 
 import io
 from contextlib import redirect_stderr, redirect_stdout
@@ -131,3 +132,24 @@ def test_cli_holds_every_flag_to_its_range(files, command, data):
         assert not bad, err
     if bad:
         assert code == 1 and any(f"argument {flag}:" in err for flag in bad), err
+
+
+# 5,000 characters from those that shells and argparse treat apart, a
+# drawn piece repeated; with no digit or comma, no flag takes it as a value
+LONG = st.text(alphabet=" '\"\\=-hx", min_size=1, max_size=12).map(lambda piece: (piece * 5000)[:5000])
+
+
+@pytest.mark.parametrize("command", list(FLAGS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_cli_shows_a_long_token_clipped(files, command, data):
+    token = data.draw(LONG, label="token")
+    flag = data.draw(st.sampled_from([*FLAGS[command], "--json"]), label="flag")
+    place = data.draw(st.sampled_from(["bare", "value", "joined", "abbreviated", "short"]), label="place")
+    argv = _fixed(command, files) + {
+        "bare": [token], "value": [flag, token], "joined": [f"{flag}={token}"],
+        "abbreviated": [f"--p={token}"], "short": [f"-h{token}"],
+    }[place]
+    code, err = _main(argv)
+    assert code in (0, 1, 2, 3) and "Traceback" not in err, err[-300:]
+    assert not err or len(err.splitlines()[-1].encode()) < 300, err[-300:]
