@@ -265,7 +265,8 @@ def cmd_learn(args) -> int:
     except ConsistencyAbort as abort:
         result = abort  # the trace is written as for a result, then the abort raised
     if args.trace is not None:
-        Path(args.trace).write_text("".join(f"{line}\n" for line in result.trace), encoding="utf-8")
+        with open(args.trace, "w", encoding="utf-8") as handle:
+            handle.writelines(f"{line}\n" for line in result.trace)
     if isinstance(result, ConsistencyAbort):
         raise result
     text_path, json_path = _formula_paths(Path(args.output))

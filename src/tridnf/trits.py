@@ -261,17 +261,16 @@ def reduce_uncertainty(d: Dataset) -> Dataset:
     none, and a substitution leaves a row certain, so rows with two or
     more Unknowns never take part: the data is returned as it is when no
     row has exactly one Unknown, and otherwise only the rows with at most
-    one are scanned.
+    one are scanned.  On those rows the rule is one mask test: with
+    ``gap`` a row's unknown bits, a pair fills when exactly one gap is
+    nonzero and the rows agree on every bit outside both gaps; the row
+    with the gap then takes the negation of the other's value there.
     """
     full = (1 << d.n) - 1
-
-    def few(rows: tuple[Instance, ...]) -> list[int]:
-        """Positions of the rows with at most one Unknown."""
-        return [k for k, inst in enumerate(rows) if not (unk := full & ~inst.known_bits) & (unk - 1)]
-
-    pos_at, neg_at = few(d.positives), few(d.negatives)
-    if all(d.positives[k].known_bits == full for k in pos_at) and all(
-        d.negatives[k].known_bits == full for k in neg_at
+    pos_at = [i for i, u in enumerate(d.positives) if not (gap := full ^ u.known_bits) & (gap - 1)]
+    neg_at = [j for j, v in enumerate(d.negatives) if not (gap := full ^ v.known_bits) & (gap - 1)]
+    if all(d.positives[i].known_bits == full for i in pos_at) and all(
+        d.negatives[j].known_bits == full for j in neg_at
     ):
         return d
     pos = list(d.positives)
@@ -280,25 +279,15 @@ def reduce_uncertainty(d: Dataset) -> Dataset:
     while changed:
         changed = False
         for i in pos_at:
-            u = pos[i]
             for j in neg_at:
-                v = neg[j]
-                both_known = u.known_bits & v.known_bits
-                if (u.value_bits ^ v.value_bits) & both_known:
-                    continue  # a certain disagreement: rule cannot apply
-                unk_u = ~u.known_bits & full
-                unk_v = ~v.known_bits & full
-                either = unk_u | unk_v
-                if either == 0 or either & (either - 1):
-                    continue  # zero or several uncertain coordinates
-                if unk_u & unk_v:
-                    continue  # both sides unknown at the coordinate
-                k = either.bit_length() - 1
-                if unk_u:
-                    u = u.with_cell(k, v.cell(k).negated)
-                    pos[i] = u
+                u, v = pos[i], neg[j]
+                gap_u, gap_v = full ^ u.known_bits, full ^ v.known_bits
+                if bool(gap_u) == bool(gap_v) or (u.value_bits ^ v.value_bits) & ~(gap_u | gap_v):
+                    continue
+                if gap_u:
+                    pos[i] = Instance(d.n, u.value_bits | gap_u & ~v.value_bits, full, u.label, u.id)
                 else:
-                    neg[j] = v.with_cell(k, u.cell(k).negated)
+                    neg[j] = Instance(d.n, v.value_bits | gap_v & ~u.value_bits, full, v.label, v.id)
                 changed = True
     return Dataset(d.n, tuple(pos), tuple(neg))
 
@@ -313,15 +302,10 @@ def delete_repetitions(d: Dataset) -> Dataset:
     """
 
     def dedupe(instances: tuple[Instance, ...]) -> tuple[Instance, ...]:
-        seen = set()
-        kept = []
+        first: dict[tuple[int, int], Instance] = {}
         for inst in instances:
-            key = (inst.value_bits, inst.known_bits)
-            if key in seen:
-                continue
-            seen.add(key)
-            kept.append(inst)
-        return tuple(kept)
+            first.setdefault((inst.value_bits, inst.known_bits), inst)
+        return tuple(first.values())
 
     positives, negatives = dedupe(d.positives), dedupe(d.negatives)
     if len(positives) + len(negatives) == d.p + d.q:

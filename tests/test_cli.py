@@ -13,8 +13,10 @@ import tridnf
 from tridnf import (
     CountWarning,
     Dataset,
+    LearnerConfig,
     bundled_zoo_path,
     cli,
+    learn,
     load_ternary_csv,
     load_zoo,
     parse_formula,
@@ -449,6 +451,27 @@ def test_inconsistent_data_exits_3(tmp_path, capsys):
     assert "inconsistent" in err
     # the partial trace is still written for the post-mortem
     assert trace.read_text(encoding="utf-8").splitlines()[-1] == "ABORT inconsistent-data"
+
+
+@pytest.mark.parametrize("positives, negatives, code", [
+    (["110?1", "0?011", "1?100", "01?10"], ["10010", "0?110", "11?00", "00?01"], 0),
+    # v2 and v3 collide with u2 once the first term's update fills them
+    (["?1", "?0"], ["?0", "0?", "1?"], 3),
+])
+def test_trace_file_is_the_learns_trace(tmp_path, capsys, positives, negatives, code):
+    data = tmp_path / "rows.csv"
+    save_ternary_csv(Dataset.from_texts(positives, negatives), data)
+    trace = tmp_path / "t.trace"
+    assert run(
+        capsys, "learn", "--format", "csv", "--input", str(data),
+        "--output", str(tmp_path / "f.txt"), "--trace", str(trace),
+    )[0] == code
+    try:
+        lines = learn(load_ternary_csv(data), LearnerConfig(trace=True)).trace
+    except ConsistencyAbort as abort:
+        lines = abort.trace
+    assert len(lines) > 2
+    assert trace.read_bytes() == "".join(line + "\n" for line in lines).encode("utf-8")
 
 
 def test_positive_label_swap(tmp_path, capsys):
