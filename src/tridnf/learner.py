@@ -109,7 +109,6 @@ def _abort(trace: list[str] | None, reason: str, **details) -> None:
 
 
 _SCALE = 1 << 30  # the leads' scale d: d // t fits one 30-bit CPython digit for every t >= 2
-_TABLES: dict[int, tuple] = {}  # W -> byte k < 8 -> each byte value dilated, shifted to bit 8*k*W
 _LAYOUTS: dict[tuple[int, int], tuple] = {}  # (n, W) -> unit word, dilation tables, lanes
 
 
@@ -120,21 +119,19 @@ def _layout(n: int, w: int) -> tuple[int, tuple, tuple]:
     ``_leads``, its phase masks and the ``struct`` that reads a phase.
     A lead is below 2^W * d = 2^(W+30), so a lane is 64*r bits, r =
     ceil((W + 30) / 64): one 64-bit word for W <= 32 and two for W = 64.
-    The tables of one width serve every n and stop at 8 bytes: table k's
+    There is one table per byte of a 2n-bit mask, at most 8: table k's
     entries reach bit 8*(k+1)*w, so tables for every byte of a wide mask
     would grow with n squared."""
     layout = _LAYOUTS.get((n, w))
     if layout is None:
-        tables = _TABLES.get(w)
-        if tables is None:
-            byte = [sum(1 << k * w for k in range(8) if b >> k & 1) for b in range(256)]
-            tables = _TABLES[w] = tuple(tuple(x << 8 * k * w for x in byte) for k in range(8))
+        byte = [sum(1 << k * w for k in range(8) if b >> k & 1) for b in range(256)]
+        tables = tuple(tuple(x << 8 * k * w for x in byte) for k in range(min(8, -(-n // 4))))
         codes, r = 2 * n, -(-(w + _SCALE.bit_length() - 1) // 64)
         k = 64 * r // w  # fields per lane
         count = -(-codes // k)  # lanes per phase
         mask = sum((1 << w) - 1 << 64 * r * m for m in range(count))
         lanes = tuple(mask << j * w for j in range(min(k, codes))), struct.Struct(f"<{count * r}Q")
-        layout = _LAYOUTS[n, w] = sum(1 << c * w for c in range(codes)), tables[:-(-n // 4)], lanes
+        layout = _LAYOUTS[n, w] = sum(1 << c * w for c in range(codes)), tables, lanes
     return layout
 
 
@@ -442,9 +439,10 @@ class _TermEngine:
         live_v = [v for v in self.live_v if not (v[0] | v[1]) & bit]
         if self.trace is not None:
             self.trace.extend(f"ERASE_GROUP {u[3]}" for u in self.live_u if not (u[0] | u[1]) & bit)
-            self.trace.extend(
-                f"ERASE_SET {u[3]} {v[3]}" for u in live_u for v in self.live_v if (v[0] | v[1]) & bit
-            )
+            erased = [f" {v[3]}" for v in self.live_v if (v[0] | v[1]) & bit]
+            for u in live_u:
+                head = f"ERASE_SET {u[3]}"
+                self.trace.extend(head + j for j in erased)
         self.tiers = self._sum(live_u, live_v, {})
         self.live_u, self.live_v = live_u, live_v
 

@@ -95,13 +95,17 @@ def minimal_dnf_exhaustive(d: Dataset, max_literals: int = 12) -> DnfFormula:
     """Smallest consistent DNF by exhaustive search; desk-scale only.
 
     Candidates are ranked by total literal count, then term count, then
-    lexicographically by sorted literal codes; the first consistent
-    formula wins.  Only terms that are false on every negative instance
-    can appear (any other term misclassifies at once), and at the minimal
-    literal count every term of a solution must cover a positive no other
-    term covers, so the search may demand fresh coverage from each pick.
-    A consistent DNF exists iff every positive has a usable term that
-    covers it, so data without one is refused before any search.
+    lexicographically by literal codes in variable order; the first
+    consistent formula wins.  Only terms that are false on every negative
+    instance can appear (any other term misclassifies at once), and at the
+    minimal literal count every term of a solution must cover a positive
+    no other term covers, so the search may demand fresh coverage from
+    each pick.  Each such term is also prime: dropping a literal that
+    leaves it usable would give a smaller consistent formula, so only
+    prime terms are searched (Quine 1952), in the same order.  A
+    consistent DNF exists iff every positive has a usable term that
+    covers it, and the prime inside that term covers it too, so data
+    without one is refused before any search.
     """
     if d.n > 6:
         raise ValueError("exhaustive search is limited to n <= 6")
@@ -112,7 +116,7 @@ def minimal_dnf_exhaustive(d: Dataset, max_literals: int = 12) -> DnfFormula:
     positives = [inst.value_bits for inst in d.positives]
     negatives = [inst.value_bits for inst in d.negatives]
 
-    # all 3^n terms as sorted code tuples, kept when false on all negatives
+    # all 3^n terms as code tuples in variable order, kept when false on all negatives
     usable: list[tuple[tuple[int, ...], int, int]] = []  # (codes, cost, cover mask)
     for shape in itertools.product((0, 1, 2), repeat=n):
         codes = []
@@ -130,6 +134,12 @@ def minimal_dnf_exhaustive(d: Dataset, max_literals: int = 12) -> DnfFormula:
                 cover |= 1 << idx
         usable.append((tuple(codes), len(codes), cover))
     usable.sort(key=lambda item: item[0])
+    # only prime terms: none of them stays usable without one of its literals
+    shapes = {codes for codes, _, _ in usable}
+    usable = [
+        (codes, cost, cover) for codes, cost, cover in usable
+        if all(codes[:k] + codes[k + 1:] not in shapes for k in range(cost))
+    ]
 
     all_pos = (1 << len(positives)) - 1
     reachable = 0

@@ -2,7 +2,8 @@
 ends with a documented exit code and no traceback, a flag outside its
 documented range is refused with exit 1 by a message that names it, and a
 run that succeeds had every flag in range.  A long drawn token, wherever
-it stands, leaves a short last line of stderr."""
+it stands (in a flag, as a file name, or in a CSV cell or label), leaves a
+short last line of stderr."""
 
 import io
 from contextlib import redirect_stderr, redirect_stdout
@@ -138,18 +139,37 @@ def test_cli_holds_every_flag_to_its_range(files, command, data):
 # drawn piece repeated; with no digit or comma, no flag takes it as a value
 LONG = st.text(alphabet=" '\"\\=-hx", min_size=1, max_size=12).map(lambda piece: (piece * 5000)[:5000])
 
+# per subcommand, the flags that name a file
+PATHS = {
+    "learn": ["--input", "--output", "--trace"],
+    "mask": ["--input", "--output"],
+    "eval": ["--formula", "--input"],
+    "verify": ["--formula", "--input"],
+    "experiment": ["--dataset", "--report"],
+}
+
+# a CSV input with the token as a data cell, a label or a column name
+CSV = {"cell": "x1,label\n{},+\n", "label": "x1,label\n1,{}\n", "column": "{},label\n1,+\n"}
+
 
 @pytest.mark.parametrize("command", list(FLAGS))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_cli_shows_a_long_token_clipped(files, command, data):
     token = data.draw(LONG, label="token")
-    flag = data.draw(st.sampled_from([*FLAGS[command], "--json"]), label="flag")
-    place = data.draw(st.sampled_from(["bare", "value", "joined", "abbreviated", "short"]), label="place")
-    argv = _fixed(command, files) + {
-        "bare": [token], "value": [flag, token], "joined": [f"{flag}={token}"],
-        "abbreviated": [f"--p={token}"], "short": [f"-h{token}"],
-    }[place]
+    flag = data.draw(st.sampled_from([*FLAGS[command], "--json", *PATHS[command]]), label="flag")
+    csv = CSV if "--input" in PATHS[command] else {}
+    place = data.draw(st.sampled_from(["bare", "value", "joined", "abbreviated", "short", *csv]), label="place")
+    argv = _fixed(command, files)
+    if place in CSV:
+        rows = files / "long.csv"
+        rows.write_text(CSV[place].format(token), encoding="utf-8")
+        argv += ["--format", "csv", "--input", str(rows)]
+    else:
+        argv += {
+            "bare": [token], "value": [flag, token], "joined": [f"{flag}={token}"],
+            "abbreviated": [f"--p={token}"], "short": [f"-h{token}"],
+        }[place]
     code, err = _main(argv)
     assert code in (0, 1, 2, 3) and "Traceback" not in err, err[-300:]
     assert not err or len(err.splitlines()[-1].encode()) < 300, err[-300:]

@@ -1,5 +1,6 @@
 """Brute-force verifiers: certificates, exhaustive search, reference learner."""
 
+import itertools
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from tridnf import (
     parse_formula,
     verify_consistency,
 )
+from tridnf.formula import term_from_codes
 from tridnf.oracle import minimal_dnf_exhaustive, reference_learn
 
 
@@ -200,6 +202,80 @@ def test_minimal_dnf_guards():
     d_xor = Dataset.from_texts(["10", "01"], ["11", "00"])
     with pytest.raises(BudgetExceededError):
         minimal_dnf_exhaustive(d_xor, max_literals=3)
+
+
+def _minimal_dnf_over_every_usable_term(d, max_literals):
+    """``minimal_dnf_exhaustive`` before it kept only prime terms: the same
+    ranking and search over every term that is false on all negatives."""
+    n = d.n
+    positives = [inst.value_bits for inst in d.positives]
+    negatives = [inst.value_bits for inst in d.negatives]
+    usable = []
+    for shape in itertools.product((0, 1, 2), repeat=n):
+        codes = tuple(k if kind == 1 else n + k for k, kind in enumerate(shape) if kind)
+        term = term_from_codes(n, codes)
+        if not any(term.evaluate(v) for v in negatives):
+            cover = sum(1 << idx for idx, u in enumerate(positives) if term.evaluate(u))
+            usable.append((codes, len(codes), cover))
+    usable.sort(key=lambda item: item[0])
+    all_pos = (1 << len(positives)) - 1
+    reachable = 0
+    for _, _, cover in usable:
+        reachable |= cover
+    if reachable != all_pos:
+        raise BudgetExceededError(f"no consistent DNF within {max_literals} literals")
+
+    def search(start, budget, picks_left, uncovered, chosen):
+        if picks_left == 0:
+            return list(chosen) if budget == 0 and uncovered == 0 else None
+        for idx in range(start, len(usable)):
+            _, cost, cover = usable[idx]
+            if cost > budget or (uncovered and not cover & uncovered):
+                continue
+            chosen.append(idx)
+            found = search(idx + 1, budget - cost, picks_left - 1, uncovered & ~cover, chosen)
+            chosen.pop()
+            if found is not None:
+                return found
+        return None
+
+    for total in range(max_literals + 1):
+        if total == 0 and not positives:
+            return DnfFormula(n, ())
+        for t in range(1, min(len(usable), total + 1) + 1):
+            found = search(0, total, t, all_pos, [])
+            if found is not None:
+                return DnfFormula(n, tuple(term_from_codes(n, usable[idx][0]) for idx in found))
+    raise BudgetExceededError(f"no consistent DNF within {max_literals} literals")
+
+
+def _answer(search, d, max_literals):
+    try:
+        return search(d, max_literals).render()
+    except BudgetExceededError as refusal:
+        return f"refused: {refusal}"
+
+
+def test_minimal_dnf_over_prime_terms_equals_the_search_over_every_usable_term():
+    # distinct random rows on 2-4 variables, split into two classes, one in
+    # five with a positive repeated as a negative; the smallest formulas
+    # run from 1 to about 15 literals, so the budgets meet both answers
+    # and refusals by the literal limit and by inconsistent data
+    rng = random.Random(23)
+    answers = set()
+    for _ in range(150):
+        n = rng.randint(2, 4)
+        rows = [format(r, f"0{n}b") for r in rng.sample(range(2 ** n), rng.randint(2, 2 ** n))]
+        cut = rng.randint(1, len(rows) - 1)
+        positives, negatives = rows[:cut], rows[cut:]
+        if rng.random() < 0.2:
+            negatives.append(rng.choice(positives))
+        d = Dataset.from_texts(positives, negatives)
+        for budget in (0, 2, 4, 6, 9, 12):
+            got = _answer(minimal_dnf_exhaustive, d, budget)
+            assert got == _answer(_minimal_dnf_over_every_usable_term, d, budget), (d, budget)
+            answers.add(got.startswith("refused"))
+    assert answers == {False, True}
 
 
 def test_reference_brain_matches_learner_on_certain_data():

@@ -1,10 +1,13 @@
-"""The README's Library API example runs and shows what it prints."""
+"""The README's Library API example runs and shows what it prints, and
+every name the package exports resolves."""
 
 import ast
 import io
 import re
 import tokenize
 from pathlib import Path
+
+import tridnf
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -45,3 +48,9 @@ def test_library_api_example_shows_its_values():
         assert (type(value), value) == (type(shown[0]), shown[0]), ast.unparse(stmt)
         checked.append(shown[0])
     assert checked == ["x2", 1, '{"n": 5, "terms": [[{"var": 2, "neg": false}]]}', True]
+
+
+def test_every_exported_name_resolves():
+    # ``from tridnf import *`` reads ``__all__``: a name it lists that the
+    # package lacks breaks that import
+    assert [name for name in tridnf.__all__ if not hasattr(tridnf, name)] == []
