@@ -36,6 +36,13 @@ are scored exactly, from the rows or, with no open cell, from the
 tiers.  The winner (ties broken by literal code: x1..xn then ~x1..~xn)
 is provably the same literal exact arithmetic would pick.
 
+Some picks need no sum at all.  When one literal is decided true by
+every live positive and false by every live negative, it is full in
+every live set, so it is the pick, and it closes the term.  An untraced
+learn finds it by ANDing the rows' masks before each sum, at an opening
+and after each pick; a traced learn scores it, since its SELECT line
+prints the relevance (see ``_TermEngine._forced``).
+
 One ``_TermEngine`` serves a whole learn.  It fixes the field width W
 from the input's pair count, which bounds every later iteration's, and
 makes a row's packed masks once, so an outer iteration sets up only the
@@ -54,7 +61,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, Inexact, localcontext
 from fractions import Fraction
 from itertools import chain
 from operator import getitem
@@ -177,7 +184,11 @@ class _TermEngine:
 
     ``opened`` keeps the last opening's ``live_v`` and each positive's
     slot list (see ``_sum``) under its on mask, from which ``open``
-    carries the next opening's lists.
+    carries the next opening's lists.  Untraced, a term whose rows force
+    a pick (see ``_forced``) is not summed for it: ``term`` closes such a
+    term unopened, so ``opened`` keeps the opening before, whose
+    negatives and lists still belong together, and ``apply`` closes it
+    unsummed.
 
     ``tiers`` maps each tier denominator to a packed word in which literal
     c owns the W-bit field at bit c*W: the full-grade indicators of the
@@ -422,12 +433,13 @@ class _TermEngine:
             self.trace.append(f"SELECT {literal} R={_exact(best / self.norm)}")
         return code
 
-    def apply(self, code: int) -> None:
+    def apply(self, code: int) -> int | None:
         """Erasures for a just-selected literal: the u rows that do not
         admit it leave the term (ERASE_GROUP), as do the v rows that admit
         it, whose sets with the kept u rows it satisfies (ERASE_SET).  The
         complement is struck from the survivors, whose tiers are summed
-        anew.
+        anew, unless they force the next pick (see ``_forced``): then that
+        pick closes the term unsummed and is returned.
         """
         bit = 1 << code
         # a kept v's cell makes the pick true and the complement false, so
@@ -443,27 +455,96 @@ class _TermEngine:
             for u in live_u:
                 head = f"ERASE_SET {u[3]}"
                 self.trace.extend(head + j for j in erased)
-        self.tiers = self._sum(live_u, live_v, {})
+        forced = self._forced((u[0] for u in live_u), (v[0] for v in live_v)) if live_v else None
+        if forced is None:
+            self.tiers = self._sum(live_u, live_v, {})
+        else:  # the forced pick erases every live v and keeps every live u
+            self.tiers, live_v = {}, []
         self.live_u, self.live_v = live_u, live_v
+        return forced
+
+    def _forced(self, ons, offs) -> int | None:
+        """On an untraced learn, the pick when the live rows force it: the
+        lowest literal that every live u decides true (``ons``) and every
+        live v decides false (``offs``, which must not be empty), else
+        None.  Such a literal is full in every live set, so its score is
+        the largest any literal can reach, and only literals full there
+        too can tie it; first-max takes the lowest code.  It erases every
+        live v and keeps every live u, so it closes the term.  Every live
+        set then has nf >= 1 and cannot abort, so skipping its sums is
+        exact.  A traced learn scores it, since its SELECT line prints
+        the relevance.  The AND stops at the first row that empties it."""
+        if self.trace is not None:
+            return None
+        both = -1
+        for mask in chain(ons, offs):
+            both &= mask
+            if not both:
+                return None
+        return (both & -both).bit_length() - 1
 
     def term(self, positives, negatives) -> tuple[list[int], list[int]]:
         """Open a term, then select and apply literals until no v row is
         live; the picked codes and the cover, the ascending 0-based
-        positions of the positives still live."""
+        positions of the positives still live.  A term whose rows force
+        its first pick (see ``_forced``) is closed at once, unopened."""
+        if negatives:
+            n = self.n
+            forced = self._forced(
+                (u.value_bits | (u.known_bits ^ u.value_bits) << n for u in positives),
+                ((v.known_bits ^ v.value_bits) | v.value_bits << n for v in negatives),
+            )
+            if forced is not None:
+                return [forced], list(range(len(positives)))
         self.open(positives, negatives)
         codes: list[int] = []
         while self.live_v:
             codes.append(self.select())
-            self.apply(codes[-1])
+            forced = self.apply(codes[-1])
+            if forced is not None:
+                codes.append(forced)
         return codes, [u[3] - 1 for u in self.live_u]
 
 
+_LEAF_BITS = 3000  # ints this short are made Decimal directly, at quadratic cost
+
+
+def _decimal(k: int) -> Decimal:
+    """``Decimal(k)`` in subquadratic time, as CPython 3.12's
+    ``_pylong.int_to_decimal`` makes it: k is split on powers of 2 into
+    halves, recursively, whose Decimals are joined as high * 2^w + low in
+    a context at ``MAX_PREC``, where every sum and product is exact and
+    multiplication is subquadratic.  Each 2^w is made once."""
+    if k.bit_length() <= _LEAF_BITS:
+        return Decimal(k)
+    powers: dict[int, Decimal] = {}
+
+    def power(w: int) -> Decimal:
+        x = powers.get(w)
+        if x is None:
+            x = powers[w] = Decimal(1 << w) if w <= _LEAF_BITS else power(w >> 1) * power(w - (w >> 1))
+        return x
+
+    def inner(k: int, w: int) -> Decimal:
+        if w <= _LEAF_BITS:
+            return Decimal(k)
+        half = w >> 1
+        high = k >> half
+        return inner(k - (high << half), half) + inner(high, w - half) * power(half)
+
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = MAX_PREC, MAX_EMAX, MIN_EMIN
+        ctx.traps[Inexact] = True
+        x = inner(abs(k), k.bit_length())
+    return x.copy_negate() if k < 0 else x
+
+
 def _exact(value: Fraction) -> str:
-    """``str(value)``, each integer written through ``Decimal``: exact
+    """``str(value)``, each integer written through ``_decimal``: exact
     relevances on masked data outgrow Python's int-to-str digit limit,
     which a Decimal made from an int is not subject to."""
     parts = (value.numerator,) if value.denominator == 1 else value.as_integer_ratio()
-    return "/".join(str(Decimal(k)) for k in parts)
+    return "/".join(str(_decimal(k)) for k in parts)
 
 
 def learn(dataset: Dataset, config: LearnerConfig | None = None) -> LearnResult:

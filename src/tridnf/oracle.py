@@ -105,7 +105,10 @@ def minimal_dnf_exhaustive(d: Dataset, max_literals: int = 12) -> DnfFormula:
     prime terms are searched (Quine 1952), in the same order.  A
     consistent DNF exists iff every positive has a usable term that
     covers it, and the prime inside that term covers it too, so data
-    without one is refused before any search.
+    without one is refused before any search.  A branch is cut when the
+    positives of a packing that it leaves uncovered, no two of which one
+    prime covers, cost more than its budget at their cheapest primes:
+    it cannot finish, so the first formula found is unchanged.
     """
     if d.n > 6:
         raise ValueError("exhaustive search is limited to n <= 6")
@@ -147,10 +150,22 @@ def minimal_dnf_exhaustive(d: Dataset, max_literals: int = 12) -> DnfFormula:
         reachable |= cover
     if reachable != all_pos:
         raise BudgetExceededError(f"no consistent DNF within {max_literals} literals")
+    # a lower bound on the literals still to pick: positives no prime
+    # covers two of need distinct terms, each costing at least the
+    # cheapest prime that covers its positive; packed greedily, dearest first
+    cheapest = [min(cost for _, cost, cover in usable if cover >> i & 1) for i in range(len(positives))]
+    packed, joint = [], 0  # (bit, cheapest cost) of each packed positive; their bits
+    for i in sorted(range(len(positives)), key=lambda i: -cheapest[i]):
+        bit = 1 << i
+        if not any(cover & bit and cover & joint for _, _, cover in usable):
+            packed.append((bit, cheapest[i]))
+            joint |= bit
 
     def search(start: int, budget: int, picks_left: int, uncovered: int, chosen: list[int]):
         if picks_left == 0:
             return list(chosen) if budget == 0 and uncovered == 0 else None
+        if sum(cost for bit, cost in packed if uncovered & bit) > budget:
+            return None
         for idx in range(start, len(usable)):
             codes, cost, cover = usable[idx]
             if cost > budget:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -209,13 +210,10 @@ def test_verify_exhaustive_min(tmp_path, capsys):
     assert stdout.splitlines()[-1] == "minimal: x1 x2 (2 literals)"
 
 
-def test_verify_exhaustive_min_refuses_inconsistent_data_at_once(tmp_path):
-    # row 101100 is both positive and negative, so no DNF of any size is
-    # consistent; seven positives and two negatives leave enough usable
-    # terms that a search through every size takes seconds per size, so
-    # the run is a subprocess with a timeout
-    data = tmp_path / "inc6.csv"
-    rows = ["101100+", "011010+", "110001+", "000111+", "010101+", "111000+", "001001+", "101100-", "100010-"]
+def _exhaustive_min(tmp_path, rows, max_literals):
+    """``tridnf verify --exhaustive-min`` on rows of 6 cells and a label,
+    as a subprocess that must end within 20 s."""
+    data = tmp_path / "rows6.csv"
     lines = ["x1,x2,x3,x4,x5,x6,label", *(",".join(row) for row in rows)]
     data.write_text("\n".join(lines) + "\n", encoding="utf-8")
     f = tmp_path / "f.txt"
@@ -223,15 +221,37 @@ def test_verify_exhaustive_min_refuses_inconsistent_data_at_once(tmp_path):
     src = str(Path(tridnf.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [
             sys.executable, "-m", "tridnf.cli", "verify", "--formula", str(f), "--format", "csv",
-            "--input", str(data), "--exhaustive-min", "--max-literals", "1000000",
+            "--input", str(data), "--exhaustive-min", "--max-literals", str(max_literals),
         ],
         env=env, capture_output=True, text=True, timeout=20,
     )
+
+
+def test_verify_exhaustive_min_refuses_inconsistent_data_at_once(tmp_path):
+    # row 101100 is both positive and negative, so no DNF of any size is
+    # consistent; seven positives and two negatives leave enough usable
+    # terms that a search through every size takes seconds per size, so
+    # the run is a subprocess with a timeout
+    rows = ["101100+", "011010+", "110001+", "000111+", "010101+", "111000+", "001001+", "101100-", "100010-"]
+    proc = _exhaustive_min(tmp_path, rows, 1000000)
     assert proc.returncode == 1
     assert proc.stderr == "error: no consistent DNF within 1000000 literals\n"
+
+
+def test_verify_exhaustive_min_refuses_past_its_lower_bound(tmp_path):
+    # 20 positive and 20 negative random rows of 6 variables, whose
+    # smallest DNF has 32 literals: searched size by size with no lower
+    # bound, the refusal at 30 literals takes about a minute; a packing
+    # of positives no prime covers two of cuts the branches that cannot
+    # finish
+    picked = random.Random(1).sample(range(64), 40)
+    rows = [format(x, "06b") + ("+" if k < 20 else "-") for k, x in enumerate(picked)]
+    proc = _exhaustive_min(tmp_path, rows, 30)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: no consistent DNF within 30 literals\n"
 
 
 def test_verify_budget_exceeded_exits_1(tmp_path, capsys):

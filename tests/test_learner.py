@@ -410,6 +410,58 @@ def test_learner_equals_reference_when_the_scale_is_small():
             assert learn(d) == replace(got, trace=())
 
 
+def test_a_forced_pick_equals_the_scored_one(monkeypatch):
+    # untraced, a term closes unsummed when one literal is decided true
+    # by every live positive and false by every live negative: at an
+    # opening, or after a pick.  A planted column that every positive has
+    # certainly and most or every negative certainly opposite forces
+    # picks; where only part of the negatives oppose it certainly, the
+    # term closes only after a pick erases the rest.  With no negatives
+    # the term is empty; untraced learns equal the reference
+    seen = Counter()
+    real_term, real_open, real_apply = _TermEngine.term, _TermEngine.open, _TermEngine.apply
+
+    def term(self, positives, negatives):
+        seen["at an opening"] += 1
+        return real_term(self, positives, negatives)
+
+    def open_(self, positives, negatives):
+        seen["at an opening"] -= 1
+        real_open(self, positives, negatives)
+
+    def apply(self, code):
+        forced = real_apply(self, code)
+        seen["after a pick"] += forced is not None
+        return forced
+
+    def outcome(run, d):
+        try:
+            result = run(d)
+        except ConsistencyAbort as abort:
+            return abort.reason, abort.pairs, abort.instance_id, abort.term
+        rows = (*result.dataset.positives, *result.dataset.negatives)
+        return result.formula, [(x.text, x.label, x.id) for x in rows], result.iterations
+
+    monkeypatch.setattr(_TermEngine, "term", term)
+    monkeypatch.setattr(_TermEngine, "open", open_)
+    monkeypatch.setattr(_TermEngine, "apply", apply)
+    rng = random.Random(40)
+    for _ in range(2000):
+        n, p, q = rng.randint(1, 7), rng.randint(1, 8), rng.randint(0, 8)
+        alphabet = rng.choice(("01", "01?", "0?1??", "0001?"))
+        rows = [[rng.choice(alphabet) for _ in range(n)] for _ in range(p + q)]
+        if rng.random() < 0.8:
+            col, sign = rng.randrange(n), rng.choice("01")
+            opposite = "10"[int(sign)]
+            partial = rng.random() < 0.5
+            for k, row in enumerate(rows):
+                row[col] = sign if k < p else rng.choice(opposite + "?") if partial else opposite
+        rows = ["".join(row) for row in rows]
+        d = Dataset.from_texts(rows[:p], rows[p:])
+        assert outcome(learn, d) == outcome(reference_learn, d), (rows[:p], rows[p:])
+    assert seen["at an opening"] > 200 and seen["after a pick"] > 100, seen
+
+
 def _tier_fields(engine):
     """The engine's tier words as field values, whatever its field width."""
     w, field = engine.width, engine.field
@@ -524,7 +576,9 @@ def test_a_terms_live_sets_form_a_rectangle():
     # exact first-max picks, as reference_learn keeps them, on raw rows
     # dense in Unknowns, with a _TermEngine stepped beside them: the engine
     # keeps only the rectangle of rows and strikes a pick's complement from
-    # each kept positive's open mask, which is sound only if these hold
+    # each kept positive's open mask, which is sound only if these hold.
+    # The engine is traced, so that every apply sums its tiers: untraced,
+    # a pick the rows force closes the term unsummed
     rng = random.Random(5)
     cases = [
         # an all-? negative decides no literal: it has nf = 0 against
@@ -552,7 +606,7 @@ def test_a_terms_live_sets_form_a_rectangle():
         }
         if not all(first.values()):
             continue  # equal certain rows, which the consistency check rejects
-        engine = _TermEngine(n, p * q, None)
+        engine = _TermEngine(n, p * q, [])
         engine.open(list(d.positives), list(d.negatives))
         sets, picks = first, []
         while sets and all(sets.values()):
