@@ -31,9 +31,10 @@ at once; a literal's fields over all tiers hold less than 2^W, so a lane
 of W + 30 bits or more does not carry into the next (see
 ``_TermEngine._leads``).  The floors leave each estimate short by less
 than the literal's field total, a slack the cluster test adds to the
-proven bound.  Only literals whose estimate is that close to the best
-are scored exactly, from the rows or, with no open cell, from the
-tiers.  The winner (ties broken by literal code: x1..xn then ~x1..~xn)
+proven bound.  With no open cell in the live rows every set's share is
+exact, so the bound is 0 and the slack alone sets the floor.  Only
+literals whose estimate is that close to the best are scored exactly,
+from the rows or, with no open cell, from the tiers.  The winner (ties broken by literal code: x1..xn then ~x1..~xn)
 is provably the same literal exact arithmetic would pick.
 
 Some picks need no sum at all.  When one literal is decided true by
@@ -45,11 +46,14 @@ prints the relevance (see ``_TermEngine._forced``).
 
 One ``_TermEngine`` serves a whole learn.  It fixes the field width W
 from the input's pair count, which bounds every later iteration's, and
-makes a row's packed masks once, so an outer iteration sets up only the
-rows that reduction or a negative update has changed since an earlier
-one.  What depends only on n and W (the word of every field's low bit,
-the tables that dilate a mask, the lane masks of ``_leads``) is made
-once per (n, W) and kept at module level for every later learn.  A
+dilates each 2n-bit mask once, through one memo keyed by the mask,
+whichever rows of either class carry it.  Each outer iteration derives
+every working row's decided and open masks once; that one derivation
+serves the forced-pick test at the opening, the opening's live rows and
+the negative update.  What depends only on n and W (the word of every
+field's low bit, the tables that dilate a mask, the lane masks of
+``_leads``) is made once per (n, W) and kept at module level for every
+later learn.  A
 term's opening sums carry over by value: a positive's sums depend only
 on its row and the negatives' rows, so they are kept by the positive's
 mask, and when few negatives' masks changed since the last opening, a
@@ -63,6 +67,7 @@ import struct
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, Inexact, localcontext
 from fractions import Fraction
+from functools import cache, partial
 from itertools import chain
 from operator import getitem
 
@@ -156,6 +161,25 @@ def _dilate(bits: int, tables: tuple) -> int:
         return sum(_dilate(bits >> s & (1 << k) - 1, tables) << s * w for s in chunks)
 
 
+def _fraction_sum(terms: list[tuple[int, int]]) -> Fraction:
+    """The sum of num/den over the (num, den) pairs, by binary splitting
+    (Haible and Papanikolaou, "Fast multiprecision evaluation of series of
+    rational numbers", 1998): each half is summed as one unreduced integer
+    fraction and the halves joined as a/b + c/d = (ad + cb)/bd, so the
+    factors of every product are about the same size, and the one gcd is
+    taken when the Fraction is made.  Adding Fractions one by one would
+    reduce a growing denominator at every add."""
+
+    def split(lo: int, hi: int) -> tuple[int, int]:
+        if hi - lo == 1:
+            return terms[lo]
+        mid = (lo + hi) >> 1
+        (a, b), (c, d) = split(lo, mid), split(mid, hi)
+        return a * d + c * b, b * d
+
+    return Fraction(*split(0, len(terms))) if terms else Fraction(0)
+
+
 class _TermEngine:
     """Scoring and erasure state of one learn, opened once per term on
     that outer iteration's working rows.  ``open`` sets p, q, the grade
@@ -176,11 +200,14 @@ class _TermEngine:
     positions by which trace lines and aborts name a pair.  Live set
     (u, v) is the set of the two rows, and a struck complement is cleared
     from u's open mask, since every live v decides it false.  Rows need
-    not be distinct.  A row's masks are made once per learn and kept per
-    class under its ``(value_bits, known_bits)``; a row that reduction or
-    a negative update edits is a new key.  ``term`` hands back, with the
-    picks, the term's cover: the positions of the u rows still live, which
-    are exactly the positives that admit every pick.
+    not be distinct.  ``term`` derives every row's decided and open masks
+    once (``_derive``) and keeps them in ``rows``, positives first, where
+    ``learn``'s negative update reads each negative's off mask.  Every
+    dilation, of a decided or an open mask, goes through ``dilated``, the
+    learn's one memo keyed by the 2n-bit mask, so rows with equal masks,
+    in one class or across both, share an entry.  ``term`` hands back,
+    with the picks, the term's cover: the positions of the u rows still
+    live, which are exactly the positives that admit every pick.
 
     ``opened`` keeps the last opening's ``live_v`` and each positive's
     slot list (see ``_sum``) under its on mask, from which ``open``
@@ -215,38 +242,23 @@ class _TermEngine:
         self.n, self.trace = n, trace
         self.width, self.field = w, (1 << w) - 1
         self.unit, self.tables, self.lanes = _layout(n, w)
-        # per class, positives first: (value_bits, known_bits) -> masks
-        self.masks: tuple[dict, dict] = ({}, {})
-        self.dilated: dict[int, int] = {}  # open mask -> the mask dilated
+        self.dilated = cache(partial(_dilate, tables=self.tables))  # 2n-bit mask -> the mask dilated
         self.opened = None
 
-    def _live(self, instances, negative: bool) -> list[tuple[int, int, int, int]]:
-        """The rows a term opens on, in the shape of ``live_u`` or ``live_v``.
+    def _derive(self, instances, negative: bool) -> list[tuple[int, int]]:
+        """Each row's decided and open masks, literal code c (x1..xn, then
+        ~x1..~xn) owning bit c: a positive decides the literals its
+        certain cells make true, a negative those they make false, and an
+        Unknown cell leaves both signs of its variable open."""
+        n, full = self.n, (1 << self.n) - 1
+        masks = []
+        for inst in instances:
+            ones, known = inst.value_bits, inst.known_bits
+            zeros, unknowns = known ^ ones, full ^ known
+            masks.append((zeros | ones << n if negative else ones | zeros << n, unknowns | unknowns << n))
+        return masks
 
-        A negative's dilated off word also carries the count bit, bit 2n*W
-        just above the fields, by which ``_sum`` counts the negatives in a
-        slot."""
-        cache, n = self.masks[negative], self.n
-        full = (1 << n) - 1
-        count = 1 << 2 * n * self.width if negative else 0
-        live = []
-        for k, inst in enumerate(instances, 1):
-            key = (inst.value_bits, inst.known_bits)
-            masks = cache.get(key)
-            if masks is None:
-                # literal code c (x1..xn, then ~x1..~xn) owns bit c: a
-                # positive decides the literals its certain cells make
-                # true, a negative those they make false, and an Unknown
-                # cell leaves both signs of its variable open
-                ones, known = key
-                zeros, unknowns = known ^ ones, full ^ known
-                decided = zeros | ones << n if negative else ones | zeros << n
-                dilated = _dilate(decided, self.tables) * (1 if negative else self.field) | count
-                masks = cache[key] = (decided, unknowns | unknowns << n, dilated)
-            live.append((*masks, k))
-        return live
-
-    def open(self, positives, negatives) -> None:
+    def open(self, positives, negatives, rows=None) -> None:
         """Start a term on an outer iteration's working rows.
 
         A positive's slot list (see ``_sum``) depends only on its on mask
@@ -258,13 +270,19 @@ class _TermEngine:
         2 steps per changed negative, where a fresh sum costs q, so it
         runs when q is unchanged and fewer than q/2 off masks changed.
         A positive whose on mask was not opened on last time is summed
-        in full.
+        in full.  ``rows`` are the rows' masks (see ``_derive``) when
+        ``term`` has derived them; without them they are derived here.  A
+        negative's dilated off word also carries the count bit, bit 2n*W
+        just above the fields, by which ``_sum`` counts the negatives in a
+        slot.
         """
-        p, q = len(positives), len(negatives)
+        us, vs = rows or (self._derive(positives, False), self._derive(negatives, True))
+        p, q = len(us), len(vs)
         self.norm = p * q
         self.scale = 1 << (p + q + 1)
-        self.live_u = self._live(positives, False)
-        live_v = self.live_v = self._live(negatives, True)
+        dilated, field, count = self.dilated, self.field, 1 << 2 * self.n * self.width
+        self.live_u = [(on, op, dilated(on) * field, i) for i, (on, op) in enumerate(us, 1)]
+        live_v = self.live_v = [(off, op, dilated(off) | count, j) for j, (off, op) in enumerate(vs, 1)]
         slots = {}
         if self.opened is not None and len(self.opened[0]) == q:
             old_v, old_slots = self.opened
@@ -296,8 +314,8 @@ class _TermEngine:
         over & and |, so their half and quarter words are made from
         dilated masks: u's on mask is its widened mask's low bits, a v
         row's off mask is its dilated off word less the count bit, which
-        no open mask reaches, and the open masks are dilated once per
-        learn each, kept by value in ``dilated``.  ``slots`` maps an on
+        no open mask reaches, and the open masks are dilated through the
+        learn's memo ``dilated``.  ``slots`` maps an on
         mask to its slot list: at an opening it holds the lists carried
         from the last one, and each list summed here is added to it; a
         carried slot moves whole off words, count bits included, so its
@@ -305,8 +323,7 @@ class _TermEngine:
         """
         if not live_v:
             return {}  # the term is closed: nothing left to select
-        levels, tiers, tables = self.n + 1, {}, self.tables
-        unit, dilated = self.unit, self.dilated
+        levels, tiers, unit, dilated = self.n + 1, {}, self.unit, self.dilated
         offs = [(v[0], v[2]) for v in live_v]
         for on, op, wide, i in live_u:
             groups = slots.get(on)  # nf -> sum of the dilated off words
@@ -315,16 +332,11 @@ class _TermEngine:
                 for off, d_off in offs:
                     groups[(on & off).bit_count()] += d_off
             if groups[0]:
-                d_on = wide & unit
-                d_op = dilated.get(op)
-                if d_op is None:
-                    d_op = dilated[op] = _dilate(op, tables)
+                d_on, d_op = wide & unit, dilated(op)
                 for off, v_op, d_off, j in live_v:
                     if on & off:
                         continue
-                    d_v_op = dilated.get(v_op)
-                    if d_v_op is None:
-                        d_v_op = dilated[v_op] = _dilate(v_op, tables)
+                    d_v_op = dilated(v_op)
                     half = d_on & d_v_op | d_op & d_off
                     quarter = d_op & d_v_op
                     nr = 2 * half.bit_count() + quarter.bit_count()
@@ -339,7 +351,8 @@ class _TermEngine:
     def scores(self, codes) -> dict[int, Fraction]:
         """Exact scores of the given literal codes, from the live rows that
         admit one of them: per code, the scaled grades are summed as
-        integers per cardinality before any Fraction is formed."""
+        integers per cardinality, and the cardinalities' fractions are
+        summed by ``_fraction_sum`` into one Fraction."""
         scale, want = self.scale, sum(1 << c for c in codes)
         sums: dict[int, dict[int, int]] = {c: {} for c in codes}  # code -> card -> sum
         bits = [(1 << c, sums[c]) for c in codes]
@@ -356,10 +369,15 @@ class _TermEngine:
                     num = scale if f & b else 2 if half & b else 1 if quarter & b else 0
                     if num:
                         per_card[card] = per_card.get(card, 0) + num
-        return {
-            c: sum((Fraction(num, card) for card, num in per_card.items()), Fraction(0))
-            for c, per_card in sums.items()
-        }
+        return {c: _fraction_sum([(num, card) for card, num in per_card.items()]) for c, per_card in sums.items()}
+
+    def _tier_scores(self, codes) -> dict[int, Fraction]:
+        """Exact scores of the given codes when no live row leaves a cell
+        open: every set has nr = 0 and adds exactly F_c/nf, so a code's
+        score is its fields over their tiers, summed over the tiers' lcm."""
+        w, field, den = self.width, self.field, math.lcm(*self.tiers)
+        weights = [(word, den // t) for t, word in self.tiers.items()]
+        return {c: Fraction(sum((word >> c * w & field) * m for word, m in weights), den) for c in codes}
 
     def _leads(self) -> list[int]:
         """sum_t F_{c,t} * floor(d/t) for every literal code c, d = 2^30,
@@ -410,22 +428,27 @@ class _TermEngine:
         below the floor has f_best - f_c - slack > 4*pairs*n*d/scale, so
         L_best - L_c is more than twice the bound and c can neither win
         nor tie.  The pick is exact whatever d is; d sets only the
-        cluster's size.  When no live row leaves a cell open, every set
-        has nr = 0 and adds exactly F_c/nf, so the cluster is scored
-        from the tiers, over their lcm, without ``scores``.
+        cluster's size.
+
+        When no live row leaves a cell open, no set has a half or quarter
+        grade, so every set has nr = 0 and adds exactly F_c/nf: L_c is
+        c's exact score and the bound is 0.  Let b be the code of the best
+        lead.  A code c whose score ties or beats the best has L_c >= L_b,
+        so f_c > L_c*d - slack >= L_b*d - slack >= f_b - slack, and the
+        floor there is the best lead less the slack alone; only an open
+        cell, which makes a set's share inexact, needs the bound.  The
+        same test sends the cluster to exact scoring: with no open cell
+        it is scored from the tiers (``_tier_scores``), not the rows.
         """
         lead = self._leads()
         pairs = len(self.live_u) * len(self.live_v)
-        floor = max(lead) - 2 * pairs - (4 * pairs * self.n * _SCALE >> self.scale.bit_length() - 1)
+        masked = any(u[1] for u in self.live_u) or any(v[1] for v in self.live_v)
+        bound = 4 * pairs * self.n * _SCALE >> self.scale.bit_length() - 1 if masked else 0
+        floor = max(lead) - 2 * pairs - bound
         cluster = [c for c, x in enumerate(lead) if x >= floor]
         if len(cluster) == 1 and self.trace is None:
             return cluster[0]
-        if any(u[1] for u in self.live_u) or any(v[1] for v in self.live_v):
-            exact = self.scores(cluster)
-        else:  # no open cell: every set has nr = 0 and adds exactly F_c/nf
-            w, field, den = self.width, self.field, math.lcm(*self.tiers)
-            weights = [(word, den // t) for t, word in self.tiers.items()]
-            exact = {c: Fraction(sum((word >> c * w & field) * m for word, m in weights), den) for c in cluster}
+        exact = self.scores(cluster) if masked else self._tier_scores(cluster)
         best = max(exact.values())
         code = min(c for c in cluster if exact[c] == best)
         if self.trace is not None:
@@ -455,7 +478,7 @@ class _TermEngine:
             for u in live_u:
                 head = f"ERASE_SET {u[3]}"
                 self.trace.extend(head + j for j in erased)
-        forced = self._forced((u[0] for u in live_u), (v[0] for v in live_v)) if live_v else None
+        forced = self._forced(chain(live_u, live_v)) if live_v else None
         if forced is None:
             self.tiers = self._sum(live_u, live_v, {})
         else:  # the forced pick erases every live v and keeps every live u
@@ -463,11 +486,12 @@ class _TermEngine:
         self.live_u, self.live_v = live_u, live_v
         return forced
 
-    def _forced(self, ons, offs) -> int | None:
+    def _forced(self, rows) -> int | None:
         """On an untraced learn, the pick when the live rows force it: the
-        lowest literal that every live u decides true (``ons``) and every
-        live v decides false (``offs``, which must not be empty), else
-        None.  Such a literal is full in every live set, so its score is
+        lowest literal that every live u decides true and every live v
+        decides false, else None.  ``rows`` are the live u rows, then the
+        live v rows, which must not be empty, each with its decided mask
+        first.  Such a literal is full in every live set, so its score is
         the largest any literal can reach, and only literals full there
         too can tie it; first-max takes the lowest code.  It erases every
         live v and keeps every live u, so it closes the term.  Every live
@@ -477,8 +501,8 @@ class _TermEngine:
         if self.trace is not None:
             return None
         both = -1
-        for mask in chain(ons, offs):
-            both &= mask
+        for row in rows:
+            both &= row[0]
             if not both:
                 return None
         return (both & -both).bit_length() - 1
@@ -488,15 +512,12 @@ class _TermEngine:
         live; the picked codes and the cover, the ascending 0-based
         positions of the positives still live.  A term whose rows force
         its first pick (see ``_forced``) is closed at once, unopened."""
-        if negatives:
-            n = self.n
-            forced = self._forced(
-                (u.value_bits | (u.known_bits ^ u.value_bits) << n for u in positives),
-                ((v.known_bits ^ v.value_bits) | v.value_bits << n for v in negatives),
-            )
+        us, vs = self.rows = self._derive(positives, False), self._derive(negatives, True)
+        if vs:
+            forced = self._forced(chain(us, vs))
             if forced is not None:
-                return [forced], list(range(len(positives)))
-        self.open(positives, negatives)
+                return [forced], list(range(len(us)))
+        self.open(positives, negatives, self.rows)
         codes: list[int] = []
         while self.live_v:
             codes.append(self.select())
@@ -556,9 +577,10 @@ def learn(dataset: Dataset, config: LearnerConfig | None = None) -> LearnResult:
 
     The positives a finished term erases are the cover the engine hands
     back, which is not tested again.  A negative is tested against the
-    term's literal mask ``picked`` (bit c for literal code c): the term
-    may hold on it unless a certain cell contradicts a literal, and then
-    its lowest Unknown on the term's variables is pinned to falsify it.
+    term's literal mask ``picked`` (bit c for literal code c) through the
+    off and open masks the engine derived for the term: the term may hold
+    on it unless a certain cell contradicts a literal, and then its lowest
+    Unknown on the term's variables is pinned to falsify it.
     """
     cfg = config or LearnerConfig()
     trace: list[str] | None = [] if cfg.trace else None
@@ -599,12 +621,11 @@ def learn(dataset: Dataset, config: LearnerConfig | None = None) -> LearnResult:
 
         picked = sum(1 << c for c in codes)
         on_term = picked | picked >> n
-        for j, inst in enumerate(negatives):
-            value, known = inst.value_bits, inst.known_bits
-            if picked & ((known ^ value) | value << n):
+        for j, (inst, (off, op)) in enumerate(zip(negatives, engine.rows[1])):
+            if picked & off:
                 continue  # a certain cell contradicts one of the term's literals
             # on_term holds picked's negated half above bit n: keep the row's cells
-            pins = full & ~known & on_term
+            pins = full & op & on_term
             if not pins:
                 # every cell on the term's variables is certain and
                 # agrees: the term is certainly true on a negative
@@ -615,7 +636,7 @@ def learn(dataset: Dataset, config: LearnerConfig | None = None) -> LearnResult:
             pin = pins & -pins
             k = pin.bit_length() - 1
             one = picked >> n & pin  # a picked ~x falsifies at 1, an x at 0
-            v = Instance(n, value | one, known | pin, inst.label, inst.id)
+            v = Instance(n, inst.value_bits | one, inst.known_bits | pin, inst.label, inst.id)
             negatives[j] = v
             if trace is not None:
                 trace.append(f"NEG_UPDATE {inst.id} {k + 1} {one >> k}")

@@ -425,9 +425,9 @@ def test_a_forced_pick_equals_the_scored_one(monkeypatch):
         seen["at an opening"] += 1
         return real_term(self, positives, negatives)
 
-    def open_(self, positives, negatives):
+    def open_(self, positives, negatives, *rows):
         seen["at an opening"] -= 1
-        real_open(self, positives, negatives)
+        real_open(self, positives, negatives, *rows)
 
     def apply(self, code):
         forced = real_apply(self, code)
@@ -487,10 +487,10 @@ def test_carried_openings_equal_a_fresh_sum(monkeypatch):
             seen["remade"] += any(u[0] not in slots for u in live_u)
         return real_sum(self, live_u, live_v, slots)
 
-    def open_(self, positives, negatives):
+    def open_(self, positives, negatives, *rows):
         if self.opened is not None and len(negatives) < len(self.opened[0]):
             seen["dropped"] += 1
-        real_open(self, positives, negatives)
+        real_open(self, positives, negatives, *rows)
         fresh = _TermEngine(self.n, len(positives) * len(negatives), None)
         real_open(fresh, positives, negatives)
         assert _tier_fields(self) == _tier_fields(fresh)
@@ -777,6 +777,136 @@ def test_floor_leaves_room_for_the_leads_rounding():
     assert (alpha, n, p, q) == ("01?", 7, 21, 38)
     d = Dataset.from_texts(rows[:p], rows[p:])
     assert _outcome(_traced_learn, d) == _outcome(reference_learn, d)
+
+
+def _certain_rectangles(rng, count):
+    """Certain (positives, negatives) texts: random rows, and rows on which
+    two literals tie at 1 with unequal tiers.  There one positive u meets
+    three negatives that each differ from it at 3 variables, a always
+    among them, and one that differs from it at b alone: a is full in
+    three sets with nf = 3 and b in one set with nf = 1, and floor(d/3)
+    rounds a's lead to d - 1 below b's d.  Variables are shuffled, signs
+    flipped and columns on which every row agrees added at random."""
+    for _ in range(count):
+        if rng.random() < 0.5:
+            n = rng.randint(2, 7)
+            rows = [format(x, f"0{n}b") for x in rng.sample(range(1 << n), rng.randint(2, min(16, 1 << n)))]
+            p = rng.randint(1, len(rows) - 1)
+            yield rows[:p], rows[p:]
+            continue
+        differ = [{0, 1, 2}, {0, 1, 4}, {0, 2, 4}, {3}]  # a = 0 and b = 3 tie
+        n = 5 + rng.randint(0, 3)
+        order = rng.sample(range(n), n)
+        u = [rng.choice("01") for _ in range(n)]
+        negatives = [
+            "".join("10"[int(u[k])] if order.index(k) in cols else u[k] for k in range(n)) for cols in differ
+        ]
+        yield ["".join(u)], rng.sample(negatives, len(negatives))
+
+
+def test_certain_clusters_hold_every_exact_maximum(monkeypatch):
+    # with no open cell every set adds exactly F_c/nf, so the floor is the
+    # best lead less the slack 2*pairs alone: at every select of a term on
+    # certain rows, the codes a traced engine scores from the tiers hold
+    # every code whose exact score is the maximum, and traced or not the
+    # pick is the first of them.  Where the tied literal a has the lower
+    # code, its lead is below the best lead and only the slack keeps it
+    real_tier_scores, asked, seen = _TermEngine._tier_scores, [], Counter()
+
+    def tier_scores(self, codes):
+        asked.append(set(codes))
+        return real_tier_scores(self, codes)
+
+    monkeypatch.setattr(_TermEngine, "_tier_scores", tier_scores)
+    for positives, negatives in _certain_rectangles(random.Random(42), 600):
+        d = Dataset.from_texts(positives, negatives)
+        for trace in ([], None):
+            engine = _TermEngine(d.n, d.p * d.q, trace)
+            engine.open(list(d.positives), list(d.negatives))
+            while engine.live_v:
+                exact = engine.scores(range(2 * d.n))
+                best = max(exact.values())
+                maxima = {c for c, score in exact.items() if score == best}
+                lead = engine._leads()
+                asked.clear()
+                code = engine.select()
+                assert code == min(maxima), (positives, negatives)
+                if trace is not None:
+                    assert len(asked) == 1 and maxima <= asked[0], (positives, negatives)
+                    seen["selects"] += 1
+                    seen["rounded"] += lead[code] < max(lead)
+                if engine.apply(code) is not None:
+                    break
+    assert seen["selects"] > 1000 and seen["rounded"] > 50, seen
+
+
+_WIDE_CERTAIN = """
+import json, random
+from tridnf import Dataset, Instance, Label, learn, verify_consistency
+from tridnf.oracle import Verdict
+
+n = 20000
+rng = random.Random(3)
+rows = [rng.getrandbits(n) for _ in range(40)]
+full = (1 << n) - 1
+d = Dataset(
+    n,
+    tuple(Instance(n, x, full, Label.POSITIVE) for x in rows[:20]),
+    tuple(Instance(n, x, full, Label.NEGATIVE) for x in rows[20:]),
+)
+result = learn(d)
+checks = verify_consistency(result.formula, d)
+print(json.dumps({
+    "terms": len(result.formula.terms),
+    "consistent": all(c.verdict is Verdict.EXACT for c in checks),
+}))
+"""
+
+
+def test_few_certain_rows_on_many_variables_learn_in_seconds():
+    # 20 positive and 20 negative certain rows of 20,000 variables: late
+    # in the learn p + q is small, so the scale 2^(p+q+1) is small and the
+    # masked bound 4*pairs*n*d/scale would keep all 40,000 codes in the
+    # cluster and score each from the tiers, about 25 s; on certain rows
+    # the floor needs the slack alone and the cluster is a few codes
+    src = str(Path(tridnf.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _WIDE_CERTAIN], env=env, capture_output=True, text=True, timeout=8,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["consistent"] and out["terms"] >= 2, out
+
+
+def test_rows_with_equal_decided_masks_share_one_dilation(monkeypatch):
+    # u1 = 10? decides x1 and ~x2 true, and v1 = 01? decides them false,
+    # so the two rows have one decided mask; u2 = 0?1 and v2 = 1?0 share
+    # another, and each pair shares its open mask.  Per learn, each
+    # 2n-bit mask is dilated once, whichever rows and classes carry it
+    calls = Counter()
+    real_dilate = learner._dilate
+
+    def dilate(bits, tables):
+        calls[bits] += 1
+        return real_dilate(bits, tables)
+
+    monkeypatch.setattr(learner, "_dilate", dilate)
+    d = Dataset.from_texts(["10?", "0?1"], ["01?", "1?0"])
+    expected = reference_learn(d)
+    for run, want in ((learn, replace(expected, trace=())), (_traced_learn, expected)):
+        calls.clear()
+        assert run(d) == want
+        # x1|~x2 and ~x1|x3 decided, then x3|~x3 and x2|~x2 open
+        assert {0b010001, 0b001100, 0b100100, 0b010010} <= set(calls), calls
+        assert set(calls.values()) == {1}, calls
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 1 << 70), st.integers(1, 1 << 70)), max_size=40))
+def test_split_sum_equals_the_fraction_sum(terms):
+    assert learner._fraction_sum(terms) == sum((Fraction(num, den) for num, den in terms), Fraction(0))
 
 
 def test_exact_text_leaves_the_digit_limit_alone(monkeypatch):
