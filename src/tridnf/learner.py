@@ -44,25 +44,25 @@ learn finds it by ANDing the rows' masks before each sum, at an opening
 and after each pick; a traced learn scores it, since its SELECT line
 prints the relevance (see ``_TermEngine._forced``).
 
-One ``_TermEngine`` serves a whole learn.  It fixes the field width W
-from the input's pair count, which bounds every later iteration's, and
-dilates each 2n-bit mask once, through one memo keyed by the mask,
-whichever rows of either class carry it.  Each outer iteration derives
-every working row's decided and open masks once; that one derivation
-serves the forced-pick test at the opening, the opening's live rows and
-the negative update.  What depends only on n and W (the word of every
-field's low bit, the tables that dilate a mask, the lane masks of
-``_leads``) is made once per (n, W) and kept at module level for every
-later learn.  A
-term's opening sums carry over by value: a positive's sums depend only
-on its row and the negatives' rows, so they are kept by the positive's
-mask, and when few negatives' masks changed since the last opening, a
+One ``_TermEngine`` serves a whole learn and never sees an ``Instance``:
+it works on each row's decided and open masks (``_masks``), which
+``learn`` makes with the row, once, and keeps beside it until the row
+changes, so one derivation serves the forced-pick test, every opening
+and the negative updates of all the terms the row outlives.  The engine
+fixes the field width W from the input's pair count, which bounds every
+later iteration's, and dilates each 2n-bit mask once, through one memo
+keyed by the mask, whichever rows of either class carry it.  What
+depends only on n and W (the word of every field's low bit, the tables
+that dilate a mask, the lane masks of ``_leads``) is made once per
+(n, W) and kept at module level for every later learn.  A term's
+opening sums carry over by value: a positive's sums depend only on its
+row and the negatives' rows, so they are kept by the positive's mask,
+and when few negatives' masks changed since the last opening, a
 positive with a kept mask moves only those negatives between its slots
 instead of summing all of them.
 """
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, Inexact, localcontext
@@ -76,6 +76,7 @@ from .formula import DnfFormula, Term, term_from_codes
 from .trits import (
     Dataset,
     Instance,
+    _clashes,
     _named,
     check_self_consistency,
     delete_repetitions,
@@ -180,17 +181,39 @@ def _fraction_sum(terms: list[tuple[int, int]]) -> Fraction:
     return Fraction(*split(0, len(terms))) if terms else Fraction(0)
 
 
+def _masks(rows, n: int, negative: bool) -> list[tuple[int, int]]:
+    """Each row's decided and open masks, literal code c (x1..xn, then
+    ~x1..~xn) owning bit c: a positive decides the literals its certain
+    cells make true, a negative those they make false, and an Unknown
+    cell leaves both signs of its variable open."""
+    full, masks = (1 << n) - 1, []
+    for row in rows:
+        ones, known = row.value_bits, row.known_bits
+        zeros, unknowns = known ^ ones, full ^ known
+        masks.append((zeros | ones << n if negative else ones | zeros << n, unknowns | unknowns << n))
+    return masks
+
+
+def _grades(on: int, op: int, off: int, v_op: int) -> tuple[int, int, int]:
+    """The one grading rule of set (u, v), from u's decided (on) and open
+    (op) masks and v's decided (off) and open (v_op) ones: the literals
+    it grades full, which u decides true and v false; half, which one row
+    leaves open and the other decides that way; and quarter, which both
+    leave open.  Dilation distributes over & and |, so on dilated masks
+    it gives the dilated grades."""
+    return on & off, on & v_op | op & off, op & v_op
+
+
 class _TermEngine:
     """Scoring and erasure state of one learn, opened once per term on
     that outer iteration's working rows.  ``open`` sets p, q, the grade
     scale 2^(p+q+1) and the norm p*q, which do not drift as sets are
     erased mid-term.
 
-    Set (u, v) grades literal c full when u decides c true and v decides
-    it false, half when one of them leaves c open and the other decides it
-    that way, and quarter when both leave it open.  nf counts its full
-    grades and nr = 2*|half| + |quarter|; its scaled cardinality is
-    scale*nf + nr and literal c's scaled grade is scale, 2 or 1.
+    Set (u, v) grades each literal full, half or quarter (``_grades``).
+    nf counts its full grades and nr = 2*|half| + |quarter|; its scaled
+    cardinality is scale*nf + nr and literal c's scaled grade is scale, 2
+    or 1.
 
     A term's state is its rectangle: ``live_u`` and ``live_v`` list the
     live rows in position order, u as (on, open, wide, i), wide being on
@@ -200,14 +223,14 @@ class _TermEngine:
     positions by which trace lines and aborts name a pair.  Live set
     (u, v) is the set of the two rows, and a struck complement is cleared
     from u's open mask, since every live v decides it false.  Rows need
-    not be distinct.  ``term`` derives every row's decided and open masks
-    once (``_derive``) and keeps them in ``rows``, positives first, where
-    ``learn``'s negative update reads each negative's off mask.  Every
-    dilation, of a decided or an open mask, goes through ``dilated``, the
-    learn's one memo keyed by the 2n-bit mask, so rows with equal masks,
-    in one class or across both, share an entry.  ``term`` hands back,
-    with the picks, the term's cover: the positions of the u rows still
-    live, which are exactly the positives that admit every pick.
+    not be distinct.  ``term`` and ``open`` take the rows as their
+    (decided, open) mask pairs (``_masks``), never as ``Instance``s.
+    Every dilation, of a decided or an open mask, goes through
+    ``dilated``, the learn's one memo keyed by the 2n-bit mask, so rows
+    with equal masks, in one class or across both, share an entry.
+    ``term`` hands back, with the picks, the term's cover: the positions
+    of the u rows still live, which are exactly the positives that admit
+    every pick.
 
     ``opened`` keeps the last opening's ``live_v`` and each positive's
     slot list (see ``_sum``) under its on mask, from which ``open``
@@ -245,21 +268,9 @@ class _TermEngine:
         self.dilated = cache(partial(_dilate, tables=self.tables))  # 2n-bit mask -> the mask dilated
         self.opened = None
 
-    def _derive(self, instances, negative: bool) -> list[tuple[int, int]]:
-        """Each row's decided and open masks, literal code c (x1..xn, then
-        ~x1..~xn) owning bit c: a positive decides the literals its
-        certain cells make true, a negative those they make false, and an
-        Unknown cell leaves both signs of its variable open."""
-        n, full = self.n, (1 << self.n) - 1
-        masks = []
-        for inst in instances:
-            ones, known = inst.value_bits, inst.known_bits
-            zeros, unknowns = known ^ ones, full ^ known
-            masks.append((zeros | ones << n if negative else ones | zeros << n, unknowns | unknowns << n))
-        return masks
-
-    def open(self, positives, negatives, rows=None) -> None:
-        """Start a term on an outer iteration's working rows.
+    def open(self, us, vs) -> None:
+        """Start a term on an outer iteration's working rows, the
+        positives' (on, open) and the negatives' (off, open) masks.
 
         A positive's slot list (see ``_sum``) depends only on its on mask
         and the negatives' off masks, so the last opening's lists, kept
@@ -270,13 +281,10 @@ class _TermEngine:
         2 steps per changed negative, where a fresh sum costs q, so it
         runs when q is unchanged and fewer than q/2 off masks changed.
         A positive whose on mask was not opened on last time is summed
-        in full.  ``rows`` are the rows' masks (see ``_derive``) when
-        ``term`` has derived them; without them they are derived here.  A
-        negative's dilated off word also carries the count bit, bit 2n*W
-        just above the fields, by which ``_sum`` counts the negatives in a
-        slot.
+        in full.  A negative's dilated off word also carries the count
+        bit, bit 2n*W just above the fields, by which ``_sum`` counts the
+        negatives in a slot.
         """
-        us, vs = rows or (self._derive(positives, False), self._derive(negatives, True))
         p, q = len(us), len(vs)
         self.norm = p * q
         self.scale = 1 << (p + q + 1)
@@ -310,8 +318,7 @@ class _TermEngine:
         nf = 0, those whose off mask meets none of u's on mask, the
         all-``?`` rows, whose off word is otherwise 0, included.  Only
         when that count is not 0 are the v rows scanned, in position
-        order, and those sets graded one by one.  Dilation distributes
-        over & and |, so their half and quarter words are made from
+        order, and those sets graded one by one, by ``_grades`` on
         dilated masks: u's on mask is its widened mask's low bits, a v
         row's off mask is its dilated off word less the count bit, which
         no open mask reaches, and the open masks are dilated through the
@@ -336,9 +343,7 @@ class _TermEngine:
                 for off, v_op, d_off, j in live_v:
                     if on & off:
                         continue
-                    d_v_op = dilated(v_op)
-                    half = d_on & d_v_op | d_op & d_off
-                    quarter = d_op & d_v_op
+                    _, half, quarter = _grades(d_on, d_op, d_off, dilated(v_op))
                     nr = 2 * half.bit_count() + quarter.bit_count()
                     if not nr:
                         _abort(self.trace, "empty-constraint-set", pairs=((i, j),))
@@ -350,9 +355,10 @@ class _TermEngine:
 
     def scores(self, codes) -> dict[int, Fraction]:
         """Exact scores of the given literal codes, from the live rows that
-        admit one of them: per code, the scaled grades are summed as
-        integers per cardinality, and the cardinalities' fractions are
-        summed by ``_fraction_sum`` into one Fraction."""
+        admit one of them, graded by ``_grades``: per code, the scaled
+        grades are summed as integers per cardinality, and the
+        cardinalities' fractions are summed by ``_fraction_sum`` into one
+        Fraction."""
         scale, want = self.scale, sum(1 << c for c in codes)
         sums: dict[int, dict[int, int]] = {c: {} for c in codes}  # code -> card -> sum
         bits = [(1 << c, sums[c]) for c in codes]
@@ -361,9 +367,7 @@ class _TermEngine:
             if not (on | op) & want:
                 continue
             for off, v_op, _, _ in live_v:
-                f = on & off
-                half = on & v_op | op & off
-                quarter = op & v_op
+                f, half, quarter = _grades(on, op, off, v_op)
                 card = scale * f.bit_count() + 2 * half.bit_count() + quarter.bit_count()
                 for b, per_card in bits:
                     num = scale if f & b else 2 if half & b else 1 if quarter & b else 0
@@ -374,10 +378,9 @@ class _TermEngine:
     def _tier_scores(self, codes) -> dict[int, Fraction]:
         """Exact scores of the given codes when no live row leaves a cell
         open: every set has nr = 0 and adds exactly F_c/nf, so a code's
-        score is its fields over their tiers, summed over the tiers' lcm."""
-        w, field, den = self.width, self.field, math.lcm(*self.tiers)
-        weights = [(word, den // t) for t, word in self.tiers.items()]
-        return {c: Fraction(sum((word >> c * w & field) * m for word, m in weights), den) for c in codes}
+        score is its fields over their tiers, summed by ``_fraction_sum``."""
+        w, field, tiers = self.width, self.field, self.tiers.items()
+        return {c: _fraction_sum([(word >> c * w & field, t) for t, word in tiers]) for c in codes}
 
     def _leads(self) -> list[int]:
         """sum_t F_{c,t} * floor(d/t) for every literal code c, d = 2^30,
@@ -507,17 +510,17 @@ class _TermEngine:
                 return None
         return (both & -both).bit_length() - 1
 
-    def term(self, positives, negatives) -> tuple[list[int], list[int]]:
-        """Open a term, then select and apply literals until no v row is
-        live; the picked codes and the cover, the ascending 0-based
-        positions of the positives still live.  A term whose rows force
-        its first pick (see ``_forced``) is closed at once, unopened."""
-        us, vs = self.rows = self._derive(positives, False), self._derive(negatives, True)
+    def term(self, us, vs) -> tuple[list[int], list[int]]:
+        """Open a term on the rows' masks (see ``open``), then select and
+        apply literals until no v row is live; the picked codes and the
+        cover, the ascending 0-based positions of the positives still
+        live.  A term whose rows force its first pick (see ``_forced``)
+        is closed at once, unopened."""
         if vs:
             forced = self._forced(chain(us, vs))
             if forced is not None:
                 return [forced], list(range(len(us)))
-        self.open(positives, negatives, self.rows)
+        self.open(us, vs)
         codes: list[int] = []
         while self.live_v:
             codes.append(self.select())
@@ -575,12 +578,17 @@ def learn(dataset: Dataset, config: LearnerConfig | None = None) -> LearnResult:
     updates) self-contradictory.  Every outer iteration erases at least one
     positive or aborts, so there are at most p of them.
 
-    The positives a finished term erases are the cover the engine hands
-    back, which is not tested again.  A negative is tested against the
-    term's literal mask ``picked`` (bit c for literal code c) through the
-    off and open masks the engine derived for the term: the term may hold
-    on it unless a certain cell contradicts a literal, and then its lowest
-    Unknown on the term's variables is pinned to falsify it.
+    Each working row's masks (``_masks``) are made with the row and kept
+    beside it in ``us`` and ``vs``: all of them again only when
+    preprocessing returns new rows, and one negative's when it is
+    updated; erasure filters them with their rows.  The positives a
+    finished term erases are the cover the engine hands back, which is
+    not tested again.  A negative is tested against the term's literal
+    mask ``picked`` (bit c for literal code c) through its off and open
+    masks: the term may hold on it unless a certain cell contradicts a
+    literal, and then its lowest Unknown on the term's variables is
+    pinned to falsify it.  Only that updated row can newly clash with a
+    positive, since erasure removes rows and never edits them.
     """
     cfg = config or LearnerConfig()
     trace: list[str] | None = [] if cfg.trace else None
@@ -591,21 +599,23 @@ def learn(dataset: Dataset, config: LearnerConfig | None = None) -> LearnResult:
     # through reductions, dedupes, and updates
     positives = _named(dataset.positives, "u")
     negatives = _named(dataset.negatives, "v")
+    us = vs = None  # the rows' masks, made on the first outer iteration
 
     terms: list[Term] = []
     erased: list[Instance] = []
     engine = _TermEngine(n, len(positives) * len(negatives), trace)
 
     while positives:
-        work = Dataset(n, tuple(positives), tuple(negatives))
-        work = delete_repetitions(reduce_uncertainty(work))
+        given = Dataset(n, tuple(positives), tuple(negatives))
+        work = delete_repetitions(reduce_uncertainty(given))
         clashes = check_self_consistency(work)
         if clashes:
             _abort(trace, "inconsistent-data", pairs=clashes)
-        positives = list(work.positives)
-        negatives = list(work.negatives)
+        if work is not given or us is None:
+            positives, negatives = list(work.positives), list(work.negatives)
+            us, vs = _masks(positives, n, False), _masks(negatives, n, True)
 
-        codes, cover = engine.term(positives, negatives)
+        codes, cover = engine.term(us, vs)
         term = term_from_codes(n, codes)
         terms.append(term)
         if trace is not None:
@@ -618,10 +628,11 @@ def learn(dataset: Dataset, config: LearnerConfig | None = None) -> LearnResult:
             trace.extend(f"POS_ERASED {positives[i].id}" for i in cover)
         covered = set(cover)
         positives = [inst for i, inst in enumerate(positives) if i not in covered]
+        us = [mask for i, mask in enumerate(us) if i not in covered]
 
         picked = sum(1 << c for c in codes)
         on_term = picked | picked >> n
-        for j, (inst, (off, op)) in enumerate(zip(negatives, engine.rows[1])):
+        for j, (inst, (off, op)) in enumerate(zip(negatives, vs)):
             if picked & off:
                 continue  # a certain cell contradicts one of the term's literals
             # on_term holds picked's negated half above bit n: keep the row's cells
@@ -636,20 +647,13 @@ def learn(dataset: Dataset, config: LearnerConfig | None = None) -> LearnResult:
             pin = pins & -pins
             k = pin.bit_length() - 1
             one = picked >> n & pin  # a picked ~x falsifies at 1, an x at 0
-            v = Instance(n, inst.value_bits | one, inst.known_bits | pin, inst.label, inst.id)
-            negatives[j] = v
+            v = negatives[j] = Instance(n, inst.value_bits | one, inst.known_bits | pin, inst.label, inst.id)
+            vs[j] = _masks((v,), n, True)[0]
             if trace is not None:
                 trace.append(f"NEG_UPDATE {inst.id} {k + 1} {one >> k}")
-            # only this updated row can newly collide with a positive:
-            # erasure removes rows and never edits them
-            if v.known_bits == full:
-                violations = tuple(
-                    (i, j + 1)
-                    for i, u in enumerate(positives, start=1)
-                    if u.known_bits == full and u.value_bits == v.value_bits
-                )
-                if violations:
-                    _abort(trace, "inconsistent-data", pairs=violations)
+            clashes = _clashes(positives, (v,), n, j + 1)
+            if clashes:
+                _abort(trace, "inconsistent-data", pairs=clashes)
 
     formula = DnfFormula(n, tuple(terms))
     final = Dataset(n, tuple(erased), tuple(negatives))

@@ -223,6 +223,25 @@ class Dataset:
         yield from self.negatives
 
 
+def _clashes(positives, negatives, n: int, first: int = 1) -> tuple[tuple[int, int], ...]:
+    """The one clash rule: every pair of a certain positive and a certain
+    negative with equal values, as 1-based (i, j), sorted, the negatives
+    numbered from ``first``.  Such a pair has no separating literal."""
+    full = (1 << n) - 1
+    by_value: dict[int, list[int]] = {}
+    for j, v in enumerate(negatives, start=first):
+        if v.known_bits == full:
+            by_value.setdefault(v.value_bits, []).append(j)
+    if not by_value:
+        return ()
+    return tuple(
+        (i, j)
+        for i, u in enumerate(positives, start=1)
+        if u.known_bits == full
+        for j in by_value.get(u.value_bits, ())
+    )
+
+
 def check_self_consistency(d: Dataset) -> tuple[tuple[int, int], ...]:
     """Every pair that agrees, with certain equal values, everywhere, as
     1-based (i, j) over positives x negatives, sorted; empty when
@@ -231,20 +250,10 @@ def check_self_consistency(d: Dataset) -> tuple[tuple[int, int], ...]:
     Such a pair has no separating literal: the same fully-certain vector
     appears as both a positive and a negative.  Any Unknown cell (in either
     instance, at any coordinate) makes a pair separable, so only the
-    certain rows are compared, through the certain positives' value bits.
+    certain rows are compared (``_clashes``, the rule ``learn`` also
+    applies to each negative it updates).
     """
-    full = (1 << d.n) - 1
-    by_value: dict[int, list[int]] = {}
-    for i, u in enumerate(d.positives, start=1):
-        if u.known_bits == full:
-            by_value.setdefault(u.value_bits, []).append(i)
-    if not by_value:
-        return ()
-    violations = []
-    for j, v in enumerate(d.negatives, start=1):
-        if v.known_bits == full and v.value_bits in by_value:
-            violations += [(i, j) for i in by_value[v.value_bits]]
-    return tuple(sorted(violations))
+    return _clashes(d.positives, d.negatives, d.n)
 
 
 def reduce_uncertainty(d: Dataset) -> Dataset:
@@ -265,6 +274,8 @@ def reduce_uncertainty(d: Dataset) -> Dataset:
     ``gap`` a row's unknown bits, a pair fills when exactly one gap is
     nonzero and the rows agree on every bit outside both gaps; the row
     with the gap then takes the negation of the other's value there.
+    When nothing fills, the data is returned as it is, so a caller can
+    tell new rows from old by identity.
     """
     full = (1 << d.n) - 1
     pos_at = [i for i, u in enumerate(d.positives) if not (gap := full ^ u.known_bits) & (gap - 1)]
@@ -275,7 +286,7 @@ def reduce_uncertainty(d: Dataset) -> Dataset:
         return d
     pos = list(d.positives)
     neg = list(d.negatives)
-    changed = True
+    filled, changed = False, True
     while changed:
         changed = False
         for i in pos_at:
@@ -288,8 +299,8 @@ def reduce_uncertainty(d: Dataset) -> Dataset:
                     pos[i] = Instance(d.n, u.value_bits | gap_u & ~v.value_bits, full, u.label, u.id)
                 else:
                     neg[j] = Instance(d.n, v.value_bits | gap_v & ~u.value_bits, full, v.label, v.id)
-                changed = True
-    return Dataset(d.n, tuple(pos), tuple(neg))
+                changed = filled = True
+    return Dataset(d.n, tuple(pos), tuple(neg)) if filled else d
 
 
 def delete_repetitions(d: Dataset) -> Dataset:

@@ -29,7 +29,7 @@ from tridnf import (
     verify_consistency,
 )
 from tridnf.formula import term_from_codes
-from tridnf.learner import _TermEngine
+from tridnf.learner import _masks, _TermEngine
 from tridnf.masking import RANDOM, TRUSTWORTHY
 
 # Hypothesis imports this module to report a failing example.  Where libcst
@@ -48,16 +48,22 @@ SWEEP_FRACTIONS = tuple(Fraction(k, 10) for k in range(1, 6))
 SWEEP_SEEDS = tuple(range(10))
 
 
+def row_masks(d: Dataset) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The positives' and the negatives' masks, as ``learn`` hands them to
+    its term engine."""
+    return _masks(d.positives, d.n, False), _masks(d.negatives, d.n, True)
+
+
 def without_safeguards(d: Dataset) -> DnfFormula:
     """The term loop of ``learn`` with no uncertainty reduction, no dedupe,
     no consistency check and no negative updates."""
-    positives, terms = list(d.positives), []
+    (us, vs), terms = row_masks(d), []
     engine = _TermEngine(d.n, d.p * d.q, None)
-    while positives:
-        codes, cover = engine.term(positives, list(d.negatives))
+    while us:
+        codes, cover = engine.term(us, vs)
         terms.append(term_from_codes(d.n, codes))
         assert cover, terms[-1].render()
-        positives = [u for i, u in enumerate(positives) if i not in cover]
+        us = [u for i, u in enumerate(us) if i not in cover]
     return DnfFormula(d.n, tuple(terms))
 
 

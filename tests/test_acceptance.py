@@ -13,7 +13,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from conftest import without_safeguards
+from conftest import row_masks, without_safeguards
 
 from tridnf import (
     Dataset,
@@ -251,7 +251,7 @@ def test_criterion_8_exact_arithmetic_oracle():
         )
         trace: list[str] = []
         engine = _TermEngine(n, p * q, trace)
-        engine.open(list(d.positives), list(d.negatives))
+        engine.open(*row_masks(d))
         w, field = engine.width, engine.field
         exact = engine.scores(range(2 * n))
         scores = {}

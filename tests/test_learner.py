@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import without_safeguards
+from conftest import row_masks, without_safeguards
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -421,13 +421,13 @@ def test_a_forced_pick_equals_the_scored_one(monkeypatch):
     seen = Counter()
     real_term, real_open, real_apply = _TermEngine.term, _TermEngine.open, _TermEngine.apply
 
-    def term(self, positives, negatives):
+    def term(self, us, vs):
         seen["at an opening"] += 1
-        return real_term(self, positives, negatives)
+        return real_term(self, us, vs)
 
-    def open_(self, positives, negatives, *rows):
+    def open_(self, us, vs):
         seen["at an opening"] -= 1
-        real_open(self, positives, negatives, *rows)
+        real_open(self, us, vs)
 
     def apply(self, code):
         forced = real_apply(self, code)
@@ -487,12 +487,12 @@ def test_carried_openings_equal_a_fresh_sum(monkeypatch):
             seen["remade"] += any(u[0] not in slots for u in live_u)
         return real_sum(self, live_u, live_v, slots)
 
-    def open_(self, positives, negatives, *rows):
-        if self.opened is not None and len(negatives) < len(self.opened[0]):
+    def open_(self, us, vs):
+        if self.opened is not None and len(vs) < len(self.opened[0]):
             seen["dropped"] += 1
-        real_open(self, positives, negatives, *rows)
-        fresh = _TermEngine(self.n, len(positives) * len(negatives), None)
-        real_open(fresh, positives, negatives)
+        real_open(self, us, vs)
+        fresh = _TermEngine(self.n, len(us) * len(vs), None)
+        real_open(fresh, us, vs)
         assert _tier_fields(self) == _tier_fields(fresh)
         seen["openings"] += 1
 
@@ -607,7 +607,7 @@ def test_a_terms_live_sets_form_a_rectangle():
         if not all(first.values()):
             continue  # equal certain rows, which the consistency check rejects
         engine = _TermEngine(n, p * q, [])
-        engine.open(list(d.positives), list(d.negatives))
+        engine.open(*row_masks(d))
         sets, picks = first, []
         while sets and all(sets.values()):
             assert _engine_tiers(engine) == _leading_tiers(sets.values(), n), rows
@@ -663,7 +663,7 @@ def test_packed_fields_hold_their_largest_sum():
         d = Dataset.from_texts(["11"] * p, ["??"] * q)
         trace: list[str] = []
         engine = _TermEngine(d.n, pairs, trace)
-        engine.open(list(d.positives), list(d.negatives))
+        engine.open(*row_masks(d))
         assert engine.width == min(w for w in (8, 16, 32, 64) if 2 * pairs < 1 << w)
         assert engine.tiers == {4: 2 * p * q * (1 + (1 << engine.width))}
         assert engine.select() == 0
@@ -822,7 +822,7 @@ def test_certain_clusters_hold_every_exact_maximum(monkeypatch):
         d = Dataset.from_texts(positives, negatives)
         for trace in ([], None):
             engine = _TermEngine(d.n, d.p * d.q, trace)
-            engine.open(list(d.positives), list(d.negatives))
+            engine.open(*row_masks(d))
             while engine.live_v:
                 exact = engine.scores(range(2 * d.n))
                 best = max(exact.values())
@@ -909,6 +909,76 @@ def test_split_sum_equals_the_fraction_sum(terms):
     assert learner._fraction_sum(terms) == sum((Fraction(num, den) for num, den in terms), Fraction(0))
 
 
+def test_grades_of_one_variable_equal_the_membership_table():
+    # for each of the 9 cell pairs and both signs of x1, the one word of
+    # _grades that holds the literal's bit gives oracle.membership's
+    # grade: full 1, half (1/2)^(p+q), quarter (1/2)^(p+q+1), none 0
+    p, q = 2, 3
+    for a in Trit:
+        for b in Trit:
+            u, v = Instance.from_cells((a,), Label.POSITIVE), Instance.from_cells((b,), Label.NEGATIVE)
+            [(on, op)], [(off, v_op)] = learner._masks((u,), 1, False), learner._masks((v,), 1, True)
+            full, half, quarter = learner._grades(on, op, off, v_op)
+            for code, lit in enumerate((Literal(False, 1), Literal(True, 1))):
+                weights = (Fraction(1), Fraction(1, 2 ** (p + q)), Fraction(1, 2 ** (p + q + 1)))
+                held = [g for g, word in zip(weights, (full, half, quarter)) if word >> code & 1]
+                assert len(held) <= 1, (a, b, lit.render())
+                assert sum(held) == oracle.membership(u, v, lit, p, q), (a, b, lit.render())
+
+
+def test_grades_of_dilated_masks_are_the_dilated_grades():
+    # _sum grades dilated masks and scores plain ones: for every field
+    # width W and n from 1 to 40, the two agree field by field
+    rng = random.Random(8)
+    for w in (8, 16, 32, 64):
+        for n in range(1, 41):
+            tables = learner._layout(n, w)[1]
+            for _ in range(4):
+                masks = [rng.getrandbits(2 * n) for _ in range(4)]
+                dilated = [learner._dilate(mask, tables) for mask in masks]
+                want = tuple(learner._dilate(g, tables) for g in learner._grades(*masks))
+                assert learner._grades(*dilated) == want, (w, n, masks)
+
+
+def test_masks_are_made_with_their_rows(monkeypatch):
+    # learn makes a row's masks when the row is made: the first outer
+    # iteration's rows, the rows of every iteration whose preprocessing
+    # returned new data, and each negative it updates; an iteration whose
+    # preprocessing returned its data as it was makes none
+    made, given, seen = Counter(), [], Counter()
+    real_masks, real_reduce, real_check = learner._masks, learner.reduce_uncertainty, learner.check_self_consistency
+
+    def masks(rows, n, negative):
+        rows = list(rows)
+        made["rows"] += len(rows)
+        return real_masks(rows, n, negative)
+
+    def reduce(d):
+        given.append(d)
+        return real_reduce(d)
+
+    def check(work):
+        if len(given) == 1 or work is not given[-1]:
+            made["expected"] += work.p + work.q
+            seen["first" if len(given) == 1 else "remade"] += 1
+        else:
+            seen["kept"] += 1
+        return real_check(work)
+
+    monkeypatch.setattr(learner, "_masks", masks)
+    monkeypatch.setattr(learner, "reduce_uncertainty", reduce)
+    monkeypatch.setattr(learner, "check_self_consistency", check)
+    cases = [_masked_rows(seed, 20, 20, 40, Fraction(1, 5)) for seed in range(2)]
+    cases.append(Dataset.from_texts(["0101", "01?0", "10?1"], ["0?10", "1000", "1100", "1001", "01??"]))
+    for d in cases:
+        made.clear()
+        given.clear()
+        trace = learn(d, TRACED).trace
+        made["expected"] += sum(line.startswith("NEG_UPDATE") for line in trace)
+        assert made["rows"] == made["expected"], made
+    assert seen["first"] == len(cases) and seen["remade"] and seen["kept"], seen
+
+
 def test_exact_text_leaves_the_digit_limit_alone(monkeypatch):
     # numerator and denominator of over 4,300 digits, past the default
     # limit; the limit is process-wide, so it is neither read nor set
@@ -967,8 +1037,8 @@ d = Dataset.from_texts(["110", "011"], ["000", "101"])
 # emptying the engine's cover after the real term leaves the term
 # covering no positive
 real = learner._TermEngine.term
-def term(self, positives, negatives):
-    codes, _ = real(self, positives, negatives)
+def term(self, us, vs):
+    codes, _ = real(self, us, vs)
     return codes, []
 learner._TermEngine.term = term
 try:

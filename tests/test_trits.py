@@ -191,6 +191,14 @@ def test_reduce_uncertainty_skips_pairs_with_certain_disagreement():
     assert reduce_uncertainty(d) == d
 
 
+def test_reduce_uncertainty_returns_its_input_when_nothing_fills():
+    # u1 and v2 have one Unknown each and are scanned, but nothing
+    # fills: every pair of a certain row and one of them differs at x1,
+    # and u1 with v2 has an Unknown on both sides
+    d = Dataset.from_texts(["1?", "11"], ["01", "0?"])
+    assert reduce_uncertainty(d) is d
+
+
 def test_reduce_uncertainty_preserves_ids():
     d = Dataset(
         4,
