@@ -15,6 +15,7 @@ import csv
 import errno
 import json
 import os
+import re
 import sys
 import warnings
 from dataclasses import replace
@@ -68,6 +69,12 @@ _NAME_MAX = 255
 _REQUIRED = {"zoo": "--positive-type", "csv": "--input"}
 _FORMAT_ONLY = {"--positive-type": "zoo", "--encoding": "zoo", "--positive-label": "csv"}
 
+# numbers on the command line are written in the ASCII digits 0-9, as in
+# data files: int and Fraction alone would also take other scripts'
+# digits and "_", and Fraction exponents
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
+_FRACTION = re.compile(r"[+-]?[0-9./]+")
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse defaults to exit code 2 on bad usage; the contract says 1.
@@ -109,13 +116,14 @@ class _Parser(argparse.ArgumentParser):
 def _fraction(token: str) -> Fraction:
     """An argparse type: a masking fraction in [0, 1/2], written 0.1,
     1/10, 10% or a bare percentage like 10 (values above 1 are read as
-    percentages).  Exponent notation is refused: Fraction would build
-    10^|exponent|, which for 1e-99999999 does not finish."""
+    percentages), in the digits 0-9.  Exponent notation is refused:
+    Fraction would build 10^|exponent|, which for 1e-99999999 does not
+    finish."""
     text = token.strip()
     percent = text.endswith("%")
     if percent:
         text = text[:-1].strip()
-    if "e" in text or "E" in text:
+    if not _FRACTION.fullmatch(text):
         raise argparse.ArgumentTypeError(f"cannot parse fraction {_clip(token)!r}")
     try:
         value = Fraction(text)
@@ -129,19 +137,19 @@ def _fraction(token: str) -> Fraction:
 
 
 def _int_in(low: int, high: int | None = None, span: str = ""):
-    """An argparse type: a decimal integer in [low, high), described by
-    span, or at least low when high is None.  argparse names the flag in
-    the error (exit 1).  A token of decimal digits alone that int refuses
-    is past its digit limit."""
+    """An argparse type: an integer in [low, high), written in the
+    digits 0-9 with an optional sign, described by span, or at least low
+    when high is None.  argparse names the flag in the error (exit 1).
+    Such a token that int refuses is past its digit limit."""
     span = span or f"at least {low}"
 
     def parse(token: str) -> int:
+        if not _INTEGER.fullmatch(token):
+            raise argparse.ArgumentTypeError(f"expected an integer in the digits 0-9, got {_clip(token)!r}")
         try:
-            value = _integer(token, token) if token.isdecimal() else int(token)
+            value = _integer(token, token)
         except ParseError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {_clip(token)!r}") from None
         if value < low or high is not None and value >= high:
             raise argparse.ArgumentTypeError(f"must be {span}, got {_clip(str(value))}")
         return value
@@ -192,10 +200,12 @@ _mode = _choice(RANDOM, TRUSTWORTHY)
 
 
 def _encoding(text: str) -> tuple[int, ...]:
-    """An argparse type: a permutation of the leg counts 2, 4, 5, 6 and 8."""
+    """An argparse type: a permutation of the leg counts 2, 4, 5, 6 and 8,
+    written in the digits 0-9."""
+    tokens = text.split(",")
     try:
-        order = tuple(int(token) for token in text.split(","))
-    except ValueError:
+        order = tuple(map(int, tokens)) if all(map(_INTEGER.fullmatch, tokens)) else ()
+    except ValueError:  # past the int-to-str digit limit
         order = ()
     if sorted(order) != sorted(DEFAULT_LEGS_ORDER):
         raise argparse.ArgumentTypeError(f"must be a permutation of 2,4,5,6,8, got {_clip(text)!r}")

@@ -23,7 +23,7 @@ set's count nf of full grades, plus, in the sets with no full grade, its
 half and quarter weight over the set's weight nr.  At the grade scale
 2^(p+q+1) it is within total*2n/scale of the exact score.  The tiers are
 packed integers with one field per literal, 8, 16, 32 or 64 bits wide,
-summed anew over the rectangle after every pick (see ``_TermEngine``).
+summed anew over the rectangle before every select (see ``_TermEngine``).
 Each literal's estimate is read at one fixed scale, d = 2^30, as the
 whole number sum of its fields times floor(d/t) over the tiers t, from
 lanes of 64*r bits in which every tier's fields are weighted and added
@@ -39,10 +39,11 @@ is provably the same literal exact arithmetic would pick.
 
 Some picks need no sum at all.  When one literal is decided true by
 every live positive and false by every live negative, it is full in
-every live set, so it is the pick, and it closes the term.  An untraced
-learn finds it by ANDing the rows' masks before each sum, at an opening
-and after each pick; a traced learn scores it, since its SELECT line
-prints the relevance (see ``_TermEngine._forced``).
+every live set, so it is the pick, and it closes the term.  A term is
+one loop: each step of an untraced learn first ANDs the live rows'
+masks for such a pick, and only when there is none sums the rectangle
+and selects; a traced learn always sums and selects, since its SELECT
+line prints the relevance (see ``_TermEngine.term``).
 
 One ``_TermEngine`` serves a whole learn and never sees an ``Instance``:
 it works on each row's decided and open masks (``_masks``), which
@@ -232,13 +233,12 @@ class _TermEngine:
     of the u rows still live, which are exactly the positives that admit
     every pick.
 
-    ``opened`` keeps the last opening's ``live_v`` and each positive's
-    slot list (see ``_sum``) under its on mask, from which ``open``
-    carries the next opening's lists.  Untraced, a term whose rows force
-    a pick (see ``_forced``) is not summed for it: ``term`` closes such a
-    term unopened, so ``opened`` keeps the opening before, whose
-    negatives and lists still belong together, and ``apply`` closes it
-    unsummed.
+    ``opened`` keeps the ``live_v`` of the last opening that was summed
+    and each positive's slot list (see ``_sum``) under its on mask, from
+    which ``_carry`` makes the next first sum's lists.  Untraced, a term
+    whose rows force its first pick (see ``_forced``) closes with no sum
+    at all, so ``opened`` keeps the opening before, whose negatives and
+    lists still belong together.
 
     ``tiers`` maps each tier denominator to a packed word in which literal
     c owns the W-bit field at bit c*W: the full-grade indicators of the
@@ -270,28 +270,37 @@ class _TermEngine:
 
     def open(self, us, vs) -> None:
         """Start a term on an outer iteration's working rows, the
-        positives' (on, open) and the negatives' (off, open) masks.
-
-        A positive's slot list (see ``_sum``) depends only on its on mask
-        and the negatives' off masks, so the last opening's lists, kept
-        by on mask, carry over by value.  Between openings a negative
-        changes only where a negative update or reduction put a new row
-        at its position; dedupe changes q.  Carrying moves a changed
-        negative's dilated off word between two slots of each kept list,
-        2 steps per changed negative, where a fresh sum costs q, so it
-        runs when q is unchanged and fewer than q/2 off masks changed.
-        A positive whose on mask was not opened on last time is summed
-        in full.  A negative's dilated off word also carries the count
-        bit, bit 2n*W just above the fields, by which ``_sum`` counts the
-        negatives in a slot.
+        positives' (on, open) and the negatives' (off, open) masks: set
+        p, q, the grade scale and the norm, and make the live rows.  A
+        negative's dilated off word also carries the count bit, bit 2n*W
+        just above the fields, by which ``_sum`` counts the negatives in
+        a slot.  Nothing is summed here: ``term`` sums the rectangle
+        before each select.
         """
         p, q = len(us), len(vs)
         self.norm = p * q
         self.scale = 1 << (p + q + 1)
         dilated, field, count = self.dilated, self.field, 1 << 2 * self.n * self.width
         self.live_u = [(on, op, dilated(on) * field, i) for i, (on, op) in enumerate(us, 1)]
-        live_v = self.live_v = [(off, op, dilated(off) | count, j) for j, (off, op) in enumerate(vs, 1)]
-        slots = {}
+        self.live_v = [(off, op, dilated(off) | count, j) for j, (off, op) in enumerate(vs, 1)]
+
+    def _carry(self) -> dict[int, list[int]]:
+        """The slot lists (see ``_sum``) of a term's first sum, carried
+        from the last opening that was summed, which this one then
+        replaces as ``opened``.
+
+        A positive's slot list depends only on its on mask and the
+        negatives' off masks, so the last opening's lists, kept by on
+        mask, carry over by value.  Between openings a negative changes
+        only where a negative update or reduction put a new row at its
+        position; dedupe changes q.  Carrying moves a changed negative's
+        dilated off word between two slots of each kept list, 2 steps per
+        changed negative, where a fresh sum costs q, so it runs when q is
+        unchanged and fewer than q/2 off masks changed.  A positive whose
+        on mask was not opened on last time is summed in full.
+        """
+        live_v, slots = self.live_v, {}
+        q = len(live_v)
         if self.opened is not None and len(self.opened[0]) == q:
             old_v, old_slots = self.opened
             moves = [(a[0], a[2], b[0], b[2]) for a, b in zip(old_v, live_v) if a[0] != b[0]]
@@ -303,12 +312,12 @@ class _TermEngine:
                         for old_off, old_d, off, d_off in moves:
                             groups[(on & old_off).bit_count()] -= old_d
                             groups[(on & off).bit_count()] += d_off
-        self.tiers = self._sum(self.live_u, live_v, slots)
         self.opened = live_v, slots
+        return slots
 
-    def _sum(self, live_u, live_v, slots) -> dict[int, int]:
-        """The tiers of the rectangle live_u x live_v; aborts on its
-        first empty set in (i, j) order.
+    def _sum(self, slots) -> dict[int, int]:
+        """The tiers of the live rectangle; aborts on its first empty set
+        in (i, j) order.
 
         Per u, the dilated off words of the v rows are added up in a slot
         per nf; ANDing a slot with u's widened on mask keeps the fields of
@@ -322,17 +331,15 @@ class _TermEngine:
         dilated masks: u's on mask is its widened mask's low bits, a v
         row's off mask is its dilated off word less the count bit, which
         no open mask reaches, and the open masks are dilated through the
-        learn's memo ``dilated``.  ``slots`` maps an on
-        mask to its slot list: at an opening it holds the lists carried
-        from the last one, and each list summed here is added to it; a
-        carried slot moves whole off words, count bits included, so its
+        learn's memo ``dilated``.  ``slots`` maps an on mask to its slot
+        list: at a term's first sum it holds the lists ``_carry`` carried
+        from the last opening, and each list summed here is added to it;
+        a carried slot moves whole off words, count bits included, so its
         count stays exact.
         """
-        if not live_v:
-            return {}  # the term is closed: nothing left to select
-        levels, tiers, unit, dilated = self.n + 1, {}, self.unit, self.dilated
+        levels, tiers, unit, dilated, live_v = self.n + 1, {}, self.unit, self.dilated, self.live_v
         offs = [(v[0], v[2]) for v in live_v]
-        for on, op, wide, i in live_u:
+        for on, op, wide, i in self.live_u:
             groups = slots.get(on)  # nf -> sum of the dilated off words
             if groups is None:
                 groups = slots[on] = [0] * levels
@@ -459,14 +466,11 @@ class _TermEngine:
             self.trace.append(f"SELECT {literal} R={_exact(best / self.norm)}")
         return code
 
-    def apply(self, code: int) -> int | None:
-        """Erasures for a just-selected literal: the u rows that do not
+    def apply(self, code: int) -> None:
+        """Erasures for a just-picked literal: the u rows that do not
         admit it leave the term (ERASE_GROUP), as do the v rows that admit
-        it, whose sets with the kept u rows it satisfies (ERASE_SET).  The
-        complement is struck from the survivors, whose tiers are summed
-        anew, unless they force the next pick (see ``_forced``): then that
-        pick closes the term unsummed and is returned.
-        """
+        it, whose sets with the kept u rows it satisfies (ERASE_SET), and
+        the complement is struck from the survivors."""
         bit = 1 << code
         # a kept v's cell makes the pick true and the complement false, so
         # a kept u open there grades the complement half in all its live
@@ -481,52 +485,48 @@ class _TermEngine:
             for u in live_u:
                 head = f"ERASE_SET {u[3]}"
                 self.trace.extend(head + j for j in erased)
-        forced = self._forced(chain(live_u, live_v)) if live_v else None
-        if forced is None:
-            self.tiers = self._sum(live_u, live_v, {})
-        else:  # the forced pick erases every live v and keeps every live u
-            self.tiers, live_v = {}, []
         self.live_u, self.live_v = live_u, live_v
-        return forced
 
-    def _forced(self, rows) -> int | None:
+    def _forced(self) -> int | None:
         """On an untraced learn, the pick when the live rows force it: the
         lowest literal that every live u decides true and every live v
-        decides false, else None.  ``rows`` are the live u rows, then the
-        live v rows, which must not be empty, each with its decided mask
-        first.  Such a literal is full in every live set, so its score is
-        the largest any literal can reach, and only literals full there
-        too can tie it; first-max takes the lowest code.  It erases every
-        live v and keeps every live u, so it closes the term.  Every live
-        set then has nf >= 1 and cannot abort, so skipping its sums is
-        exact.  A traced learn scores it, since its SELECT line prints
-        the relevance.  The AND stops at the first row that empties it."""
+        decides false, else None.  Such a literal is full in every live
+        set, so its score is the largest any literal can reach, and only
+        literals full there too can tie it; first-max takes the lowest
+        code.  It erases every live v and keeps every live u, so it closes
+        the term.  Every live set then has nf >= 1 and cannot abort, so
+        not summing them is exact.  A traced learn scores it, since its
+        SELECT line prints the relevance.  The AND runs over the decided
+        masks of the live u rows, then of the live v rows, of which
+        ``term`` keeps at least one, and stops at the first row that
+        empties it."""
         if self.trace is not None:
             return None
         both = -1
-        for row in rows:
+        for row in chain(self.live_u, self.live_v):
             both &= row[0]
             if not both:
                 return None
         return (both & -both).bit_length() - 1
 
     def term(self, us, vs) -> tuple[list[int], list[int]]:
-        """Open a term on the rows' masks (see ``open``), then select and
-        apply literals until no v row is live; the picked codes and the
-        cover, the ascending 0-based positions of the positives still
-        live.  A term whose rows force its first pick (see ``_forced``)
-        is closed at once, unopened."""
-        if vs:
-            forced = self._forced(chain(us, vs))
-            if forced is not None:
-                return [forced], list(range(len(us)))
+        """Open a term on the rows' masks (see ``open``) and pick literals
+        until no v row is live; the picked codes and the cover, the
+        ascending 0-based positions of the positives still live.  Each
+        pick is the one the live rows force (see ``_forced``), which
+        closes the term, or else the one ``select`` finds in the tiers of
+        the live rectangle, summed anew for it; the term's first sum
+        starts from the lists carried from the last opening (see
+        ``_carry``).  ``apply`` then erases what the pick resolves."""
         self.open(us, vs)
         codes: list[int] = []
         while self.live_v:
-            codes.append(self.select())
-            forced = self.apply(codes[-1])
-            if forced is not None:
-                codes.append(forced)
+            code = self._forced()
+            if code is None:
+                self.tiers = self._sum({} if codes else self._carry())
+                code = self.select()
+            codes.append(code)
+            self.apply(code)
         return codes, [u[3] - 1 for u in self.live_u]
 
 

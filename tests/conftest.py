@@ -54,6 +54,16 @@ def row_masks(d: Dataset) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]
     return _masks(d.positives, d.n, False), _masks(d.negatives, d.n, True)
 
 
+def summed(engine: _TermEngine, d: Dataset | None = None) -> _TermEngine:
+    """``engine`` with the tiers of its live rectangle summed from fresh
+    slot lists, as ``term`` sums them before a select; opened first on
+    ``d``'s rows when ``d`` is given."""
+    if d is not None:
+        engine.open(*row_masks(d))
+    engine.tiers = engine._sum({})
+    return engine
+
+
 def without_safeguards(d: Dataset) -> DnfFormula:
     """The term loop of ``learn`` with no uncertainty reduction, no dedupe,
     no consistency check and no negative updates."""

@@ -13,7 +13,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from conftest import row_masks, without_safeguards
+from conftest import summed, without_safeguards
 
 from tridnf import (
     Dataset,
@@ -250,8 +250,7 @@ def test_criterion_8_exact_arithmetic_oracle():
             tuple(Instance.from_cells(v, Label.NEGATIVE, f"v{j + 1}") for j, v in enumerate(Q)),
         )
         trace: list[str] = []
-        engine = _TermEngine(n, p * q, trace)
-        engine.open(*row_masks(d))
+        engine = summed(_TermEngine(n, p * q, trace), d)
         w, field = engine.width, engine.field
         exact = engine.scores(range(2 * n))
         scores = {}

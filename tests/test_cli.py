@@ -642,6 +642,31 @@ def test_mask_flag_errors_name_the_flag(tmp_path, capsys, flag, value):
     assert code == 1 and f"argument {flag}:" in err and "Fraction(" not in err
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("mask", "--seed", "\u0663"),
+    ("mask", "--fraction", "\u0661/\u0662"),
+    ("mask", "--positive-type", "\uff11"),
+    ("learn", "--encoding", "8,6,5,\u0664,2"),
+    ("experiment", "--seeds", "1,1_0"),
+    ("experiment", "--fractions", "1_0"),
+    ("experiment", "--types", "\u0661"),
+    ("verify", "--budget", "\uff11_\uff10"),
+    ("verify", "--max-literals", "\u0663"),
+])
+def test_numbers_in_other_digits_are_refused(tmp_path, capsys, command, flag, value):
+    # as in data files, a number is written in the digits 0-9; int and
+    # Fraction alone would read these as 3, 1/2, 1, 4, 10, 10, 1, 10 and 3
+    zoo = ["--format", "zoo", "--positive-type", "1"]
+    required = {
+        "learn": [*zoo, "--output", str(tmp_path / "f.txt")],
+        "mask": [*zoo, "--mode", "random", "--fraction", "10%", "--seed", "1", "--output", str(tmp_path / "m.csv")],
+        "experiment": ["--report", str(tmp_path / "r.txt")],
+        "verify": ["--formula", str(tmp_path / "f.txt"), *zoo, "--exhaustive-min"],
+    }[command]
+    code, err = refused(capsys, command, *required, flag, value)
+    assert code == 1 and f"argument {flag}:" in err, err
+
+
 @pytest.mark.parametrize("command", ["learn", "mask", "eval", "verify"])
 def test_csv_format_rules_and_their_precedence(tmp_path, capsys, command):
     data = tmp_path / "rows.csv"

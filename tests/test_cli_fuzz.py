@@ -28,7 +28,7 @@ clam,0,0,1,0,0,0,1,0,0,0,0,0,0,0,0,0,7
 """
 
 # tokens no integer or fraction flag accepts
-JUNK = ("", " ", "x", "1.5x", "1e3", "0x10", "nan", "inf")
+JUNK = ("", " ", "x", "1.5x", "1e3", "0x10", "nan", "inf", "\u0663", "1_0", "\uff11")
 
 
 def _ints(low, high=None):

@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import row_masks, without_safeguards
+from conftest import summed, without_safeguards
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -418,21 +418,22 @@ def test_a_forced_pick_equals_the_scored_one(monkeypatch):
     # picks; where only part of the negatives oppose it certainly, the
     # term closes only after a pick erases the rest.  With no negatives
     # the term is empty; untraced learns equal the reference
-    seen = Counter()
-    real_term, real_open, real_apply = _TermEngine.term, _TermEngine.open, _TermEngine.apply
+    seen, selects = Counter(), Counter()
+    real_term, real_select, real_forced = _TermEngine.term, _TermEngine.select, _TermEngine._forced
 
     def term(self, us, vs):
-        seen["at an opening"] += 1
+        selects.clear()
         return real_term(self, us, vs)
 
-    def open_(self, us, vs):
-        seen["at an opening"] -= 1
-        real_open(self, us, vs)
+    def select(self):
+        selects["this term"] += 1
+        return real_select(self)
 
-    def apply(self, code):
-        forced = real_apply(self, code)
-        seen["after a pick"] += forced is not None
-        return forced
+    def forced(self):
+        code = real_forced(self)
+        if code is not None:
+            seen["after a pick" if selects["this term"] else "at an opening"] += 1
+        return code
 
     def outcome(run, d):
         try:
@@ -443,8 +444,8 @@ def test_a_forced_pick_equals_the_scored_one(monkeypatch):
         return result.formula, [(x.text, x.label, x.id) for x in rows], result.iterations
 
     monkeypatch.setattr(_TermEngine, "term", term)
-    monkeypatch.setattr(_TermEngine, "open", open_)
-    monkeypatch.setattr(_TermEngine, "apply", apply)
+    monkeypatch.setattr(_TermEngine, "select", select)
+    monkeypatch.setattr(_TermEngine, "_forced", forced)
     rng = random.Random(40)
     for _ in range(2000):
         n, p, q = rng.randint(1, 7), rng.randint(1, 8), rng.randint(0, 8)
@@ -469,35 +470,40 @@ def _tier_fields(engine):
 
 
 def test_carried_openings_equal_a_fresh_sum(monkeypatch):
-    # at every opening of a learn, the tiers carried from the last opening
-    # equal those of a fresh engine opened on the same rows; between two
+    # at every sum of a learn, the tiers equal those of a fresh engine
+    # opened on the same live rows, and a term's first sum carries its
+    # lists from the last opening that was summed; between two
     # openings, negative updates edit negatives (masked rows), reduction
     # re-makes a kept positive (v5 is pinned to 010?, then reduction fills
     # it to 0100 and u2 to 0110), and dedupe drops a negative (v2 once v1
     # is filled)
     seen = Counter()
-    real_open, real_sum = _TermEngine.open, _TermEngine._sum
+    real_carry, real_sum = _TermEngine._carry, _TermEngine._sum
 
-    def sum_(self, live_u, live_v, slots):
-        # only an opening hands _sum lists, those it carried; self.opened
-        # still holds the last opening
+    def carry(self):
+        # only a term's first sum carries lists from the last opening
+        # that was summed, which self.opened holds until _carry returns
+        last = self.opened
+        slots = real_carry(self)
+        if last is not None and len(self.live_v) < len(last[0]):
+            seen["dropped"] += 1
         if slots:
             seen["carried"] += 1
-            seen["edited"] += any(old[0] != new[0] for old, new in zip(self.opened[0], live_v))
-            seen["remade"] += any(u[0] not in slots for u in live_u)
-        return real_sum(self, live_u, live_v, slots)
-
-    def open_(self, us, vs):
-        if self.opened is not None and len(vs) < len(self.opened[0]):
-            seen["dropped"] += 1
-        real_open(self, us, vs)
-        fresh = _TermEngine(self.n, len(us) * len(vs), None)
-        real_open(fresh, us, vs)
-        assert _tier_fields(self) == _tier_fields(fresh)
+            seen["edited"] += any(old[0] != new[0] for old, new in zip(last[0], self.live_v))
+            seen["remade"] += any(u[0] not in slots for u in self.live_u)
         seen["openings"] += 1
+        return slots
 
+    def sum_(self, slots):
+        self.tiers = real_sum(self, slots)
+        fresh = _TermEngine(self.n, len(self.live_u) * len(self.live_v), None)
+        fresh.open([u[:2] for u in self.live_u], [v[:2] for v in self.live_v])
+        fresh.tiers = real_sum(fresh, {})
+        assert _tier_fields(self) == _tier_fields(fresh)
+        return self.tiers
+
+    monkeypatch.setattr(_TermEngine, "_carry", carry)
     monkeypatch.setattr(_TermEngine, "_sum", sum_)
-    monkeypatch.setattr(_TermEngine, "open", open_)
     cases = [_masked_rows(seed, 20, 20, 40, Fraction(1, 5)) for seed in range(4)]
     cases.append(Dataset.from_texts(["0101", "01?0", "10?1"], ["0?10", "1000", "1100", "1001", "01??"]))
     cases.append(Dataset.from_texts(["?00", "???", "0?1"], ["0?1", "00?", "?0?", "1?0"]))
@@ -577,8 +583,8 @@ def test_a_terms_live_sets_form_a_rectangle():
     # dense in Unknowns, with a _TermEngine stepped beside them: the engine
     # keeps only the rectangle of rows and strikes a pick's complement from
     # each kept positive's open mask, which is sound only if these hold.
-    # The engine is traced, so that every apply sums its tiers: untraced,
-    # a pick the rows force closes the term unsummed
+    # The engine is summed after every apply that leaves a set live, as
+    # ``term`` sums it before each select
     rng = random.Random(5)
     cases = [
         # an all-? negative decides no literal: it has nf = 0 against
@@ -606,8 +612,7 @@ def test_a_terms_live_sets_form_a_rectangle():
         }
         if not all(first.values()):
             continue  # equal certain rows, which the consistency check rejects
-        engine = _TermEngine(n, p * q, [])
-        engine.open(*row_masks(d))
+        engine = summed(_TermEngine(n, p * q, []), d)
         sets, picks = first, []
         while sets and all(sets.values()):
             assert _engine_tiers(engine) == _leading_tiers(sets.values(), n), rows
@@ -637,15 +642,17 @@ def test_a_terms_live_sets_form_a_rectangle():
                 struck = {(c + n) % (2 * n) for c in picks if u.cell(lits[c].var - 1) is Trit.UNKNOWN}
                 assert grades == {c: g for c, g in first[i, j].items() if c not in struck}, rows
             empty = [(i + 1, j + 1) for (i, j), grades in sets.items() if not grades]
+            engine.apply(code)
             if empty:
                 # the engine aborts at the same pick, naming the first empty set
                 with pytest.raises(ConsistencyAbort) as err:
-                    engine.apply(code)
+                    summed(engine)
                 assert (err.value.reason, err.value.pairs) == ("empty-constraint-set", (empty[0],))
             else:
-                engine.apply(code)
                 # learn erases the live positives of a finished term
                 assert [u[3] - 1 for u in engine.live_u] == live_u, rows
+                if sets:
+                    summed(engine)
         assert bool(engine.live_v) == bool(sets), rows
         ends.append("term" if not sets else "empty-constraint-set")
     assert len(ends) > 200 and "empty-constraint-set" in ends
@@ -662,8 +669,7 @@ def test_packed_fields_hold_their_largest_sum():
     for p, q, pairs in cases + [(1, 1, 1 << 31), (2, 3, (1 << 63) - 1)]:
         d = Dataset.from_texts(["11"] * p, ["??"] * q)
         trace: list[str] = []
-        engine = _TermEngine(d.n, pairs, trace)
-        engine.open(*row_masks(d))
+        engine = summed(_TermEngine(d.n, pairs, trace), d)
         assert engine.width == min(w for w in (8, 16, 32, 64) if 2 * pairs < 1 << w)
         assert engine.tiers == {4: 2 * p * q * (1 + (1 << engine.width))}
         assert engine.select() == 0
@@ -821,8 +827,7 @@ def test_certain_clusters_hold_every_exact_maximum(monkeypatch):
     for positives, negatives in _certain_rectangles(random.Random(42), 600):
         d = Dataset.from_texts(positives, negatives)
         for trace in ([], None):
-            engine = _TermEngine(d.n, d.p * d.q, trace)
-            engine.open(*row_masks(d))
+            engine = summed(_TermEngine(d.n, d.p * d.q, trace), d)
             while engine.live_v:
                 exact = engine.scores(range(2 * d.n))
                 best = max(exact.values())
@@ -835,8 +840,10 @@ def test_certain_clusters_hold_every_exact_maximum(monkeypatch):
                     assert len(asked) == 1 and maxima <= asked[0], (positives, negatives)
                     seen["selects"] += 1
                     seen["rounded"] += lead[code] < max(lead)
-                if engine.apply(code) is not None:
+                engine.apply(code)
+                if not engine.live_v or engine._forced() is not None:
                     break
+                summed(engine)
     assert seen["selects"] > 1000 and seen["rounded"] > 50, seen
 
 
