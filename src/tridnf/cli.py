@@ -255,10 +255,17 @@ def _parse_truth(token: str) -> DnfFormula:
         raise
 
 
-def _formula_paths(out: Path) -> tuple[Path, Path]:
-    if out.suffix == ".json":
-        return out.with_suffix(".txt"), out
-    return out, out.with_suffix(".json")
+def _formula_paths(out: str) -> tuple[Path, Path]:
+    """The text and JSON files of ``learn --output out``: out, and out
+    with the other suffix.  A path with no file name ('', '.', '/') has
+    no suffix to change and names no file: it is opened as given, which
+    raises the OS's error naming it, as for --trace."""
+    path = Path(out)
+    if not path.name:
+        open(out, "w", encoding="utf-8").close()
+    if path.suffix == ".json":
+        return path.with_suffix(".txt"), path
+    return path, path.with_suffix(".json")
 
 
 def _report(args, payload: dict, lines: list[str]) -> None:
@@ -279,7 +286,7 @@ def cmd_learn(args) -> int:
             handle.writelines(f"{line}\n" for line in result.trace)
     if isinstance(result, ConsistencyAbort):
         raise result
-    text_path, json_path = _formula_paths(Path(args.output))
+    text_path, json_path = _formula_paths(args.output)
     formula = result.formula.render()
     text_path.write_text(formula + "\n", encoding="utf-8")
     json_path.write_text(result.formula.to_json() + "\n", encoding="utf-8")

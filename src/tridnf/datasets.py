@@ -92,9 +92,10 @@ def load_zoo(path: str | Path) -> list[ZooRecord]:
     """Read animal records from ``path``.
 
     Raises ParseError (with a 1-based line number) on any malformed line
-    and warns with CountWarning when the record count is not 101.
+    and warns with CountWarning when the record count is not 101.  A
+    leading UTF-8 byte-order mark is not part of the first name.
     """
-    text = read_text(path)
+    text = read_text(path, "utf-8-sig")
     records: list[ZooRecord] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -52,10 +52,12 @@ changes, so one derivation serves the forced-pick test, every opening
 and the negative updates of all the terms the row outlives.  The engine
 fixes the field width W from the input's pair count, which bounds every
 later iteration's, and dilates each 2n-bit mask once, through one memo
-keyed by the mask, whichever rows of either class carry it.  What
-depends only on n and W (the word of every field's low bit, the tables
-that dilate a mask, the lane masks of ``_leads``) is made once per
-(n, W) and kept at module level for every later learn.  A term's
+keyed by the mask, whichever rows of either class carry it.  A
+dilation is one C-level step for every n: the mask's binary digits are
+encoded in a codec whose code unit is W bits wide and read back as one
+integer (see ``_dilation``).  What depends only on n and W (the word of
+every field's low bit, that dilation, the lane masks of ``_leads``) is
+made once per (n, W) and kept for every later learn.  A term's
 opening sums carry over by value: a positive's sums depend only on its
 row and the negatives' rows, so they are kept by the positive's mask,
 and when few negatives' masks changed since the last opening, a
@@ -64,13 +66,13 @@ instead of summing all of them.
 """
 from __future__ import annotations
 
+import codecs
 import struct
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, Inexact, localcontext
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from itertools import chain
-from operator import getitem
 
 from .errors import ConsistencyAbort
 from .formula import DnfFormula, Term, term_from_codes
@@ -123,44 +125,41 @@ def _abort(trace: list[str] | None, reason: str, **details) -> None:
 
 
 _SCALE = 1 << 30  # the leads' scale d: d // t fits one 30-bit CPython digit for every t >= 2
-_LAYOUTS: dict[tuple[int, int], tuple] = {}  # (n, W) -> unit word, dilation tables, lanes
+_CODECS = {8: "latin-1", 16: "utf-16-be", 32: "utf-32-be"}  # W -> the codec of W-bit code units
 
 
-def _layout(n: int, w: int) -> tuple[int, tuple, tuple]:
+@cache
+def _layout(n: int, w: int) -> tuple:
     """The constants of every term engine on n variables at field width
     w, made once per (n, w): the word with the low bit of each of the 2n
-    fields, the dilation tables of the 2n-bit masks, and the lanes of
-    ``_leads``, its phase masks and the ``struct`` that reads a phase.
-    A lead is below 2^W * d = 2^(W+30), so a lane is 64*r bits, r =
-    ceil((W + 30) / 64): one 64-bit word for W <= 32 and two for W = 64.
-    There is one table per byte of a 2n-bit mask, at most 8: table k's
-    entries reach bit 8*(k+1)*w, so tables for every byte of a wide mask
-    would grow with n squared."""
-    layout = _LAYOUTS.get((n, w))
-    if layout is None:
-        byte = [sum(1 << k * w for k in range(8) if b >> k & 1) for b in range(256)]
-        tables = tuple(tuple(x << 8 * k * w for x in byte) for k in range(min(8, -(-n // 4))))
-        codes, r = 2 * n, -(-(w + _SCALE.bit_length() - 1) // 64)
-        k = 64 * r // w  # fields per lane
-        count = -(-codes // k)  # lanes per phase
-        mask = sum((1 << w) - 1 << 64 * r * m for m in range(count))
-        lanes = tuple(mask << j * w for j in range(min(k, codes))), struct.Struct(f"<{count * r}Q")
-        layout = _LAYOUTS[n, w] = sum(1 << c * w for c in range(codes)), tables, lanes
-    return layout
+    fields, the dilation of the 2n-bit masks (``_dilation``), and the
+    lanes of ``_leads``, its phase masks and the ``struct`` that reads a
+    phase.  A lead is below 2^W * d = 2^(W+30), so a lane is 64*r bits,
+    r = ceil((W + 30) / 64): one 64-bit word for W <= 32 and two for
+    W = 64."""
+    codes, r = 2 * n, -(-(w + _SCALE.bit_length() - 1) // 64)
+    dilate = _dilation(codes, w)
+    k = 64 * r // w  # fields per lane
+    count = -(-codes // k)  # lanes per phase
+    mask = sum((1 << w) - 1 << 64 * r * m for m in range(count))
+    lanes = tuple(mask << j * w for j in range(min(k, codes))), struct.Struct(f"<{count * r}Q")
+    return dilate((1 << codes) - 1), dilate, lanes
 
 
-def _dilate(bits: int, tables: tuple) -> int:
-    """``bits`` with bit k moved to bit k*W: one table entry per byte,
-    summed, table k holding each byte value dilated and shifted to byte
-    k's fields (see ``_layout``).  Bits past the tables' bytes are
-    dilated in chunks of that many bytes; W is read off table 0, whose
-    entry for byte value 2 is 1 << W."""
-    try:
-        return sum(map(getitem, tables, bits.to_bytes(len(tables), "little")))
-    except OverflowError:
-        k, w = 8 * len(tables), tables[0][2].bit_length() - 1
-        chunks = range(0, bits.bit_length(), k)
-        return sum(_dilate(bits >> s & (1 << k) - 1, tables) << s * w for s in chunks)
+def _dilation(digits: int, w: int):
+    """The function that moves bit k of a mask below 2^digits to bit k*w,
+    for w in 8, 16, 32 or 64, in C for every width of mask: the mask is
+    written as ``digits`` binary digits, each digit encoded as one
+    big-endian w-bit code unit ('0' is 0x30 and '1' is 0x31 in all
+    three codecs), and the bytes read back as one integer, less the word
+    of the '0' digits, which holds 0x30 in every field.  W = 64 is two
+    8-bit dilations, the second of the first's 8*digits-bit result."""
+    if w == 64:
+        low, high = _dilation(digits, 8), _dilation(8 * digits, 8)
+        return lambda bits: high(low(bits))
+    encode, form = codecs.lookup(_CODECS[w]).encode, f"0{digits}b"
+    zeros = int.from_bytes(encode("0" * digits)[0], "big")
+    return lambda bits: int.from_bytes(encode(format(bits, form))[0], "big") - zeros
 
 
 def _fraction_sum(terms: list[tuple[int, int]]) -> Fraction:
@@ -251,9 +250,10 @@ class _TermEngine:
     floor(d/t) at the fixed scale d = 2^30 and adds them at once in lanes
     of 64*r bits, wide enough that none carries, and reads each lane back
     as r little-endian words (see ``_leads``).  ``unit`` (each field's
-    low bit), ``tables`` (see ``_dilate``) and ``lanes`` (the phase masks
-    and ``struct`` of ``_leads``) are the constants of (n, W), shared by
-    every engine of that shape (see ``_layout``).
+    low bit), the dilation that ``dilated`` memoizes (see ``_dilation``)
+    and ``lanes`` (the phase masks and ``struct`` of ``_leads``) are the
+    constants of (n, W), shared by every engine of that shape (see
+    ``_layout``).
     ``learn`` passes the input's p*q as ``pairs``: later iterations only
     erase, dedupe or fill rows, so no term's p*q is larger.
     """
@@ -264,8 +264,8 @@ class _TermEngine:
             raise OverflowError(f"{pairs} constraint sets overflow a 64-bit field")
         self.n, self.trace = n, trace
         self.width, self.field = w, (1 << w) - 1
-        self.unit, self.tables, self.lanes = _layout(n, w)
-        self.dilated = cache(partial(_dilate, tables=self.tables))  # 2n-bit mask -> the mask dilated
+        self.unit, dilate, self.lanes = _layout(n, w)
+        self.dilated = cache(dilate)  # 2n-bit mask -> the mask dilated
         self.opened = None
 
     def open(self, us, vs) -> None:

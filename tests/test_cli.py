@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, file products, exit codes."""
 
+import errno
 import json
 import os
 import random
@@ -954,6 +955,17 @@ def test_other_file_errors_keep_the_os_message(tmp_path, capsys):
     )
     assert (code, stdout) == (2, "")
     assert err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+
+
+@pytest.mark.parametrize("output, code", [("", errno.ENOENT), (".", errno.EISDIR), ("/", errno.EISDIR)])
+def test_learn_output_with_no_file_name_keeps_the_os_message(tmp_path, capsys, monkeypatch, output, code):
+    # no suffix can be put on these paths: the OS refuses to open them,
+    # as it refuses --output .. or --trace ., and nothing is written
+    monkeypatch.chdir(tmp_path)
+    exit_code, stdout, err = run(capsys, "learn", "--format", "zoo", "--positive-type", "1", "--output", output)
+    assert (exit_code, stdout) == (2, "")
+    assert err == f"error: [Errno {code}] {os.strerror(code)}: {output!r}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_long_paths_are_shown_clipped(tmp_path, capsys, monkeypatch):

@@ -200,6 +200,14 @@ def test_csv_with_bom_and_crlf_loads_like_the_plain_file(tmp_path):
     assert load_ternary_csv(marked) == load_ternary_csv(plain)
 
 
+def test_zoo_file_with_bom_loads_like_the_bundled_file(tmp_path, zoo_records):
+    # the mark is not part of the first animal's name, aardvark
+    marked = tmp_path / "zoo.data"
+    marked.write_bytes(b"\xef\xbb\xbf" + bundled_zoo_path().read_bytes())
+    assert load_zoo(marked) == zoo_records
+    assert zoo_records[0].name == "aardvark"
+
+
 def test_csv_header_is_enforced(tmp_path):
     path = tmp_path / "rows.csv"
     path.write_text("a,b,label\n1,0,+\n", encoding="utf-8")

@@ -362,18 +362,23 @@ def test_learner_equals_reference_at_benchmark_scale():
     assert regraded
 
 
-def test_engine_constants_are_kept_per_variable_count_and_width(monkeypatch):
-    # the unit word, dilation tables and lane masks depend on n as well as
-    # on the field width W: 20 rows on 6 and on 40 variables, both at
-    # W = 8, learned in either order from no kept constants.  At n = 40
-    # the 80-bit masks outrun the 8 bytes of tables and are dilated in chunks
+def test_engine_constants_are_kept_per_variable_count_and_width():
+    # the unit word, dilation and lane masks depend on n as well as on
+    # the field width W: 20 rows on 6 and on 40 variables, both at W = 8,
+    # learned in either order from no kept constants.  At n = 40 the
+    # 80-bit masks are wider than one 64-bit word
     cases = {n: _masked_rows(n, n, 8, 12, Fraction(1, 5)) for n in (6, 40)}
     for order in ((6, 40), (40, 6)):
-        monkeypatch.setattr(learner, "_LAYOUTS", {})
+        learner._layout.cache_clear()
         for n in order:
             d = cases[n]
             assert _outcome(_traced_learn, d) == _outcome(reference_learn, d), (order, n)
-        assert set(learner._LAYOUTS) == {(6, 8), (40, 8)}
+        info = learner._layout.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 2, 2), (order, info)
+        # and those two are the constants kept: asking for them again hits
+        learner._layout(6, 8)
+        learner._layout(40, 8)
+        assert learner._layout.cache_info()[:2] == (2, 2)
 
 
 def test_certain_rows_are_selected_from_their_exact_leads(monkeypatch):
@@ -893,13 +898,18 @@ def test_rows_with_equal_decided_masks_share_one_dilation(monkeypatch):
     # another, and each pair shares its open mask.  Per learn, each
     # 2n-bit mask is dilated once, whichever rows and classes carry it
     calls = Counter()
-    real_dilate = learner._dilate
+    real_layout = learner._layout
 
-    def dilate(bits, tables):
-        calls[bits] += 1
-        return real_dilate(bits, tables)
+    def layout(n, w):
+        unit, real_dilate, lanes = real_layout(n, w)
 
-    monkeypatch.setattr(learner, "_dilate", dilate)
+        def dilate(bits):
+            calls[bits] += 1
+            return real_dilate(bits)
+
+        return unit, dilate, lanes
+
+    monkeypatch.setattr(learner, "_layout", layout)
     d = Dataset.from_texts(["10?", "0?1"], ["01?", "1?0"])
     expected = reference_learn(d)
     for run, want in ((learn, replace(expected, trace=())), (_traced_learn, expected)):
@@ -939,11 +949,11 @@ def test_grades_of_dilated_masks_are_the_dilated_grades():
     rng = random.Random(8)
     for w in (8, 16, 32, 64):
         for n in range(1, 41):
-            tables = learner._layout(n, w)[1]
+            dilate = learner._layout(n, w)[1]
             for _ in range(4):
                 masks = [rng.getrandbits(2 * n) for _ in range(4)]
-                dilated = [learner._dilate(mask, tables) for mask in masks]
-                want = tuple(learner._dilate(g, tables) for g in learner._grades(*masks))
+                dilated = [dilate(mask) for mask in masks]
+                want = tuple(dilate(g) for g in learner._grades(*masks))
                 assert learner._grades(*dilated) == want, (w, n, masks)
 
 
@@ -1014,14 +1024,15 @@ def test_dilate_equals_its_string_definition():
     def by_string(bits: int, n: int, width: int) -> int:
         return int(("0" * (width - 1)).join(format(bits, f"0{n}b")), 2)
 
-    # with the tables of 32 variables, which cover 8 bytes, and of 1
-    # variable, whose one table dilates wider bits a byte at a time
+    # for every field width the term engine picks, on masks of n digits
+    # from 1 to 10,000, past one byte, one 64-bit word and a row of 320
+    # variables' 640-bit masks
     rng = random.Random(5)
-    for width in range(1, 41):
-        for tables in (learner._layout(32, width)[1], learner._layout(1, width)[1]):
-            for n in (1, 7, 8, 9, 16, 40, 63, 64):
-                for bits in (0, 1, (1 << n) - 1, 1 << (n - 1), *(rng.getrandbits(n) for _ in range(8))):
-                    assert learner._dilate(bits, tables) == by_string(bits, n, width), (bits, width)
+    for width in (8, 16, 32, 64):
+        for n in (1, 7, 8, 9, 16, 40, 63, 64, 320, 10_000):
+            dilate = learner._dilation(n, width)
+            for bits in (0, 1, (1 << n) - 1, 1 << (n - 1), *(rng.getrandbits(n) for _ in range(8))):
+                assert dilate(bits) == by_string(bits, n, width), (bits, width)
 
 
 def test_no_negatives_learn_the_empty_term():

@@ -69,12 +69,14 @@ def test_counter_prints_each_module_then_the_total(tmp_path, capsys):
 
 def test_engine_counts_of_the_default_sweep(monkeypatch, capsys):
     # one sum per select: a forced pick closes its term unsummed, and a
-    # term that picks its last literal by select is not summed again
+    # term that picks its last literal by select is not summed again; each
+    # learn dilates each of its distinct masks once
     counts = engine_counts.engine_counts()
     assert counts == {
         "learns": 147, "terms": 212, "picks": 509,
         "forced picks at openings": 22, "forced picks after picks": 88,
         "selects": 399, "sums": 399, "sums on an empty rectangle": 0, "pairs summed": 138_287,
+        "dilations": 16_719,
     }
     assert engine_counts.main() == 0
     lines = capsys.readouterr().out.splitlines()

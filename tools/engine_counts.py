@@ -13,7 +13,9 @@ default (classes 1-7, random and trustworthy masking, 0-50% in steps of
 - forced picks: picks made without a select, at a term's opening or after
   its picks;
 - selects, sums, sums over an empty rectangle, and the pairs summed (the
-  live positives times the live negatives of each sum).
+  live positives times the live negatives of each sum);
+- dilations: calls of the function that each engine's ``dilated`` memo
+  wraps, one per distinct 2n-bit mask of a learn.
 
 Counts do not drift with the machine, so they pin the engine's work where
 a timing cannot.  The wrappers are removed when the run ends.
@@ -21,6 +23,7 @@ a timing cannot.  The wrappers are removed when the run ends.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from tridnf import bundled_zoo_path, load_zoo, run_experiment
 from tridnf.learner import _TermEngine
@@ -33,7 +36,7 @@ GRID = dict(
 )
 NAMES = (
     "learns", "terms", "picks", "forced picks at openings", "forced picks after picks",
-    "selects", "sums", "sums on an empty rectangle", "pairs summed",
+    "selects", "sums", "sums on an empty rectangle", "pairs summed", "dilations",
 )
 
 
@@ -45,6 +48,13 @@ def engine_counts() -> dict[str, int]:
     def init(self, *args):
         counts["learns"] += 1
         real["__init__"](self, *args)
+        dilate = self.dilated.__wrapped__
+
+        def counted(bits):
+            counts["dilations"] += 1
+            return dilate(bits)
+
+        self.dilated = cache(counted)
 
     def term(self, us, vs):
         before = counts["selects"]
