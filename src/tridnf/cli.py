@@ -255,17 +255,33 @@ def _parse_truth(token: str) -> DnfFormula:
         raise
 
 
+def _writable(*paths) -> None:
+    """Refuse, before any work, each output path that ``open(path, "w")``
+    would refuse for what it names, raising the ``OSError`` open would
+    raise, so the message is the OS's: an empty path (ENOENT), a
+    directory or a path that ends in a separator (EISDIR), or a parent
+    directory that is missing or is not one, refused as the lookup of
+    the parent itself is (ENOENT, ENOTDIR).  Other refusals, such as a
+    file name too long, still come when the file is written."""
+    for path in map(os.fspath, paths):
+        if path.endswith(os.sep) or os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        try:  # the parent's lookup; for '' the lookup of '', which fails as open('') does
+            os.stat(os.path.join(os.path.dirname(path), ".") if path else path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
+
+
 def _formula_paths(out: str) -> tuple[Path, Path]:
     """The text and JSON files of ``learn --output out``: out, and out
-    with the other suffix.  A path with no file name ('', '.', '/') has
-    no suffix to change and names no file: it is opened as given, which
-    raises the OS's error naming it, as for --trace."""
+    with the other suffix, each checked by ``_writable``.  out is checked
+    first, so a path with no file name ('', '.', '/'), which has no
+    suffix to change, is refused in the OS's words, as for --trace."""
+    _writable(out)
     path = Path(out)
-    if not path.name:
-        open(out, "w", encoding="utf-8").close()
-    if path.suffix == ".json":
-        return path.with_suffix(".txt"), path
-    return path, path.with_suffix(".json")
+    paths = (path.with_suffix(".txt"), path) if path.suffix == ".json" else (path, path.with_suffix(".json"))
+    _writable(*paths)
+    return paths
 
 
 def _report(args, payload: dict, lines: list[str]) -> None:
@@ -276,9 +292,11 @@ def _report(args, payload: dict, lines: list[str]) -> None:
 
 def cmd_learn(args) -> int:
     dataset = _load_dataset(args)
-    config = LearnerConfig(trace=args.trace is not None)
+    if args.trace is not None:
+        _writable(args.trace)
+    text_path, json_path = _formula_paths(args.output)
     try:
-        result = learn(dataset, config)
+        result = learn(dataset, LearnerConfig(trace=args.trace is not None))
     except ConsistencyAbort as abort:
         result = abort  # the trace is written as for a result, then the abort raised
     if args.trace is not None:
@@ -286,7 +304,6 @@ def cmd_learn(args) -> int:
             handle.writelines(f"{line}\n" for line in result.trace)
     if isinstance(result, ConsistencyAbort):
         raise result
-    text_path, json_path = _formula_paths(args.output)
     formula = result.formula.render()
     text_path.write_text(formula + "\n", encoding="utf-8")
     json_path.write_text(result.formula.to_json() + "\n", encoding="utf-8")
@@ -310,6 +327,7 @@ def cmd_mask(args) -> int:
     truth = _parse_truth(args.truth) if args.truth else None
     if args.mode == TRUSTWORTHY and truth is None:
         raise ValueError("--truth is required for trustworthy masking")
+    _writable(args.output)
     plan = make_mask(dataset, args.mode, args.fraction, args.seed, truth)
     masked = apply_mask(dataset, plan)
     save_ternary_csv(masked, args.output)
@@ -334,6 +352,10 @@ def cmd_eval(args) -> int:
 
 def cmd_experiment(args) -> int:
     records = load_zoo(args.dataset or bundled_zoo_path())
+    report_path = Path(args.report)
+    _writable(report_path)  # before a suffix is put on it
+    csv_path = report_path.with_suffix(".runs.csv" if report_path.suffix == ".csv" else ".csv")
+    _writable(csv_path)
     report = run_experiment(
         records,
         args.types,
@@ -342,11 +364,7 @@ def cmd_experiment(args) -> int:
         args.seeds,
         legs_order=args.encoding,
     )
-    report_path = Path(args.report)
     report_path.write_text(report.render_text(), encoding="utf-8")
-    csv_path = report_path.with_suffix(".csv")
-    if csv_path == report_path:
-        csv_path = report_path.with_suffix(".runs.csv")
     with open(csv_path, "w", encoding="utf-8", newline="") as handle:
         csv.writer(handle).writerows(report.csv_rows())
     summary = [

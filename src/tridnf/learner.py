@@ -22,13 +22,13 @@ estimate is each literal's leading tier: its full grades, each over its
 set's count nf of full grades, plus, in the sets with no full grade, its
 half and quarter weight over the set's weight nr.  At the grade scale
 2^(p+q+1) it is within total*2n/scale of the exact score.  The tiers are
-packed integers with one field per literal, 8, 16, 32 or 64 bits wide,
+packed integers with one field per literal, 8, 16 or 32 bits wide,
 summed anew over the rectangle before every select (see ``_TermEngine``).
 Each literal's estimate is read at one fixed scale, d = 2^30, as the
 whole number sum of its fields times floor(d/t) over the tiers t, from
-lanes of 64*r bits in which every tier's fields are weighted and added
-at once; a literal's fields over all tiers hold less than 2^W, so a lane
-of W + 30 bits or more does not carry into the next (see
+64-bit lanes in which every tier's fields are weighted and added at
+once; a literal's fields over all tiers hold less than 2^W, so its lane
+needs W + 30 <= 62 bits and does not carry into the next (see
 ``_TermEngine._leads``).  The floors leave each estimate short by less
 than the literal's field total, a slack the cluster test adds to the
 proven bound.  With no open cell in the live rows every set's share is
@@ -49,9 +49,11 @@ One ``_TermEngine`` serves a whole learn and never sees an ``Instance``:
 it works on each row's decided and open masks (``_masks``), which
 ``learn`` makes with the row, once, and keeps beside it until the row
 changes, so one derivation serves the forced-pick test, every opening
-and the negative updates of all the terms the row outlives.  The engine
-fixes the field width W from the input's pair count, which bounds every
-later iteration's, and dilates each 2n-bit mask once, through one memo
+and the negative updates of all the terms the row outlives.  ``learn``
+makes the engine on its first outer iteration, which fixes the field
+width W from the pair count of the deduplicated working rows, which
+bounds every later iteration's; a learn of 2^31 or more constraint sets
+is refused there.  The engine dilates each 2n-bit mask once, through one memo
 keyed by the mask, whichever rows of either class carry it.  A
 dilation is one C-level step for every n: the mask's binary digits are
 encoded in a codec whose code unit is W bits wide and read back as one
@@ -74,7 +76,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain
 
-from .errors import ConsistencyAbort
+from .errors import ConsistencyAbort, TridnfError
 from .formula import DnfFormula, Term, term_from_codes
 from .trits import (
     Dataset,
@@ -134,29 +136,23 @@ def _layout(n: int, w: int) -> tuple:
     w, made once per (n, w): the word with the low bit of each of the 2n
     fields, the dilation of the 2n-bit masks (``_dilation``), and the
     lanes of ``_leads``, its phase masks and the ``struct`` that reads a
-    phase.  A lead is below 2^W * d = 2^(W+30), so a lane is 64*r bits,
-    r = ceil((W + 30) / 64): one 64-bit word for W <= 32 and two for
-    W = 64."""
-    codes, r = 2 * n, -(-(w + _SCALE.bit_length() - 1) // 64)
+    phase.  A lead is below 2^W * d = 2^(W+30), at most 2^62, so a lane
+    is one 64-bit word."""
+    codes, k = 2 * n, 64 // w  # k fields per lane
     dilate = _dilation(codes, w)
-    k = 64 * r // w  # fields per lane
     count = -(-codes // k)  # lanes per phase
-    mask = sum((1 << w) - 1 << 64 * r * m for m in range(count))
-    lanes = tuple(mask << j * w for j in range(min(k, codes))), struct.Struct(f"<{count * r}Q")
+    mask = sum((1 << w) - 1 << 64 * m for m in range(count))
+    lanes = tuple(mask << j * w for j in range(min(k, codes))), struct.Struct(f"<{count}Q")
     return dilate((1 << codes) - 1), dilate, lanes
 
 
 def _dilation(digits: int, w: int):
     """The function that moves bit k of a mask below 2^digits to bit k*w,
-    for w in 8, 16, 32 or 64, in C for every width of mask: the mask is
+    for w in 8, 16 or 32, in C for every width of mask: the mask is
     written as ``digits`` binary digits, each digit encoded as one
     big-endian w-bit code unit ('0' is 0x30 and '1' is 0x31 in all
     three codecs), and the bytes read back as one integer, less the word
-    of the '0' digits, which holds 0x30 in every field.  W = 64 is two
-    8-bit dilations, the second of the first's 8*digits-bit result."""
-    if w == 64:
-        low, high = _dilation(digits, 8), _dilation(8 * digits, 8)
-        return lambda bits: high(low(bits))
+    of the '0' digits, which holds 0x30 in every field."""
     encode, form = codecs.lookup(_CODECS[w]).encode, f"0{digits}b"
     zeros = int.from_bytes(encode("0" * digits)[0], "big")
     return lambda bits: int.from_bytes(encode(format(bits, form))[0], "big") - zeros
@@ -245,23 +241,26 @@ class _TermEngine:
     per quarter) of the sets with nf = 0 summed by nr.  A set adds at most
     2 to a field and there are at most p*q sets, so no field carries into
     the next, nor does a literal's sum over all tiers reach 2^W.  W is the
-    narrowest of 8, 16, 32 and 64 bits that holds 2*pairs, so a 64-bit
-    word holds whole fields: ``select`` weighs every tier's fields by
-    floor(d/t) at the fixed scale d = 2^30 and adds them at once in lanes
-    of 64*r bits, wide enough that none carries, and reads each lane back
-    as r little-endian words (see ``_leads``).  ``unit`` (each field's
+    narrowest of 8, 16 and 32 bits that holds 2*p*q, so a 64-bit word
+    holds whole fields: ``select`` weighs every tier's fields by
+    floor(d/t) at the fixed scale d = 2^30 and adds them at once in
+    64-bit lanes, wide enough that none carries, and reads each lane back
+    as one little-endian word (see ``_leads``).  ``unit`` (each field's
     low bit), the dilation that ``dilated`` memoizes (see ``_dilation``)
     and ``lanes`` (the phase masks and ``struct`` of ``_leads``) are the
     constants of (n, W), shared by every engine of that shape (see
     ``_layout``).
-    ``learn`` passes the input's p*q as ``pairs``: later iterations only
-    erase, dedupe or fill rows, so no term's p*q is larger.
+    ``learn`` makes the engine on its first outer iteration and passes
+    the p and q of the deduplicated working rows: later iterations only
+    erase, dedupe or fill rows, so no term's p*q is larger.  A p*q of
+    2^31 or more, whose sums could fill a 32-bit field, is refused with a
+    ``TridnfError``.
     """
 
-    def __init__(self, n: int, pairs: int, trace: list[str] | None):
-        w = next((w for w in (8, 16, 32, 64) if not 2 * pairs >> w), None)
+    def __init__(self, n: int, p: int, q: int, trace: list[str] | None):
+        w = next((w for w in (8, 16, 32) if not 2 * p * q >> w), None)
         if w is None:
-            raise OverflowError(f"{pairs} constraint sets overflow a 64-bit field")
+            raise TridnfError(f"{p} positive and {q} negative rows make {p * q} constraint sets, past 2^31 - 1")
         self.n, self.trace = n, trace
         self.width, self.field = w, (1 << w) - 1
         self.unit, dilate, self.lanes = _layout(n, w)
@@ -278,8 +277,7 @@ class _TermEngine:
         before each select.
         """
         p, q = len(us), len(vs)
-        self.norm = p * q
-        self.scale = 1 << (p + q + 1)
+        self.norm, self.scale = p * q, 1 << (p + q + 1)
         dilated, field, count = self.dilated, self.field, 1 << 2 * self.n * self.width
         self.live_u = [(on, op, dilated(on) * field, i) for i, (on, op) in enumerate(us, 1)]
         self.live_v = [(off, op, dilated(off) | count, j) for j, (off, op) in enumerate(vs, 1)]
@@ -395,13 +393,13 @@ class _TermEngine:
         rounding, which is below c's field total, at most 2*pairs.
 
         Over all tiers a code's fields add up to at most 2*pairs < 2^W, so
-        its lead is below 2^(W+30) and fits a lane of 64*r bits (see
-        ``_layout``).  A lane spans k = 64*r/W fields, and phase j takes
+        its lead is below 2^(W+30) <= 2^62 and fits a 64-bit lane (see
+        ``_layout``).  A lane spans k = 64/W fields, and phase j takes
         field j of every lane, codes j, j+k, j+2k, ...: it masks each tier
         word to those fields, adds them up times floor(d/t) and shifts the
         sum down j fields, so each lane holds one code's lead and none
         carries into the next.  A phase is read with one ``struct`` unpack
-        of its little-endian 64-bit words, r of which make a lane.
+        of its little-endian 64-bit lanes.
         """
         w, codes, (masks, words) = self.width, 2 * self.n, self.lanes
         terms = [(word, _SCALE // t) for t, word in self.tiers.items()]
@@ -410,10 +408,7 @@ class _TermEngine:
             part = 0
             for word, m in terms:
                 part += (word & mask) * m
-            lanes = words.unpack((part >> j * w).to_bytes(words.size, "little"))
-            if w == 64:  # r = 2: a lane is two words, the low one first
-                lanes = [low | high << 64 for low, high in zip(lanes[::2], lanes[1::2])]
-            parts.append(lanes)
+            parts.append(words.unpack((part >> j * w).to_bytes(words.size, "little")))
         # lane m of phase j holds code m*k + j
         return list(chain.from_iterable(zip(*parts)))[:codes]
 
@@ -576,7 +571,9 @@ def learn(dataset: Dataset, config: LearnerConfig | None = None) -> LearnResult:
 
     Raises ConsistencyAbort when the data is (or becomes, after negative
     updates) self-contradictory.  Every outer iteration erases at least one
-    positive or aborts, so there are at most p of them.
+    positive or aborts, so there are at most p of them.  Raises
+    TridnfError, before any sum, when the first iteration's deduplicated
+    rows make 2^31 or more constraint sets (see ``_TermEngine``).
 
     Each working row's masks (``_masks``) are made with the row and kept
     beside it in ``us`` and ``vs``: all of them again only when
@@ -593,21 +590,21 @@ def learn(dataset: Dataset, config: LearnerConfig | None = None) -> LearnResult:
     cfg = config or LearnerConfig()
     trace: list[str] | None = [] if cfg.trace else None
 
-    n = dataset.n
-    full = (1 << n) - 1
+    n, full = dataset.n, (1 << dataset.n) - 1
     # default ids come from input position and then travel with the row
     # through reductions, dedupes, and updates
     positives = _named(dataset.positives, "u")
     negatives = _named(dataset.negatives, "v")
-    us = vs = None  # the rows' masks, made on the first outer iteration
+    # the rows' masks and the one engine, made on the first outer iteration
+    us = vs = engine = None
 
     terms: list[Term] = []
     erased: list[Instance] = []
-    engine = _TermEngine(n, len(positives) * len(negatives), trace)
 
     while positives:
         given = Dataset(n, tuple(positives), tuple(negatives))
         work = delete_repetitions(reduce_uncertainty(given))
+        engine = engine or _TermEngine(n, work.p, work.q, trace)
         clashes = check_self_consistency(work)
         if clashes:
             _abort(trace, "inconsistent-data", pairs=clashes)

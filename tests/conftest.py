@@ -18,6 +18,8 @@ from tridnf import (
     ConsistencyAbort,
     Dataset,
     DnfFormula,
+    Instance,
+    Label,
     Verdict,
     apply_mask,
     bundled_zoo_path,
@@ -54,6 +56,17 @@ def row_masks(d: Dataset) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]
     return _masks(d.positives, d.n, False), _masks(d.negatives, d.n, True)
 
 
+def certain_rows(n: int, values: list[int], p: int) -> Dataset:
+    """Certain rows of width n with the given values, the first p positive,
+    built as ``Instance``s directly, which is fast for many rows."""
+    full = (1 << n) - 1
+    return Dataset(
+        n,
+        tuple(Instance(n, x, full, Label.POSITIVE) for x in values[:p]),
+        tuple(Instance(n, x, full, Label.NEGATIVE) for x in values[p:]),
+    )
+
+
 def summed(engine: _TermEngine, d: Dataset | None = None) -> _TermEngine:
     """``engine`` with the tiers of its live rectangle summed from fresh
     slot lists, as ``term`` sums them before a select; opened first on
@@ -68,7 +81,7 @@ def without_safeguards(d: Dataset) -> DnfFormula:
     """The term loop of ``learn`` with no uncertainty reduction, no dedupe,
     no consistency check and no negative updates."""
     (us, vs), terms = row_masks(d), []
-    engine = _TermEngine(d.n, d.p * d.q, None)
+    engine = _TermEngine(d.n, d.p, d.q, None)
     while us:
         codes, cover = engine.term(us, vs)
         terms.append(term_from_codes(d.n, codes))

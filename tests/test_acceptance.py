@@ -250,7 +250,7 @@ def test_criterion_8_exact_arithmetic_oracle():
             tuple(Instance.from_cells(v, Label.NEGATIVE, f"v{j + 1}") for j, v in enumerate(Q)),
         )
         trace: list[str] = []
-        engine = summed(_TermEngine(n, p * q, trace), d)
+        engine = summed(_TermEngine(n, p, q, trace), d)
         w, field = engine.width, engine.field
         exact = engine.scores(range(2 * n))
         scores = {}

@@ -10,6 +10,7 @@ import warnings
 from pathlib import Path
 
 import pytest
+from conftest import certain_rows
 
 import tridnf
 from tridnf import (
@@ -965,6 +966,62 @@ def test_learn_output_with_no_file_name_keeps_the_os_message(tmp_path, capsys, m
     exit_code, stdout, err = run(capsys, "learn", "--format", "zoo", "--positive-type", "1", "--output", output)
     assert (exit_code, stdout) == (2, "")
     assert err == f"error: [Errno {code}] {os.strerror(code)}: {output!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+_ZOO = ["--format", "zoo", "--positive-type", "1"]
+_MASK = ["mask", *_ZOO, "--mode", "random", "--fraction", "10%", "--seed", "1"]
+
+
+@pytest.mark.parametrize("argv, path, code", [
+    (["learn", *_ZOO, "--output", "/"], "/", errno.EISDIR),
+    (["learn", *_ZOO, "--output", ""], "", errno.ENOENT),
+    (["learn", *_ZOO, "--output", "dir"], "dir", errno.EISDIR),
+    (["learn", *_ZOO, "--output", "new/"], "new/", errno.EISDIR),
+    (["learn", *_ZOO, "--output", "missing/f.txt"], "missing/f.txt", errno.ENOENT),
+    (["learn", *_ZOO, "--output", "file/f.txt"], "file/f.txt", errno.ENOTDIR),
+    (["learn", *_ZOO, "--output", "dir/missing/f.txt"], "dir/missing/f.txt", errno.ENOENT),
+    (["learn", *_ZOO, "--output", "s.txt"], "s.json", errno.EISDIR),
+    (["learn", *_ZOO, "--output", "t.json"], "t.txt", errno.EISDIR),
+    (["learn", *_ZOO, "--output", "f.txt", "--trace", "dir"], "dir", errno.EISDIR),
+    (["learn", *_ZOO, "--output", "f.txt", "--trace", "missing/t.txt"], "missing/t.txt", errno.ENOENT),
+    (["learn", *_ZOO, "--output", "/", "--trace", "missing/t.txt"], "missing/t.txt", errno.ENOENT),
+    ([*_MASK, "--output", "dir"], "dir", errno.EISDIR),
+    ([*_MASK, "--output", "missing/m.csv"], "missing/m.csv", errno.ENOENT),
+    (["experiment", "--report", "/"], "/", errno.EISDIR),
+    (["experiment", "--report", "missing/r.txt"], "missing/r.txt", errno.ENOENT),
+    (["experiment", "--report", "r.txt"], "r.csv", errno.EISDIR),
+    (["experiment", "--report", "c.csv"], "c.runs.csv", errno.EISDIR),
+])
+def test_unwritable_outputs_are_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, path, code):
+    # every output path, siblings included, is checked before the learn,
+    # the masking or the sweep: a directory, a missing parent or a parent
+    # that is a file exits 2 with the message open() gives, the trace is
+    # checked before the formula files, and nothing is written
+    def refuse(*_, **__):
+        raise AssertionError("the work ran")
+
+    for name in ("learn", "make_mask", "run_experiment"):
+        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.chdir(tmp_path)
+    for name in ("dir", "s.json", "t.txt", "r.csv", "c.runs.csv"):
+        (tmp_path / name).mkdir()
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    before = sorted(tmp_path.iterdir())
+    exit_code, stdout, err = run(capsys, *argv)
+    assert (exit_code, stdout) == (2, "")
+    assert err == f"error: [Errno {code}] {os.strerror(code)}: {path!r}\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_too_many_constraint_sets_exit_2(tmp_path, capsys, monkeypatch):
+    # 46,341 + 46,341 distinct certain rows make more than 2^31 constraint
+    # sets: the learner refuses them with a TridnfError, a data error
+    d = certain_rows(17, random.Random(0).sample(range(1 << 17), 2 * 46_341), 46_341)
+    monkeypatch.setattr(cli, "_load_dataset", lambda args: d)
+    code, stdout, err = run(capsys, "learn", *_ZOO, "--output", str(tmp_path / "f.txt"))
+    assert (code, stdout) == (2, "")
+    assert err == "error: 46341 positive and 46341 negative rows make 2147488281 constraint sets, past 2^31 - 1\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import summed, without_safeguards
+from conftest import certain_rows, summed, without_safeguards
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +27,7 @@ from tridnf import (
     LearnResult,
     Literal,
     Term,
+    TridnfError,
     Trit,
     apply_mask,
     learn,
@@ -501,7 +502,7 @@ def test_carried_openings_equal_a_fresh_sum(monkeypatch):
 
     def sum_(self, slots):
         self.tiers = real_sum(self, slots)
-        fresh = _TermEngine(self.n, len(self.live_u) * len(self.live_v), None)
+        fresh = _TermEngine(self.n, len(self.live_u), len(self.live_v), None)
         fresh.open([u[:2] for u in self.live_u], [v[:2] for v in self.live_v])
         fresh.tiers = real_sum(fresh, {})
         assert _tier_fields(self) == _tier_fields(fresh)
@@ -617,7 +618,7 @@ def test_a_terms_live_sets_form_a_rectangle():
         }
         if not all(first.values()):
             continue  # equal certain rows, which the consistency check rejects
-        engine = summed(_TermEngine(n, p * q, []), d)
+        engine = summed(_TermEngine(n, p, q, []), d)
         sets, picks = first, []
         while sets and all(sets.values()):
             assert _engine_tiers(engine) == _leading_tiers(sets.values(), n), rows
@@ -666,37 +667,65 @@ def test_a_terms_live_sets_form_a_rectangle():
 def test_packed_fields_hold_their_largest_sum():
     # x1 and x2 grade half in each of the p*q sets, which have no full
     # grade and nr = 4, so their fields of the one tier word hold 2*p*q;
-    # the field width is the narrowest of 8, 16, 32 and 64 bits that holds
+    # the field width is the narrowest of 8, 16 and 32 bits that holds
     # 2*pairs, and 2*p*q = 128, 2^15 and 2^17 fill a field to its top bit
-    # or spill into the next width; a pairs bound of 2^31 or more forces
-    # 64 bits on the same few rows; the tie goes to x1
+    # or spill into the next width; the tie goes to x1
     cases = [(p, q, p * q) for p, q in ((1, 1), (2, 2), (8, 8), (8, 16), (128, 128), (256, 256))]
-    for p, q, pairs in cases + [(1, 1, 1 << 31), (2, 3, (1 << 63) - 1)]:
+    for p, q, pairs in cases:
         d = Dataset.from_texts(["11"] * p, ["??"] * q)
         trace: list[str] = []
-        engine = summed(_TermEngine(d.n, pairs, trace), d)
-        assert engine.width == min(w for w in (8, 16, 32, 64) if 2 * pairs < 1 << w)
+        engine = summed(_TermEngine(d.n, p, q, trace), d)
+        assert engine.width == min(w for w in (8, 16, 32) if 2 * pairs < 1 << w)
         assert engine.tiers == {4: 2 * p * q * (1 + (1 << engine.width))}
         assert engine.select() == 0
         assert _traced_relevance(trace) == Fraction(1, 2)
-    with pytest.raises(OverflowError):
-        _TermEngine(2, 1 << 63, None)
+    # 2^31 - 1 pairs fill 32-bit fields; 2^31 pairs or more, up to
+    # 2^63 - 1, are refused, naming p, q and the limit
+    assert _TermEngine(2, 1, (1 << 31) - 1, None).width == 32
+    for p, q in ((1, 1 << 31), (7, ((1 << 63) - 1) // 7), (46_341, 46_341)):
+        with pytest.raises(TridnfError) as err:
+            _TermEngine(2, p, q, None)
+        assert type(err.value) is TridnfError
+        assert str(err.value) == f"{p} positive and {q} negative rows make {p * q} constraint sets, past 2^31 - 1"
+
+
+def test_the_engine_is_sized_from_the_deduplicated_rows():
+    # 46,341 copies of one positive and of one negative row make more
+    # than 2^31 input pairs, but dedupe leaves 1 + 1 rows, on which the
+    # learn's one engine is made: it learns at once the formula of the
+    # two rows, where sizing it from the input would refuse the learn
+    expected = learn(certain_rows(4, [0b1101, 0b1100], 1)).formula
+    assert learn(certain_rows(4, [0b1101] * 46_341 + [0b1100] * 46_341, 46_341)).formula == expected
+
+
+def test_too_many_constraint_sets_are_refused_before_any_sum(monkeypatch):
+    # 46,341 + 46,341 distinct certain rows make 46,341^2 > 2^31 sets,
+    # which could fill a 32-bit field: the first iteration refuses them
+    # once preprocessing has run, before any sum
+    def refuse(self, slots):
+        raise AssertionError("a sum ran")
+
+    monkeypatch.setattr(_TermEngine, "_sum", refuse)
+    d = certain_rows(17, random.Random(0).sample(range(1 << 17), 2 * 46_341), 46_341)
+    with pytest.raises(TridnfError) as err:
+        learn(d)
+    assert type(err.value) is TridnfError
+    assert str(err.value) == "46341 positive and 46341 negative rows make 2147488281 constraint sets, past 2^31 - 1"
 
 
 def test_leads_equal_their_per_field_sum():
     # _leads sums every code's fields times floor(d/t), d = 2^30, in
-    # lanes of 64*r bits, r = ceil((W + 30) / 64): one word at W = 8, 16
-    # and 32, two at W = 64; at each width, n from 1 to 40 and random
-    # tier denominators, the leads equal sum_t field_{t,c} * (d // t).  A
-    # code's fields add up to at most 2*pairs, and every case has a code
-    # at that sum on tier 1, weighted by d, so its lead needs all W + 30
-    # bits
+    # 64-bit lanes, which W + 30 <= 62 bits never overflow; at each
+    # width, n from 1 to 40 and random tier denominators, the leads equal
+    # sum_t field_{t,c} * (d // t).  A code's fields add up to at most
+    # 2*pairs, and every case has a code at that sum on tier 1, weighted
+    # by d, so its lead needs all W + 30 bits
     rng = random.Random(11)
     d = learner._SCALE
-    for w in (8, 16, 32, 64):
+    for w in (8, 16, 32):
         pairs = (1 << w - 1) - 1
         for n in range(1, 41):
-            engine = _TermEngine(n, pairs, None)
+            engine = _TermEngine(n, pairs, 1, None)
             assert engine.width == w
             tiers = sorted({1, *rng.sample(range(2, 4 * n + 2), rng.randint(0, min(10, 4 * n)))})
             fields = {t: [0] * (2 * n) for t in tiers}
@@ -832,7 +861,7 @@ def test_certain_clusters_hold_every_exact_maximum(monkeypatch):
     for positives, negatives in _certain_rectangles(random.Random(42), 600):
         d = Dataset.from_texts(positives, negatives)
         for trace in ([], None):
-            engine = summed(_TermEngine(d.n, d.p * d.q, trace), d)
+            engine = summed(_TermEngine(d.n, d.p, d.q, trace), d)
             while engine.live_v:
                 exact = engine.scores(range(2 * d.n))
                 best = max(exact.values())
@@ -947,7 +976,7 @@ def test_grades_of_dilated_masks_are_the_dilated_grades():
     # _sum grades dilated masks and scores plain ones: for every field
     # width W and n from 1 to 40, the two agree field by field
     rng = random.Random(8)
-    for w in (8, 16, 32, 64):
+    for w in (8, 16, 32):
         for n in range(1, 41):
             dilate = learner._layout(n, w)[1]
             for _ in range(4):
@@ -1028,7 +1057,7 @@ def test_dilate_equals_its_string_definition():
     # from 1 to 10,000, past one byte, one 64-bit word and a row of 320
     # variables' 640-bit masks
     rng = random.Random(5)
-    for width in (8, 16, 32, 64):
+    for width in (8, 16, 32):
         for n in (1, 7, 8, 9, 16, 40, 63, 64, 320, 10_000):
             dilate = learner._dilation(n, width)
             for bits in (0, 1, (1 << n) - 1, 1 << (n - 1), *(rng.getrandbits(n) for _ in range(8))):
