@@ -272,14 +272,17 @@ def _writable(*paths) -> None:
             raise OSError(exc.errno, exc.strerror, path) from None
 
 
-def _formula_paths(out: str) -> tuple[Path, Path]:
-    """The text and JSON files of ``learn --output out``: out, and out
-    with the other suffix, each checked by ``_writable``.  out is checked
-    first, so a path with no file name ('', '.', '/'), which has no
-    suffix to change, is refused in the OS's words, as for --trace."""
+def _output_paths(out: str, sibling: str, clash: str) -> tuple[Path, Path]:
+    """The two files of ``learn --output`` and ``experiment --report``:
+    ``out``, and ``out`` with the suffix ``sibling``, or with ``clash``
+    when ``out`` already has that suffix; each is checked by
+    ``_writable``.  ``out`` is checked first and as typed, before ``Path``
+    drops a trailing separator or reads '' as '.': 'new/' is refused as
+    a directory and '' as missing, and a path with no file name, which
+    has no suffix to change, in the OS's words, as for --trace."""
     _writable(out)
     path = Path(out)
-    paths = (path.with_suffix(".txt"), path) if path.suffix == ".json" else (path, path.with_suffix(".json"))
+    paths = path, path.with_suffix(clash if path.suffix == sibling else sibling)
     _writable(*paths)
     return paths
 
@@ -294,7 +297,8 @@ def cmd_learn(args) -> int:
     dataset = _load_dataset(args)
     if args.trace is not None:
         _writable(args.trace)
-    text_path, json_path = _formula_paths(args.output)
+    out, sibling = _output_paths(args.output, ".json", ".txt")
+    text_path, json_path = (sibling, out) if out.suffix == ".json" else (out, sibling)
     try:
         result = learn(dataset, LearnerConfig(trace=args.trace is not None))
     except ConsistencyAbort as abort:
@@ -352,10 +356,7 @@ def cmd_eval(args) -> int:
 
 def cmd_experiment(args) -> int:
     records = load_zoo(args.dataset or bundled_zoo_path())
-    report_path = Path(args.report)
-    _writable(report_path)  # before a suffix is put on it
-    csv_path = report_path.with_suffix(".runs.csv" if report_path.suffix == ".csv" else ".csv")
-    _writable(csv_path)
+    report_path, csv_path = _output_paths(args.report, ".csv", ".runs.csv")
     report = run_experiment(
         records,
         args.types,

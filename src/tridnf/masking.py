@@ -12,15 +12,17 @@ implementations.  Selection without replacement is a partial Fisher-Yates
 shuffle over the candidate cells in row-major order, each cell held as the
 integer row * len(columns) + k for the k-th candidate column.
 
-A plan is applied a row at a time: its cells are checked in plan order
-and gathered into one blank mask per row, and each touched row is copied
-once with those cells made Unknown.
+Cells are blanked in one place, ``_blank``: it takes one blank mask per
+row, copies each row it names once with those cells made Unknown, and
+shares every other row.  ``apply_mask`` checks a plan's cells in plan
+order and gathers them into those masks.
 
 Step i of the shuffle writes only positions i and j >= i, so after k steps
 the first k candidates are final: the plan at any fraction is the sorted
 prefix of one shuffle run to the largest fraction.  ``_ladder`` uses
-that to mask one dataset at several fractions from a single shuffle, and
-returns the dataset itself for a fraction that blanks no cell.
+that to mask one dataset at several fractions from a single shuffle: each
+rung is the rung below with only the cells its step adds blanked, and a
+fraction that blanks no cell gets the dataset itself.
 
 The draws that drive a shuffle depend on the seed alone; only their
 reduction modulo ``size - i`` depends on the dataset and mode.  So the
@@ -99,9 +101,7 @@ def _draws(streams: dict, seed: int, count: int) -> list[int]:
     ``_plan`` keeps its shuffles in the same dict, under
     ``(size, count, seed)`` keys.
     """
-    if seed not in streams:
-        streams[seed] = (SplitMix64(seed).next_u64, [])
-    next_u64, drawn = streams[seed]
+    next_u64, drawn = streams.setdefault(seed, (SplitMix64(seed).next_u64, []))
     drawn.extend(next_u64() for _ in range(count - len(drawn)))
     return drawn
 
@@ -188,24 +188,28 @@ def make_mask(
     )
 
 
-def _blanked(inst: Instance, bits: int) -> Instance:
-    """``inst`` with the cells of ``bits`` made Unknown."""
-    return Instance(inst.n, inst.value_bits & ~bits, inst.known_bits & ~bits, inst.label, inst.id)
+def _blank(dataset: Dataset, blank: dict[int, int]) -> Dataset:
+    """``dataset`` with cells made Unknown, ``blank`` mapping a row's
+    position to the bits of its cells: each row it names is copied once,
+    and every other row is shared."""
+    rows = [*dataset.positives, *dataset.negatives]
+    for row, bits in blank.items():
+        inst = rows[row]
+        rows[row] = Instance(inst.n, inst.value_bits & ~bits, inst.known_bits & ~bits, inst.label, inst.id)
+    return Dataset(dataset.n, tuple(rows[: dataset.p]), tuple(rows[dataset.p :]))
 
 
 def apply_mask(dataset: Dataset, plan: MaskPlan) -> Dataset:
     """Blank the plan's cells.  Idempotent; everything else is untouched."""
-    rows: list[Instance] = list(dataset.instances())
+    rows, n = dataset.p + dataset.q, dataset.n
     blank: dict[int, int] = {}  # row -> bits of its cells to blank
     for row, col in plan.cells:
-        if not 0 <= row < len(rows):
-            raise CellOutOfRangeError(f"row {row} outside 0..{len(rows) - 1}")
-        if not 0 <= col < dataset.n:
-            raise CellOutOfRangeError(f"column {col} outside 0..{dataset.n - 1}")
+        if not 0 <= row < rows:
+            raise CellOutOfRangeError(f"row {row} outside 0..{rows - 1}")
+        if not 0 <= col < n:
+            raise CellOutOfRangeError(f"column {col} outside 0..{n - 1}")
         blank[row] = blank.get(row, 0) | 1 << col
-    for row, bits in blank.items():
-        rows[row] = _blanked(rows[row], bits)
-    return Dataset(dataset.n, tuple(rows[: dataset.p]), tuple(rows[dataset.p :]))
+    return _blank(dataset, blank)
 
 
 def _ladder(
@@ -220,31 +224,23 @@ def _ladder(
     each ``f`` of ``fractions``, in their order, from one shuffle kept in
     ``streams`` (see ``_plan``; a fresh ``{}`` shuffles anew).
 
-    The shuffle runs to the largest cell count, and its prefix is walked
-    once, each index split into its row and column and ORed into the
-    row's blank mask.  Going up in count, each step copies only the rows
-    its cells touch, each once, from the row of ``dataset`` with all its
-    cells so far made Unknown; the other rows are shared with the step
-    below.  Fractions of equal count share one dataset, and a count of 0
-    gets ``dataset`` itself.  Raises as ``make_mask`` does, checking every
-    fraction before the reference formula.
+    The shuffle runs to the largest cell count.  Going up in count, each
+    rung gathers only the cells its step adds to the prefix, each index
+    split into its row and column, and blanks them in the rung below
+    (``_blank``), so it copies only the rows those cells touch, each
+    once, and shares the others with the rung below.  Fractions of equal
+    count share one dataset, and a count of 0 gets ``dataset`` itself.
+    Raises as ``make_mask`` does, checking every fraction before the
+    reference formula.
     """
     budgets, columns, shuffled = _plan(dataset, mode, fractions, seed, truth, streams)
-    counts = [count for _, _, count in budgets]
-    original = list(dataset.instances())
-    current = original[:]
-    blank = [0] * len(original)  # row -> bits of its cells blanked so far
-    width, p = len(columns), dataset.p
+    width = len(columns)
+    steps = sorted({0, *(count for _, _, count in budgets)})
     masked = {0: dataset}  # cell count -> dataset
-    done = 0
-    for count in sorted(set(counts) - {0}):
-        touched = set()
+    for done, count in zip(steps, steps[1:]):
+        blank: dict[int, int] = {}  # row -> bits of the cells this step adds
         for index in shuffled[done:count]:
             row, k = divmod(index, width)
-            blank[row] |= 1 << columns[k]
-            touched.add(row)
-        for row in touched:
-            current[row] = _blanked(original[row], blank[row])
-        masked[count] = Dataset(dataset.n, tuple(current[:p]), tuple(current[p:]))
-        done = count
-    return [masked[count] for count in counts]
+            blank[row] = blank.get(row, 0) | 1 << columns[k]
+        masked[count] = _blank(masked[done], blank)
+    return [masked[count] for _, _, count in budgets]

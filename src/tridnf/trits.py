@@ -268,21 +268,24 @@ def reduce_uncertainty(d: Dataset) -> Dataset:
 
     Such a pair has one row with exactly one Unknown and one row with
     none, and a substitution leaves a row certain, so rows with two or
-    more Unknowns never take part: the data is returned as it is when no
-    row has exactly one Unknown, and otherwise only the rows with at most
-    one are scanned.  On those rows the rule is one mask test: with
-    ``gap`` a row's unknown bits, a pair fills when exactly one gap is
-    nonzero and the rows agree on every bit outside both gaps; the row
-    with the gap then takes the negation of the other's value there.
-    When nothing fills, the data is returned as it is, so a caller can
-    tell new rows from old by identity.
+    more Unknowns never take part: only the rows with at most one are
+    scanned.  On those rows the rule is one mask test: with ``gap`` a
+    row's unknown bits, a pair fills when exactly one gap is nonzero and
+    the rows agree on every bit outside both gaps; the row with the gap
+    then takes the negation of the other's value there.  Nothing but a
+    substitution changes the rows, so when no certain row faces a
+    one-Unknown row of the other class nothing can fill, and the data is
+    returned unscanned: k copies each of a positive ``10?1`` and a
+    negative ``0?11`` are not tested k * k times.  When nothing fills,
+    the data is returned as it is, so a caller can tell new rows from
+    old by identity.
     """
     full = (1 << d.n) - 1
     pos_at = [i for i, u in enumerate(d.positives) if not (gap := full ^ u.known_bits) & (gap - 1)]
     neg_at = [j for j, v in enumerate(d.negatives) if not (gap := full ^ v.known_bits) & (gap - 1)]
-    if all(d.positives[i].known_bits == full for i in pos_at) and all(
-        d.negatives[j].known_bits == full for j in neg_at
-    ):
+    pos_certain = {d.positives[i].known_bits == full for i in pos_at}
+    neg_certain = {d.negatives[j].known_bits == full for j in neg_at}
+    if not (pos_certain and neg_certain and len(pos_certain | neg_certain) == 2):
         return d
     pos = list(d.positives)
     neg = list(d.negatives)

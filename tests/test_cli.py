@@ -992,6 +992,8 @@ _MASK = ["mask", *_ZOO, "--mode", "random", "--fraction", "10%", "--seed", "1"]
     (["experiment", "--report", "missing/r.txt"], "missing/r.txt", errno.ENOENT),
     (["experiment", "--report", "r.txt"], "r.csv", errno.EISDIR),
     (["experiment", "--report", "c.csv"], "c.runs.csv", errno.EISDIR),
+    (["experiment", "--report", "new/"], "new/", errno.EISDIR),
+    (["experiment", "--report", ""], "", errno.ENOENT),
 ])
 def test_unwritable_outputs_are_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, path, code):
     # every output path, siblings included, is checked before the learn,

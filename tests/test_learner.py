@@ -921,6 +921,28 @@ def test_few_certain_rows_on_many_variables_learn_in_seconds():
     assert out["consistent"] and out["terms"] >= 2, out
 
 
+_COPIES_THAT_CANNOT_FILL = """
+from tridnf import Dataset, learn
+
+print(learn(Dataset.from_texts(["10?1"] * 46_341, ["0?11"] * 46_341)).formula.to_json())
+"""
+
+
+def test_duplicated_rows_that_cannot_fill_learn_in_seconds():
+    # no certain row faces a one-Unknown row of the other class, so the
+    # uncertainty reduction has nothing to fill and returns at once; a
+    # scan of every pair of these 46,341 + 46,341 rows would take minutes
+    src = str(Path(tridnf.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COPIES_THAT_CANNOT_FILL], env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    deduplicated = learn(Dataset.from_texts(["10?1"], ["0?11"])).formula
+    assert proc.stdout == deduplicated.to_json() + "\n"
+
+
 def test_rows_with_equal_decided_masks_share_one_dilation(monkeypatch):
     # u1 = 10? decides x1 and ~x2 true, and v1 = 01? decides them false,
     # so the two rows have one decided mask; u2 = 0?1 and v2 = 1?0 share

@@ -264,6 +264,12 @@ def test_ladder_shares_the_rows_it_does_not_blank():
         assert (after is before) == (after == before)
     for before, after in zip(low.instances(), high.instances()):
         assert (after is before) == (after == before)
+    # apply_mask blanks through the same routine, so it shares alike
+    for fraction in (Fraction(1, 12), Fraction(1, 6)):
+        masked = apply_mask(d, make_mask(d, RANDOM, fraction, 4))
+        assert masked != d
+        for before, after in zip(rows, masked.instances()):
+            assert (after is before) == (after == before)
 
 
 @settings(max_examples=200, deadline=None)
