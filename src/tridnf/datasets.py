@@ -1,5 +1,6 @@
 """Loading and encoding of the bundled animal-classification data, plus a
-small ternary CSV format for ad-hoc datasets.
+small ternary CSV format for ad-hoc datasets, whose rows are read and
+written through the row codec of :mod:`tridnf.trits`.
 
 The animal file is plain comma-separated text, one animal per line: a name,
 fifteen 0/1 attributes, a leg count, and a class code 1..7.  ``encode_zoo``
@@ -173,7 +174,9 @@ def bundled_zoo_path() -> Path:
 
 def save_ternary_csv(dataset: Dataset, path: str | Path) -> None:
     """Write a dataset as CSV: header x1..xn plus ``label``, cells 0/1/?,
-    labels + or -.  Instance ids are not stored."""
+    labels + or -.  Each row's cells are the characters of its ``text``,
+    which the row codec in :mod:`tridnf.trits` writes.  Instance ids are
+    not stored."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow([f"x{k}" for k in range(1, dataset.n + 1)] + ["label"])
@@ -185,8 +188,11 @@ def load_ternary_csv(path: str | Path) -> Dataset:
     """Read a dataset written by :func:`save_ternary_csv`.
 
     The header fixes the variable count; every data row needs one cell per
-    variable, each exactly ``0``, ``1`` or ``?``, plus a +/- label.  Rows
-    are assigned ids r1, r2, ... in file order.
+    variable, each exactly ``0``, ``1`` or ``?``, plus a +/- label.  A row's
+    cells are tested together, and only a row that fails is scanned for the
+    first bad cell, named by line and column; a good row's joined cells go
+    to the row codec in :mod:`tridnf.trits`.  Rows are assigned ids r1, r2,
+    ... in file order.
     """
     reader = csv.reader(io.StringIO(read_text(path, "utf-8-sig", newline=""), newline=""))
     try:
@@ -211,25 +217,25 @@ def load_ternary_csv(path: str | Path) -> Dataset:
     positives: list[Instance] = []
     negatives: list[Instance] = []
     for index, (line_no, row) in enumerate(rows[1:], start=1):
-        cells = [cell.strip() for cell in row]
-        if len(cells) != n + 1:
+        *cells, label_token = map(str.strip, row)
+        if len(cells) != n:
             raise ParseError(
-                f"expected {n + 1} columns, got {len(cells)}", where=f"line {line_no}"
+                f"expected {n + 1} columns, got {len(cells) + 1}", where=f"line {line_no}"
             )
-        label_token = cells[-1]
         if label_token not in ("+", "-"):
             raise ParseError(
                 f"label must be '+' or '-', got {_clip(label_token)!r}",
                 where=f"line {line_no}",
             )
         label = Label.POSITIVE if label_token == "+" else Label.NEGATIVE
-        for column, cell in enumerate(cells[:-1], start=1):
-            if cell not in ("0", "1", "?"):
-                raise ParseError(
-                    f"cell must be '0', '1' or '?', got {_clip(cell)!r}",
-                    where=f"line {line_no}, column {column}",
-                )
-        inst = Instance.from_cells(cells[:-1], label, id=f"r{index}")
+        if not set(cells) <= {"0", "1", "?"}:
+            # the first cell that is not a single symbol, named where it sits
+            column, cell = next((c, cell) for c, cell in enumerate(cells, 1) if cell not in ("0", "1", "?"))
+            raise ParseError(
+                f"cell must be '0', '1' or '?', got {_clip(cell)!r}",
+                where=f"line {line_no}, column {column}",
+            )
+        inst = Instance.from_cells("".join(cells), label, id=f"r{index}")
         (positives if label is Label.POSITIVE else negatives).append(inst)
     if not positives and not negatives:
         raise ParseError("no data rows found", where=str(path))

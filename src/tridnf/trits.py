@@ -4,6 +4,12 @@ Instances are stored bit-packed: one mask holds the certain-one bits, a
 second marks which cells are certain at all.  An Unknown cell has its known
 bit clear (and, canonically, its value bit clear too), so pairwise
 comparisons reduce to a handful of word-parallel integer operations.
+
+A row's text, one ``0``, ``1`` or ``?`` per cell, turns into its two masks
+and back through one codec, ``_bits`` and ``_text``: string translations
+and base-2 and base-16 conversions, with no Python step per cell and no
+``Trit``.  Conversions in a power-of-two base take linear time and have no
+int-to-str digit limit, so rows of any width read and write.
 """
 from __future__ import annotations
 
@@ -52,6 +58,41 @@ class Trit(enum.IntEnum):
         return "0?1"[self]
 
 
+# the Trit each cell character spells
+_TRIT = {str(t): t for t in Trit}
+# a row's text less its cell characters; then, read last cell first, as
+# value digits and as known digits
+_OTHERS = str.maketrans("", "", "01?")
+_VALUE_DIGITS = str.maketrans("?", "0")
+_KNOWN_DIGITS = str.maketrans("01?", "110")
+# a cell's known digit plus its value digit, as a hex digit, to its text
+_CELL_OF_SUM = str.maketrans("012", "?01")
+
+
+def _bits(text: str) -> tuple[int, int]:
+    """The (value, known) masks of a row's text, cell k at bit k.
+
+    A character other than ``0``, ``1`` and ``?`` raises ``Trit.coerce``'s
+    error for the first such character.  The leading ``0`` digit reads
+    the empty row as 0.
+    """
+    if others := text.translate(_OTHERS):
+        Trit.coerce(others[0])  # raises: no other character is a cell
+    digits = text[::-1]
+    return int("0" + digits.translate(_VALUE_DIGITS), 2), int("0" + digits.translate(_KNOWN_DIGITS), 2)
+
+
+def _text(n: int, value: int, known: int) -> str:
+    """The text of a row of ``n`` cells from its masks, inverse of ``_bits``.
+
+    Both masks are written as n binary digits and read back as hex, so
+    their sum holds each cell's known + value digit, 0, 1 or 2, in a digit
+    of its own; no digit carries.
+    """
+    sums = int(format(known, f"0{n}b"), 16) + int(format(value, f"0{n}b"), 16)
+    return format(sums, f"0{n}x")[::-1].translate(_CELL_OF_SUM) if n else ""
+
+
 class Label(enum.Enum):
     POSITIVE = "+"
     NEGATIVE = "-"
@@ -96,18 +137,11 @@ class Instance:
 
     @classmethod
     def from_cells(cls, cells: Iterable, label: Label, id: str = "") -> "Instance":
-        """Build from cells as ``Trit.coerce`` reads them, a compact row
-        like ``"1?0"`` included."""
-        value = known = 0
-        n = 0
-        for k, raw in enumerate(cells):
-            t = Trit.coerce(raw)
-            if t is Trit.TRUE:
-                value |= 1 << k
-            if t.is_certain:
-                known |= 1 << k
-            n = k + 1
-        return cls(n, value, known, label, id)
+        """Build from cells as ``Trit.coerce`` reads them.  A string such as
+        ``"1?0"`` goes to the row codec as it is; any other iterable is
+        first written as text through ``Trit.coerce``."""
+        text = cells if isinstance(cells, str) else "".join(map(str, map(Trit.coerce, cells)))
+        return cls(len(text), *_bits(text), label, id)
 
     def cell(self, k: int) -> Trit:
         """Cell at 0-based coordinate ``k``."""
@@ -119,11 +153,11 @@ class Instance:
 
     @property
     def cells(self) -> tuple[Trit, ...]:
-        return tuple(self.cell(k) for k in range(self.n))
+        return tuple(map(_TRIT.__getitem__, self.text))
 
     @property
     def text(self) -> str:
-        return "".join(str(c) for c in self.cells)
+        return _text(self.n, self.value_bits, self.known_bits)
 
     @property
     def zeros(self) -> int:
@@ -142,17 +176,12 @@ class Instance:
         return self.unknowns.bit_count()
 
     def with_cell(self, k: int, value: Trit) -> "Instance":
-        """Copy with coordinate ``k`` replaced."""
+        """Copy with coordinate ``k`` replaced by ``value``, as ``Trit.coerce``
+        reads it: an edit of the row's text, read back by ``from_cells``."""
         if not 0 <= k < self.n:
             raise IndexError(k)
-        bit = 1 << k
-        value_bits = self.value_bits & ~bit
-        known_bits = self.known_bits & ~bit
-        if value is Trit.TRUE:
-            value_bits |= bit
-        if value.is_certain:
-            known_bits |= bit
-        return Instance(self.n, value_bits, known_bits, self.label, self.id)
+        text = self.text
+        return Instance.from_cells(text[:k] + str(Trit.coerce(value)) + text[k + 1:], self.label, self.id)
 
     def __str__(self) -> str:
         return f"{self.text}{self.label}"

@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, file products, exit codes."""
 
 import errno
+import hashlib
 import json
 import os
 import random
@@ -124,6 +125,23 @@ def test_mask_fraction_zero_keeps_file_byte_identical(tmp_path, capsys):
     plain = tmp_path / "plain.csv"
     save_ternary_csv(load_ternary_csv(masked), plain)
     assert masked.read_bytes() == plain.read_bytes()
+
+
+def test_masked_csv_bytes_are_pinned(tmp_path, capsys):
+    # the same digest is checked on the installed command in CI
+    masked = tmp_path / "m.csv"
+    code, _, _ = run(
+        capsys, "mask", "--format", "zoo", "--positive-type", "1",
+        "--mode", "random", "--fraction", "20", "--seed", "1",
+        "--output", str(masked),
+    )
+    assert code == 0
+    assert hashlib.sha256(masked.read_bytes()).hexdigest() == (
+        "4771352166d0b2c0dd34ae0a209ebab94525c90d40cffe74f2f35014bc31ab0f"
+    )
+    code, stdout, _ = run(capsys, "learn", "--format", "csv", "--input", str(masked), "--output", str(tmp_path / "f.txt"))
+    assert code == 0
+    assert stdout.splitlines()[0] == "f* = ~x3 x4 | x4"
 
 
 def test_mask_fraction_spellings_agree(tmp_path, capsys):

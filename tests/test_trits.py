@@ -292,3 +292,81 @@ def _drawn_rows(draw):
 def test_preprocessing_equals_its_spec_on_drawn_data(rows):
     fast, spec = _preprocessed(Dataset.from_texts(*rows))
     assert fast == spec
+
+
+def _spec_bits(cells):
+    """The per-cell definition of a row's masks: bit k of the value mask is
+    set iff cell k reads as TRUE, bit k of the known mask iff it is
+    certain."""
+    value = known = 0
+    for k, raw in enumerate(cells):
+        t = Trit.coerce(raw)
+        value |= (t is Trit.TRUE) << k
+        known |= t.is_certain << k
+    return value, known
+
+
+def _spec_text(n, value, known):
+    return "".join("1" if value >> k & 1 else "0" if known >> k & 1 else "?" for k in range(n))
+
+
+# every spelling Trit.coerce reads, by the cell it spells
+_SPELLINGS = {
+    "0": (0, False, "0", 0.0, Trit.FALSE),
+    "1": (1, True, "1", 1.0, Trit.TRUE),
+    "?": (None, 0.5, "?", Trit.UNKNOWN),
+}
+
+
+# 5,000 cells: a row's masks in decimal would pass the int-to-str digit limit
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 320, 5000])
+def test_row_codec_equals_the_per_cell_definition(n):
+    rng = random.Random(n)
+    texts = ["0" * n, "1" * n, "?" * n] + ["".join(rng.choice("01?") for _ in range(n)) for _ in range(8)]
+    for text in texts:
+        inst = Instance.from_cells(text, Label.NEGATIVE, "v1")
+        value, known = _spec_bits(text)
+        assert (inst.n, inst.value_bits, inst.known_bits) == (n, value, known)
+        assert inst.text == text
+        assert inst.cells == tuple(inst.cell(k) for k in range(n))
+        spelled = [rng.choice(_SPELLINGS[c]) for c in text]
+        for cells in (spelled, tuple(spelled), iter(spelled)):
+            assert Instance.from_cells(cells, Label.NEGATIVE, "v1") == inst
+    for _ in range(20):
+        known = rng.getrandbits(n)
+        value = rng.getrandbits(n) & known
+        assert Instance(n, value, known, Label.POSITIVE).text == _spec_text(n, value, known)
+    inst = Instance.from_cells(texts[-1], Label.NEGATIVE, "v1")
+    value, known = inst.value_bits, inst.known_bits
+    for k in range(n):
+        for t in Trit:
+            got = inst.with_cell(k, t)
+            bit = 1 << k
+            assert (got.n, got.label, got.id) == (n, Label.NEGATIVE, "v1")
+            assert got.value_bits == value & ~bit | (t is Trit.TRUE) << k
+            assert got.known_bits == known & ~bit | t.is_certain << k
+
+
+@pytest.mark.parametrize("cells", [
+    "1?x0", "1x?y0", "01y", "1_0", " 10", "+1", "0b1", "1١", "½", "?1?\n",
+    ["1", "?", "10", "x"], [1, 2, "z"], (0, "0", "?", "1 "), [0.25], b"10",
+])
+def test_row_codec_names_the_first_bad_cell(cells):
+    # the first cell that Trit.coerce refuses gives its own error, whether
+    # the row is a string or any other iterable; int() would read some of
+    # these strings as binary digits
+    with pytest.raises(ValueError) as want:
+        _spec_bits(cells)
+    with pytest.raises(ValueError) as got:
+        Instance.from_cells(cells, Label.POSITIVE)
+    assert str(got.value) == str(want.value)
+
+
+def test_row_text_goes_through_no_trit(monkeypatch):
+    def refuse(cls, value):
+        raise AssertionError("a Trit per cell")
+
+    monkeypatch.setattr(Trit, "coerce", classmethod(refuse))
+    inst = Instance.from_cells("1?0" * 100, Label.POSITIVE, "u1")
+    assert inst.text == "1?0" * 100
+    assert Dataset.from_texts(["1?0"], ["0?1"]).negatives[0].text == "0?1"
